@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CODEC",
         help="compress the pattern store written by --store-out "
-        "('auto' picks the best codec available: zstd when the optional "
-        "zstandard package is installed, zlib otherwise)",
+        "(zlib, the only codec; 'auto' resolves to it)",
     )
     _add_observability_arguments(mine)
 
@@ -475,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         const="auto",
         default=None,
         metavar="CODEC",
-        help="compress sealed WAL segments with CODEC ('zlib', 'zstd' "
-        "when available, or bare --compress for the best codec); the "
+        help="compress sealed WAL segments with CODEC ('zlib', the only "
+        "codec, or bare --compress for the same); the "
         "active segment and all replication offsets stay in raw frame "
         "bytes, so mixed compressed/raw fleets replicate unchanged",
     )

@@ -37,13 +37,19 @@ __all__ = [
 
 
 class OccurrenceStore:
-    """Registry of the occurrences of one pattern class."""
+    """Registry of the occurrences of one pattern class.
+
+    :class:`repro.incremental.delta.OccurrenceColumns` extends it with
+    tombstoned (``None``) occurrences; :attr:`all_bits` is the one place
+    that knows which occurrences are live, so the support kernel below
+    serves both classes.
+    """
 
     __slots__ = ("occurrences", "_graph_masks")
 
     def __init__(self) -> None:
         # occurrence id -> (graph id, mapped nodes); ids are dense.
-        self.occurrences: list[tuple[int, tuple[int, ...]]] = []
+        self.occurrences: list[tuple[int, tuple[int, ...]] | None] = []
         self._graph_masks: dict[int, int] = {}
 
     def add(self, graph_id: int, nodes: tuple[int, ...]) -> int:
@@ -59,11 +65,11 @@ class OccurrenceStore:
 
     @property
     def all_bits(self) -> int:
-        """Mask of every registered occurrence."""
+        """Mask of every live occurrence."""
         return (1 << len(self.occurrences)) - 1
 
     def support_count(self, bits: int) -> int:
-        """Distinct graphs with at least one occurrence in ``bits``.
+        """Distinct graphs with at least one live occurrence in ``bits``.
 
         Adaptive kernel: when the candidate set is much smaller than the
         number of graphs, walking its set bits and collecting owning
@@ -73,12 +79,15 @@ class OccurrenceStore:
         """
         if bits == 0:
             return 0
-        if bits == self.all_bits:
+        live = self.all_bits
+        if bits == live:
             return len(self._graph_masks)
         if bits.bit_count() * 4 < len(self._graph_masks):
             occurrences = self.occurrences
             graphs: set[int] = set()
-            probe = bits
+            # Clamping to the live mask skips tombstoned occurrences (their
+            # graphs' masks are gone, so the dense scan skips them too).
+            probe = bits & live
             while probe:
                 low = probe & -probe
                 graphs.add(occurrences[low.bit_length() - 1][0])

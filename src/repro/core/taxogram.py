@@ -80,9 +80,8 @@ class TaxogramOptions:
     # incremental maintenance under database deltas (see docs/API.md,
     # "Incremental mining").  ``None`` (the default) skips persistence.
     store_out: str | None = None
-    # Compression codec for the persisted store ("zlib", "zstd" when the
-    # optional zstandard package is installed, "auto" for the best
-    # available, None/"none" for the legacy raw layout).  Only
+    # Compression codec for the persisted store ("zlib" or "auto", which
+    # resolves to it; None/"none" for the legacy raw layout).  Only
     # meaningful together with ``store_out``; see
     # :mod:`repro.util.compression`.
     store_compression: str | None = None

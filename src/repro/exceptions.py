@@ -63,9 +63,8 @@ class CompressionError(ReproError):
     """A compression codec is unknown, unavailable, or produced bad data.
 
     Raised by :mod:`repro.util.compression` when a store or WAL names a
-    codec this installation cannot decode (e.g. ``zstd`` without the
-    optional ``zstandard`` package) or when a compressed container fails
-    to parse.
+    codec this installation cannot decode (anything but ``zlib``, e.g.
+    ``zstd``) or when a compressed container fails to parse.
     """
 
 

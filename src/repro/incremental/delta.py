@@ -10,9 +10,9 @@ space of one pattern class, maintained across deltas.  New graphs append
 bit columns; removals clear columns in place (tombstones keep surviving
 occurrence ids — and therefore every persisted OIE bit-set — stable);
 a compaction pass renumbers the survivors densely once the dead fraction
-crosses a threshold.  The class duck-types the ``OccurrenceStore``
-interface consumed by :func:`repro.core.specializer.specialize_class`
-(``all_bits`` / ``support_count`` / ``support_set``).
+crosses a threshold.  It subclasses ``OccurrenceStore``, so
+:func:`repro.core.specializer.specialize_class` runs the same
+``all_bits`` / ``support_count`` / ``support_set`` kernels on it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from repro.core.occurrence_index import OccurrenceStore
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
@@ -88,91 +89,54 @@ class DatabaseDelta:
         return parse_graph_database(self.add_text, node_labels, edge_labels)
 
 
-class OccurrenceColumns:
+class OccurrenceColumns(OccurrenceStore):
     """The maintained occurrence-id space of one stored pattern class.
 
-    ``columns[occ_id]`` is ``(graph_id, mapped_nodes)`` for a live
+    ``occurrences[occ_id]`` is ``(graph_id, mapped_nodes)`` for a live
     occurrence or ``None`` for a cleared (dead) one.  Dead columns keep
     their ids reserved so the bit positions of every persisted OIE row
     stay valid without rewriting the index on each removal; they are
     reclaimed by :meth:`compact` when :attr:`dead_fraction` grows.
+    The support kernels are :class:`OccurrenceStore`'s; dead columns
+    count for nothing because :attr:`all_bits` excludes them and their
+    graph masks are dropped.
     """
 
-    __slots__ = ("_columns", "_graph_masks", "_dead_bits")
+    __slots__ = ("_dead_bits",)
 
     def __init__(
         self,
         columns: Iterable[tuple[int, tuple[int, ...]] | None] = (),
     ) -> None:
-        self._columns: list[tuple[int, tuple[int, ...]] | None] = []
-        self._graph_masks: dict[int, int] = {}
+        super().__init__()
         self._dead_bits = 0
         for column in columns:
             if column is None:
-                self._columns.append(None)
-                self._dead_bits |= 1 << (len(self._columns) - 1)
+                self.occurrences.append(None)
+                self._dead_bits |= 1 << (len(self.occurrences) - 1)
             else:
                 gid, nodes = column
                 self.append(gid, tuple(nodes))
 
-    # -- OccurrenceStore duck interface ------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
     @property
     def all_bits(self) -> int:
         """Mask of every *live* occurrence."""
-        return ((1 << len(self._columns)) - 1) & ~self._dead_bits
+        return ((1 << len(self.occurrences)) - 1) & ~self._dead_bits
 
-    def support_count(self, bits: int) -> int:
-        # Adaptive kernel, mirroring OccurrenceStore.support_count:
-        # sparse candidate sets walk their own bits instead of scanning
-        # every graph mask.  Dead columns are never set in incoming
-        # masks (OIE rows only cover live occurrences), but guard with
-        # the all_bits clamp anyway so stale bits cannot crash on None.
-        if bits == 0:
-            return 0
-        if bits == self.all_bits:
-            return len(self._graph_masks)
-        if bits.bit_count() * 4 < len(self._graph_masks):
-            columns = self._columns
-            graphs: set[int] = set()
-            probe = bits & self.all_bits
-            while probe:
-                low = probe & -probe
-                column = columns[low.bit_length() - 1]
-                if column is not None:
-                    graphs.add(column[0])
-                probe ^= low
-            return len(graphs)
-        return sum(1 for mask in self._graph_masks.values() if mask & bits)
-
-    def support_set(self, bits: int) -> frozenset[int]:
-        return frozenset(
-            gid for gid, mask in self._graph_masks.items() if mask & bits
-        )
+    #: Register one occurrence in ``graph_id``; returns its column id.
+    append = OccurrenceStore.add
 
     # -- maintenance ---------------------------------------------------------------
 
     @property
     def live_count(self) -> int:
-        return len(self._columns) - self._dead_bits.bit_count()
+        return len(self.occurrences) - self._dead_bits.bit_count()
 
     @property
     def dead_fraction(self) -> float:
-        if not self._columns:
+        if not self.occurrences:
             return 0.0
-        return self._dead_bits.bit_count() / len(self._columns)
-
-    def append(self, graph_id: int, nodes: tuple[int, ...]) -> int:
-        """Register one occurrence in ``graph_id``; returns its column id."""
-        occ_id = len(self._columns)
-        self._columns.append((graph_id, nodes))
-        self._graph_masks[graph_id] = self._graph_masks.get(graph_id, 0) | (
-            1 << occ_id
-        )
-        return occ_id
+        return self._dead_bits.bit_count() / len(self.occurrences)
 
     def clear_graphs(self, removed: Iterable[int]) -> int:
         """Clear every column of the given graphs; returns the cleared mask."""
@@ -185,7 +149,7 @@ class OccurrenceColumns:
             probe = mask
             while probe:
                 low = probe & -probe
-                self._columns[low.bit_length() - 1] = None
+                self.occurrences[low.bit_length() - 1] = None
                 probe ^= low
         self._dead_bits |= cleared
         return cleared
@@ -199,14 +163,14 @@ class OccurrenceColumns:
         self._graph_masks = {
             id_map[gid]: mask for gid, mask in self._graph_masks.items()
         }
-        for occ_id, column in enumerate(self._columns):
+        for occ_id, column in enumerate(self.occurrences):
             if column is not None:
-                self._columns[occ_id] = (id_map[column[0]], column[1])
+                self.occurrences[occ_id] = (id_map[column[0]], column[1])
 
     def compaction_map(self) -> dict[int, int]:
         """Dense renumbering of live columns (old occurrence id -> new)."""
         out: dict[int, int] = {}
-        for occ_id, column in enumerate(self._columns):
+        for occ_id, column in enumerate(self.occurrences):
             if column is not None:
                 out[occ_id] = len(out)
         return out
@@ -217,8 +181,8 @@ class OccurrenceColumns:
         ``id_map`` is :meth:`compaction_map` (shared with the disk index
         so both sides renumber identically).
         """
-        survivors = [c for c in self._columns if c is not None]
-        self._columns = survivors
+        survivors = [c for c in self.occurrences if c is not None]
+        self.occurrences = survivors
         self._dead_bits = 0
         self._graph_masks = {}
         for occ_id, (gid, _nodes) in enumerate(survivors):
@@ -230,7 +194,7 @@ class OccurrenceColumns:
         """JSON-serializable view: ``[gid, [nodes...]]`` or ``None``."""
         return [
             None if column is None else [column[0], list(column[1])]
-            for column in self._columns
+            for column in self.occurrences
         ]
 
     @classmethod
@@ -241,7 +205,7 @@ class OccurrenceColumns:
         )
 
     def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]] | None]:
-        return iter(self._columns)
+        return iter(self.occurrences)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

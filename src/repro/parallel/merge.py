@@ -20,10 +20,9 @@ whole database would have computed:
   embedding-list order, which groups by ascending graph id; per-shard
   occurrence lists therefore concatenate in shard order, and per-shard
   occurrence-index entries re-base onto the global id space by shifting
-  each shard's bits up by the number of occurrences before it
-  (:meth:`~repro.util.bitset.BitSet.offset`) and OR-ing
-  (:meth:`~repro.util.bitset.BitSet.union_update`).  Graph ids re-base
-  by adding the shard's start offset (:func:`merge_class_fragments`).
+  each shard's bit masks up by the number of occurrences before it and
+  OR-ing.  Graph ids re-base by adding the shard's start offset
+  (:func:`merge_class_fragments`).
 
 The merged support (distinct global graph ids) is exact, so candidates
 that were only locally frequent are discarded here — the superset
@@ -114,8 +113,7 @@ def merge_support_sets(
     containing some pattern; ``shard_starts[s]`` is the global id of the
     shard's first graph.  Because shards are disjoint contiguous ranges,
     the shifted OR is exact: the result's popcount is the pattern's
-    global support.  This is the same :meth:`~repro.util.bitset.BitSet.
-    offset` + :meth:`~repro.util.bitset.BitSet.union_update` re-basing
+    global support.  This is the same shift-and-OR re-basing
     :func:`merge_class_fragments` applies to occurrence bits; the
     replication query router uses it to merge per-shard ``graphs``
     answers into one global support set.
@@ -163,7 +161,7 @@ def merge_class_fragments(
         raise MiningError("cannot merge an empty fragment list")
     code = fragments[0].code
     num_positions = len(fragments[0].entries)
-    merged_entries: list[dict[int, BitSet]] = [{} for _ in range(num_positions)]
+    merged_entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
     occurrences: list[tuple[int, tuple[int, ...]]] = []
     support: set[int] = set()
     updates = 0
@@ -185,21 +183,13 @@ def merge_class_fragments(
         for position, entry in enumerate(fragment.entries):
             target = merged_entries[position]
             for label, bits in entry.items():
-                shifted = BitSet.from_bits(bits).offset(offset)
-                existing = target.get(label)
-                if existing is None:
-                    target[label] = shifted
-                else:
-                    existing.union_update(shifted)
+                target[label] = target.get(label, 0) | (bits << offset)
         updates += fragment.index_updates
         offset += len(fragment.occurrences)
     return MergedClass(
         code=code,
         occurrences=tuple(occurrences),
-        entries=tuple(
-            {label: bits.bits for label, bits in entry.items()}
-            for entry in merged_entries
-        ),
+        entries=tuple(merged_entries),
         index_updates=updates,
         support_set=frozenset(support),
     )

@@ -1,4 +1,4 @@
-"""Optional compression codecs and the on-disk container framing.
+"""Compression codecs and the on-disk container framing.
 
 The pattern store and the WAL compress *whole files* (occurrence
 columns, sealed segments), so the codec layer is deliberately small: a
@@ -6,13 +6,10 @@ registry of byte->byte codecs plus a self-describing container header
 that names the codec used, letting readers decode without out-of-band
 negotiation.
 
-Codecs:
-
-* ``zlib`` — always available (standard library).
-* ``zstd`` — registered only when the optional ``zstandard`` package is
-  importable.  Nothing in this repository depends on it; ``zlib`` is
-  the no-dependency fallback and ``best_codec()`` picks whichever is
-  the strongest available.
+The registry holds one codec, the standard library's ``zlib``, which is
+also what ``"auto"`` resolves to.  A container naming any other codec
+(for example ``zstd``) fails to decode with a :class:`CompressionError`
+that names it.
 
 Container format (``encode_container`` / ``decode_container``)::
 
@@ -59,28 +56,14 @@ _CODECS = {
     ),
 }
 
-try:  # pragma: no cover - exercised only when zstandard is installed
-    import zstandard as _zstd
-except ImportError:
-    _zstd = None
-else:  # pragma: no cover
-    _CODECS["zstd"] = (
-        lambda data: _zstd.ZstdCompressor().compress(data),
-        lambda data: _zstd.ZstdDecompressor().decompress(data),
-    )
-
 
 def available_codecs() -> tuple[str, ...]:
-    """Codec names usable in this installation, strongest first."""
-    names = sorted(_CODECS)
-    if "zstd" in _CODECS:
-        names.remove("zstd")
-        names.insert(0, "zstd")
-    return tuple(names)
+    """Codec names usable in this installation."""
+    return tuple(_CODECS)
 
 
 def best_codec() -> str:
-    """The strongest codec available here (``zstd`` if installed)."""
+    """The codec ``"auto"`` resolves to (``zlib``)."""
     return available_codecs()[0]
 
 
@@ -89,18 +72,13 @@ def get_codec(
 ) -> tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]:
     """The ``(compress, decompress)`` pair for ``name``.
 
-    Raises :class:`CompressionError` with a hint when the codec exists
-    but is not installed, so a store written with ``zstd`` elsewhere
-    fails with an actionable message rather than a KeyError.
+    Raises :class:`CompressionError` naming the codec, so a container
+    written with a codec this build lacks fails with an actionable
+    message rather than a KeyError.
     """
     try:
         return _CODECS[name]
     except KeyError:
-        if name == "zstd":
-            raise CompressionError(
-                "codec 'zstd' requires the optional 'zstandard' package "
-                "(available codecs: " + ", ".join(available_codecs()) + ")"
-            ) from None
         raise CompressionError(
             f"unknown compression codec {name!r} "
             "(available: " + ", ".join(available_codecs()) + ")"

@@ -1,14 +1,30 @@
-"""Unit and property tests for :mod:`repro.util.bitset`."""
+"""Unit and property tests for :mod:`repro.util.bitset`.
+
+The property suite uses Python ``set`` as the oracle.  Ids and offsets
+reach past 2**16 so masks spanning many machine words (and sets whose
+members sit far apart) are covered, not just single-word masks.
+"""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.bitset import BitSet
 
-id_sets = st.sets(st.integers(min_value=0, max_value=300), max_size=40)
+_WIDE = 1 << 16
+
+ids = st.one_of(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=_WIDE - 4, max_value=_WIDE + 4),
+    st.integers(min_value=0, max_value=4 * _WIDE),
+)
+id_sets = st.sets(ids, max_size=40)
+offsets = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=_WIDE - 8, max_value=2 * _WIDE + 3),
+)
 
 
 class TestConstruction:
@@ -209,18 +225,18 @@ class TestHypothesis:
         bs.union_update(BitSet(b))
         assert bs.to_set() == a | b
 
-    @given(id_sets, st.integers(min_value=0, max_value=64))
+    @given(id_sets, offsets)
     def test_offset_shifts_every_member(self, a, k):
         assert BitSet(a).offset(k).to_set() == {i + k for i in a}
 
-    @given(id_sets, id_sets, st.integers(min_value=0, max_value=64))
+    @given(id_sets, id_sets, offsets)
     def test_offset_distributes_over_union(self, a, b, k):
         # The merge layer relies on shift-then-OR == OR-then-shift.
         left = BitSet(a).offset(k) | BitSet(b).offset(k)
         right = (BitSet(a) | BitSet(b)).offset(k)
         assert left == right
 
-    @given(id_sets, st.integers(min_value=0, max_value=300))
+    @given(id_sets, ids)
     def test_clear_bit_matches_set_discard(self, a, i):
         bs = BitSet(a)
         assert bs.clear_bit(i) == (i in a)
@@ -263,3 +279,59 @@ class TestHypothesis:
     @given(id_sets)
     def test_jaccard_self_is_one(self, a):
         assert BitSet(a).jaccard(BitSet(a)) == 1.0
+
+    @given(id_sets, id_sets)
+    def test_xor_matches_set_symmetric_difference(self, a, b):
+        assert (BitSet(a) ^ BitSet(b)).to_set() == a ^ b
+
+    @given(id_sets, id_sets)
+    def test_named_aliases_match_set_methods(self, a, b):
+        assert BitSet(a).intersection(BitSet(b)).to_set() == a & b
+        assert BitSet(a).union(BitSet(b)).to_set() == a | b
+        assert BitSet(a).difference(BitSet(b)).to_set() == a - b
+
+    @given(id_sets, id_sets)
+    def test_intersection_count_matches_set_intersection(self, a, b):
+        assert BitSet(a).intersection_count(BitSet(b)) == len(a & b)
+        assert BitSet(a).isdisjoint(BitSet(b)) == a.isdisjoint(b)
+        assert BitSet(a).issuperset(BitSet(b)) == (a >= b)
+
+    @given(id_sets, id_sets)
+    def test_equality_and_hash_follow_set_equality(self, a, b):
+        assert (BitSet(a) == BitSet(b)) == (a == b)
+        if a == b:
+            assert hash(BitSet(a)) == hash(BitSet(b))
+
+    @given(id_sets, ids)
+    def test_add_discard_match_set(self, a, i):
+        bs = BitSet(a)
+        bs.add(i)
+        assert bs.to_set() == a | {i}
+        bs.discard(i)
+        assert bs.to_set() == a - {i}
+
+    @given(id_sets, ids)
+    def test_copy_is_independent(self, a, i):
+        bs = BitSet(a)
+        dup = bs.copy()
+        dup.add(i)
+        dup.discard(min(a, default=0))
+        assert bs.to_set() == a
+
+    # Sets of up to ~200k members; slow under coverage tracing.
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=3 * _WIDE + 7))
+    def test_full_is_range(self, n):
+        full = BitSet.full(n)
+        assert len(full) == n
+        assert full.to_set() == set(range(n))
+
+    @given(id_sets)
+    def test_from_bits_matches_mask(self, a):
+        mask = sum(1 << i for i in a)
+        assert BitSet.from_bits(mask).to_set() == a
+        assert BitSet(a).bits == mask
+
+    @given(id_sets, ids)
+    def test_contains_matches_set(self, a, i):
+        assert (i in BitSet(a)) == (i in a)

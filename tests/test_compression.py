@@ -4,7 +4,7 @@ Three claims, each load-bearing for the PR 9 compression work:
 
 1. the self-describing container format round-trips under every
    available codec and fails loudly (``CompressionError``) for unknown
-   or unavailable codecs — ``zstd`` stays optional;
+   or unavailable codecs — ``zstd`` included;
 2. a compressed :class:`~repro.incremental.store.PatternStore` holds
    exactly the same logical content as a raw one, and legacy raw stores
    open unchanged (their manifests carry no ``compression`` block);
@@ -17,6 +17,7 @@ Three claims, each load-bearing for the PR 9 compression work:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -40,14 +41,6 @@ from repro.util.compression import (
 from repro.util.interner import LabelInterner
 
 from tests.conftest import make_random_database, make_random_taxonomy
-
-
-def _zstd_missing() -> bool:
-    try:
-        import zstandard  # noqa: F401
-    except ImportError:
-        return True
-    return False
 
 
 class TestContainerFormat:
@@ -78,11 +71,8 @@ class TestContainerFormat:
         assert normalize_codec("auto") == best_codec()
         assert normalize_codec("zlib") == "zlib"
 
-    @pytest.mark.skipif(
-        not _zstd_missing(), reason="zstandard is installed"
-    )
     def test_zstd_absent_is_a_clear_error(self):
-        with pytest.raises(CompressionError, match="zstandard"):
+        with pytest.raises(CompressionError, match="zstd"):
             get_codec("zstd")
         assert "zlib" in available_codecs()
         assert best_codec() == "zlib"
@@ -175,6 +165,25 @@ class TestStoreCompression:
         blob[-1] ^= 0xFF
         (z_dir / victim).write_bytes(bytes(blob))
         with pytest.raises(StoreError):
+            PatternStore.open(z_dir)
+
+    def test_zstd_container_is_a_store_error_naming_the_codec(self, tmp_path):
+        _, z_dir = _mine_store(tmp_path, "zlib", "zlib")
+        manifest_path = z_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        victim = next(
+            name
+            for name in sorted(manifest["checksums"])
+            if is_container((z_dir / name).read_bytes())
+        )
+        blob = (z_dir / victim).read_bytes()
+        # Same-length codec name, so only the header's name field moves.
+        renamed = blob.replace(b"\x04zlib", b"\x04zstd", 1)
+        assert renamed != blob
+        (z_dir / victim).write_bytes(renamed)
+        manifest["checksums"][victim] = hashlib.sha256(renamed).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(StoreError, match="zstd"):
             PatternStore.open(z_dir)
 
 

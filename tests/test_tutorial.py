@@ -495,7 +495,7 @@ class TestTutorial:
         assert [s.graph_id for s in ranked] == [0, 2, 1]
         delta = kernel_delta(snapshot)
         assert delta["bitset.jaccards"] > 0
-        assert delta["bitset.blocks_visited"] > 0
+        assert delta["bitset.unions"] > 0
 
     def test_step19_sessions(self, tmp_path):
         taxonomy, db = _setup()
