@@ -1,16 +1,10 @@
-"""Serving-front A/B under open-loop load (beyond-paper experiment).
+"""Serving under open-loop overload (beyond-paper experiment).
 
-The same mined store is served twice — once by the default asyncio
-front, once by the ``--legacy-threads`` thread-per-connection server —
-and driven with an identical seeded open-loop plan from
-:mod:`repro.loadtest`.  Claims pinned here:
-
-* the asyncio front sustains at least comparable throughput to the
-  threaded server under concurrent load (it is usually ahead: one
-  event loop plus a bounded executor beats unbounded thread churn);
-* driven past capacity, the async front's admission control keeps the
-  failure surface clean — every response is a 200 or a 429, never a
-  hang, a socket error, or a 500.
+A mined store is served by ``taxogram serve`` — directly, and behind a
+``taxogram route`` router — and driven past capacity with a seeded
+open-loop plan from :mod:`repro.loadtest`.  The claim pinned here:
+admission control keeps the failure surface clean on both hops — every
+response is a 200 or a 429, never a hang, a socket error, or a 500.
 
 With ``REPRO_BENCH_JSON_DIR`` set, each run appends its throughput and
 latency summary to ``BENCH_serving_load.json``.
@@ -24,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks._common import MAX_EDGES, dataset, print_header, print_row
+from benchmarks._common import MAX_EDGES, dataset
 from repro.core.taxogram import Taxogram, TaxogramOptions
-from repro.loadtest import Envelope, LoadOptions, LoadRunner, build_plan
-from repro.loadtest.cluster import spawn_serve
+from repro.loadtest import LoadOptions, LoadRunner, build_plan
+from repro.loadtest.cluster import spawn_router, spawn_serve
 
 SIGMA = 0.2
 _GRAPH_SCALE = 0.1
@@ -69,42 +63,6 @@ def _drive(url: str, *, rate: float, duration: float, workers: int,
     return LoadRunner(url, plan, workers=workers).run()
 
 
-def test_async_front_keeps_pace_with_threads(store_dir):
-    reports = {}
-    for label, legacy in (("async", False), ("threads", True)):
-        process = spawn_serve(store_dir, legacy_threads=legacy)
-        process.start()
-        try:
-            # Warm the reader so neither side pays the first row load.
-            _drive(process.url, rate=20, duration=0.5, workers=4,
-                   seed=1)
-            reports[label] = _drive(
-                process.url, rate=150, duration=3.0, workers=16, seed=42
-            )
-        finally:
-            process.terminate()
-    print_header(
-        "serving front A/B (open loop, 150 rps offered)",
-        f"{'front':>12}  {'ok':>12}  {'rps':>12}  {'p50 ms':>12}  "
-        f"{'p99 ms':>12}",
-    )
-    for label, report in reports.items():
-        Envelope().check(report)
-        latency = report.as_dict()["latency"]["query"]
-        print_row(
-            label, report.counts["ok"],
-            f"{report.throughput:.1f}",
-            f"{latency['p50_ms']:.2f}", f"{latency['p99_ms']:.2f}",
-        )
-        _record(label, report)
-    # Parity bound, not a strict win: CI machines are noisy and both
-    # fronts clear this offered rate; the interesting signal is the
-    # printed p99 gap and the overload test below.
-    assert reports["async"].throughput >= 0.8 * (
-        reports["threads"].throughput
-    )
-
-
 def test_async_overload_fails_clean(store_dir):
     process = spawn_serve(store_dir)
     process.start()
@@ -120,3 +78,23 @@ def test_async_overload_fails_clean(store_dir):
     assert report.counts["transport"] == 0
     assert report.counts["ok"] > 0
     _record("async-overload", report)
+
+
+def test_routed_overload_fails_clean(store_dir):
+    replica = spawn_serve(store_dir).start()
+    router = None
+    try:
+        router = spawn_router([replica.url]).start()
+        report = _drive(
+            router.url, rate=600, duration=3.0, workers=32, seed=7
+        )
+    finally:
+        if router is not None:
+            router.terminate()
+        replica.terminate()
+    statuses = set(report.status_counts)
+    assert statuses <= {200, 429}, statuses
+    assert report.counts["timeout"] == 0
+    assert report.counts["transport"] == 0
+    assert report.counts["ok"] > 0
+    _record("routed-overload", report)

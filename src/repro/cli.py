@@ -384,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after handling N requests (testing aid; default: "
         "serve until interrupted)",
     )
-    serve.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="serve with the thread-per-request front-end instead of "
-        "the asyncio front (A/B aid for the load harness)",
-    )
 
     ingest = sub.add_parser(
         "ingest",
@@ -461,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY",
         help="with --publish, HMAC-sign the replication manifest so "
         "followers can verify its origin",
-    )
-    ingest.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="with --serve, use the thread-per-request front-end "
-        "instead of the asyncio front (A/B aid for the load harness)",
     )
     ingest.add_argument(
         "--compress",
@@ -666,11 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="spawned service's hard ingest backlog bound",
-    )
-    loadtest.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="spawn the service with the thread-per-request front",
     )
     loadtest.add_argument(
         "--report-out",
@@ -1152,73 +1135,46 @@ def _cmd_session(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_graceful_shutdown(server):
-    """SIGTERM/SIGINT stop ``serve_forever()`` without killing the
-    process, so the caller can flush and exit 0.
+def _run_async_front(
+    args, front, banner, post_banner=None, on_signal="exiting"
+) -> None:
+    """Serve ``front`` on this thread until ``--max-requests`` or a
+    SIGTERM/SIGINT, then say which one ended it.
 
-    ``shutdown()`` must not run on the ``serve_forever`` thread (it
-    blocks until the serve loop acknowledges, which would deadlock a
-    signal handler), so the handler hands it to a helper thread.
-    Returns an event that is set once a signal arrived.
+    The socket is already bound, so the banner (which orchestrators
+    treat as "ready") prints before serving starts, after the signal
+    handlers are live.
     """
     import signal
-    import threading
 
-    stopped = threading.Event()
+    front.max_requests = args.max_requests
+    stopped = []
+    if args.max_requests is None:
 
-    def _handler(signum: int, frame) -> None:
-        if not stopped.is_set():
-            stopped.set()
-            threading.Thread(target=server.shutdown, daemon=True).start()
+        def _on_signal(signum: int, frame) -> None:
+            stopped.append(signum)
+            front.request_stop()
 
-    signal.signal(signal.SIGTERM, _handler)
-    signal.signal(signal.SIGINT, _handler)
-    return stopped
-
-
-def _run_async_front(args, front, banner, post_banner=None) -> bool:
-    """Drive an :class:`AsyncHTTPFront` the way the threaded commands
-    drive ``serve_forever()``: banner after bind, graceful SIGTERM/
-    SIGINT when running without ``--max-requests``.  Returns whether a
-    shutdown signal arrived."""
-    import asyncio
-    import signal
-
-    stopped = {"signal": False}
-
-    async def _run() -> None:
-        # Handlers must be live before the banner: callers treat the
-        # banner as "ready" and may SIGTERM immediately after it.
-        if args.max_requests is None:
-            loop = asyncio.get_running_loop()
-
-            def _on_signal() -> None:
-                stopped["signal"] = True
-                front.request_stop()
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, _on_signal)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        host, port = await front.start()
-        print(banner(host, port))
-        if post_banner is not None:
-            post_banner()
-        sys.stdout.flush()
-        try:
-            await front.serve_until_stopped()
-        finally:
-            await front.shutdown()
-
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
+    host = f"[{front.host}]" if ":" in front.host else front.host
+    print(banner(host, front.port))
+    if post_banner is not None:
+        post_banner()
+    sys.stdout.flush()
     try:
-        asyncio.run(_run())
+        front.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive mode
         pass
-    return stopped["signal"]
+    finally:
+        front.server_close()
+    if args.max_requests is not None:
+        print(f"handled {args.max_requests} requests, exiting")
+    elif stopped:
+        print(f"received shutdown signal, {on_signal}")
 
 
-def _cmd_serve_async(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import AdmissionController, serve_async
 
     front, reader = serve_async(
@@ -1226,9 +1182,8 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         admission=AdmissionController(),
-        max_requests=args.max_requests,
     )
-    signalled = _run_async_front(
+    _run_async_front(
         args,
         front,
         lambda host, port: (
@@ -1237,50 +1192,6 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
             f"classes, {reader.database_size} graphs)"
         ),
     )
-    if args.max_requests is not None:
-        print(f"handled {args.max_requests} requests, exiting")
-    elif signalled:
-        print("received shutdown signal, exiting")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import serve
-
-    if not args.legacy_threads:
-        return _cmd_serve_async(args)
-    server = serve(args.store, host=args.host, port=args.port)
-    reader = server.reader
-    # Install before the banner: orchestrators treat the banner as
-    # "ready" and may signal immediately after.
-    stopped = (
-        _install_graceful_shutdown(server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = server.server_address[:2]
-    print(
-        f"serving {args.store} at http://{host}:{port} "
-        f"(store version {reader.version}, {reader.num_classes} classes, "
-        f"{reader.database_size} graphs)"
-    )
-    sys.stdout.flush()
-    try:
-        if args.max_requests is not None:
-            # Handler threads must outlive handle_request() so the
-            # final response is written before server_close() below.
-            server.daemon_threads = False
-            for _ in range(args.max_requests):
-                server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            server.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        server.server_close()
     return 0
 
 
@@ -1288,8 +1199,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.observability import MetricsRegistry
     from repro.streaming import (
         ApplierOptions,
-        IngestOptions,
-        IngestService,
         StreamApplier,
         WriteAheadLog,
     )
@@ -1312,85 +1221,83 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     except CompressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.serve:
-        metrics = MetricsRegistry()
-        with WriteAheadLog(
-            args.wal, metrics=metrics, compress=wal_compress
-        ) as wal:
-            applier = StreamApplier(
-                args.store, wal, applier_options, metrics=metrics
-            )
-            if applier.recovery != "clean":
-                print(f"recovered store after crash ({applier.recovery})")
-            consumed = applier.drain()
-        print(
-            f"applied {consumed} journaled records to {args.store} "
-            f"(applied seq {applier.applied_seq}, lag {applier.lag})"
+    if args.serve:
+        return _cmd_ingest_serve(args, applier_options, wal_compress)
+    metrics = MetricsRegistry()
+    with WriteAheadLog(
+        args.wal, metrics=metrics, compress=wal_compress
+    ) as wal:
+        applier = StreamApplier(
+            args.store, wal, applier_options, metrics=metrics
         )
-        for seq, reason in applier.rejected:
-            print(f"  rejected record {seq}: {reason}")
-        return 0
+        if applier.recovery != "clean":
+            print(f"recovered store after crash ({applier.recovery})")
+        consumed = applier.drain()
+    print(
+        f"applied {consumed} journaled records to {args.store} "
+        f"(applied seq {applier.applied_seq}, lag {applier.lag})"
+    )
+    for seq, reason in applier.rejected:
+        print(f"  rejected record {seq}: {reason}")
+    return 0
 
-    if not args.legacy_threads:
-        return _cmd_ingest_async(args, applier_options, wal_compress)
 
+def _cmd_ingest_serve(
+    args: argparse.Namespace, applier_options, wal_compress: str | None
+) -> int:
+    from repro.observability.metrics import LockingMetricsRegistry
+    from repro.serving import (
+        AdmissionController,
+        AdmissionLimits,
+        AdmissionPolicy,
+    )
+    from repro.streaming import IngestOptions, IngestService
+
+    service_class, publishing = IngestService, {}
     if args.publish:
         from repro.replication import PrimaryService
 
-        service = PrimaryService(
-            args.store,
-            args.wal,
-            secret=args.secret,
-            host=args.host,
-            port=args.port,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    else:
-        service = IngestService(
-            args.store,
-            args.wal,
-            host=args.host,
-            port=args.port,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
+        service_class, publishing = PrimaryService, {"secret": args.secret}
+    metrics = LockingMetricsRegistry()
+    service = service_class(
+        args.store,
+        args.wal,
+        host=args.host,
+        port=args.port,
+        options=IngestOptions(
+            max_lag_records=args.max_lag,
+            wal_compress=wal_compress,
+        ),
+        applier_options=applier_options,
+        metrics=metrics,
+        admission=AdmissionController(
+            AdmissionPolicy(AdmissionLimits.for_max_lag(args.max_lag)),
+            lag_fn=lambda: service.applier.lag,
+            metrics=metrics,
+        ),
+        **publishing,
     )
-    host, port = service.address
     role = "publishing" if args.publish else "ingesting"
-    print(
-        f"{role} into {args.store} at http://{host}:{port} "
-        f"(wal {args.wal}, store version {service.reader.version}, "
-        f"{service.reader.database_size} graphs)"
+
+    def _post_banner() -> None:
+        if service.applier.recovery != "clean":
+            print(
+                f"recovered store after crash ({service.applier.recovery})"
+            )
+        service.start()
+
+    _run_async_front(
+        args,
+        service.server,
+        lambda host, port: (
+            f"{role} into {args.store} at http://{host}:{port} "
+            f"(wal {args.wal}, store version {service.reader.version}, "
+            f"{service.reader.database_size} graphs)"
+        ),
+        post_banner=_post_banner,
+        on_signal="flushing applier",
     )
-    if service.applier.recovery != "clean":
-        print(f"recovered store after crash ({service.applier.recovery})")
-    sys.stdout.flush()
-    service.start()
-    try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, flushing applier")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        service.close(drain=True)
+    service.close(drain=True)
     print(
         f"applied seq {service.applier.applied_seq}, "
         f"lag {service.applier.lag}"
@@ -1398,82 +1305,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ingest_async(
-    args: argparse.Namespace, applier_options, wal_compress: str | None
-) -> int:
-    from repro.serving import (
-        AdmissionController,
-        AdmissionLimits,
-        AdmissionPolicy,
-        AsyncHTTPFront,
-    )
-    from repro.streaming import IngestCore, IngestOptions
-
-    if args.publish:
-        from repro.replication import PrimaryCore
-
-        core = PrimaryCore(
-            args.store,
-            args.wal,
-            secret=args.secret,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    else:
-        core = IngestCore(
-            args.store,
-            args.wal,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    admission = AdmissionController(
-        AdmissionPolicy(AdmissionLimits.for_max_lag(args.max_lag)),
-        lag_fn=lambda: core.applier.lag,
-        metrics=core.metrics,
-    )
-    front = AsyncHTTPFront(
-        core.routes(),
-        host=args.host,
-        port=args.port,
-        admission=admission,
-        max_requests=args.max_requests,
-    )
-    role = "publishing" if args.publish else "ingesting"
-
-    def _post_banner() -> None:
-        if core.applier.recovery != "clean":
-            print(f"recovered store after crash ({core.applier.recovery})")
-        core.start()
-
-    signalled = _run_async_front(
-        args,
-        front,
-        lambda host, port: (
-            f"{role} into {args.store} at http://{host}:{port} "
-            f"(wal {args.wal}, store version {core.reader.version}, "
-            f"{core.reader.database_size} graphs)"
-        ),
-        post_banner=_post_banner,
-    )
-    if args.max_requests is not None:
-        print(f"handled {args.max_requests} requests, exiting")
-    elif signalled:
-        print("received shutdown signal, flushing applier")
-    core.close(drain=True)
-    print(
-        f"applied seq {core.applier.applied_seq}, lag {core.applier.lag}"
-    )
-    return 0
-
-
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    from repro.observability.metrics import LockingMetricsRegistry
     from repro.replication import Follower, FollowerOptions, FollowerService
+    from repro.serving import AdmissionController
     from repro.streaming import ApplierOptions
 
     options = FollowerOptions(
@@ -1498,6 +1333,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             )
         return 0
 
+    metrics = LockingMetricsRegistry()
     service = FollowerService(
         args.store,
         args.wal,
@@ -1506,32 +1342,20 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         port=args.port,
         options=options,
         applier_options=ApplierOptions(max_latency_seconds=0.05),
+        metrics=metrics,
+        admission=AdmissionController(metrics=metrics),
     )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = service.address
-    print(
-        f"replicating {args.primary} into {args.store} at "
-        f"http://{host}:{port} (wal {args.wal}, applied seq "
-        f"{service.follower.applied_seq})"
-    )
-    sys.stdout.flush()
-    service.start()
     try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
+        _run_async_front(
+            args,
+            service.server,
+            lambda host, port: (
+                f"replicating {args.primary} into {args.store} at "
+                f"http://{host}:{port} (wal {args.wal}, applied seq "
+                f"{service.follower.applied_seq})"
+            ),
+            post_banner=service.start,
+        )
     finally:
         applied = service.follower.applied_seq
         service.close()
@@ -1540,8 +1364,11 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
+    from repro.observability.metrics import LockingMetricsRegistry
     from repro.replication import HTTPReplica, RouterOptions, RouterService
+    from repro.serving import AdmissionController
 
+    metrics = LockingMetricsRegistry()
     service = RouterService(
         [HTTPReplica(url) for url in args.replicas],
         host=args.host,
@@ -1549,31 +1376,19 @@ def _cmd_route(args: argparse.Namespace) -> int:
         options=RouterOptions(
             sharded=args.sharded, max_staleness=args.max_staleness
         ),
+        metrics=metrics,
+        admission=AdmissionController(metrics=metrics),
     )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = service.address
     mode = "sharded" if args.sharded else "replicated"
-    print(
-        f"routing over {len(args.replicas)} {mode} replicas at "
-        f"http://{host}:{port}"
-    )
-    sys.stdout.flush()
     try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
+        _run_async_front(
+            args,
+            service.server,
+            lambda host, port: (
+                f"routing over {len(args.replicas)} {mode} replicas at "
+                f"http://{host}:{port}"
+            ),
+        )
     finally:
         service.close()
     return 0
@@ -1667,14 +1482,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             args.store,
             args.wal,
             max_lag=args.max_lag,
-            legacy_threads=args.legacy_threads,
             env=env,
         ).start()
         base_url = process.url
     else:
-        process = spawn_serve(
-            args.store, legacy_threads=args.legacy_threads, env=env
-        ).start()
+        process = spawn_serve(args.store, env=env).start()
         base_url = process.url
 
     events = []
@@ -1770,9 +1582,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 "duration_seconds": args.duration,
                 "mix": args.mix,
                 "fault": args.fault,
-                "front": (
-                    "legacy-threads" if args.legacy_threads else "async"
-                ),
                 "faults_fired": list(injector.fired),
             }
         )

@@ -210,7 +210,6 @@ def spawn_ingest(
     batch_latency: float = 0.02,
     publish: bool = False,
     secret: str | None = None,
-    legacy_threads: bool = False,
     env: dict | None = None,
 ) -> ManagedProcess:
     args = [
@@ -223,8 +222,6 @@ def spawn_ingest(
         args.append("--publish")
     if secret is not None:
         args += ["--secret", secret]
-    if legacy_threads:
-        args.append("--legacy-threads")
     return ManagedProcess(args, cwd=cwd, env=env, name="ingest")
 
 
@@ -233,12 +230,9 @@ def spawn_serve(
     cwd: str | Path | None = None,
     *,
     port: int = 0,
-    legacy_threads: bool = False,
     env: dict | None = None,
 ) -> ManagedProcess:
     args = ["serve", str(store), "--port", str(port)]
-    if legacy_threads:
-        args.append("--legacy-threads")
     return ManagedProcess(args, cwd=cwd, env=env, name="serve")
 
 

@@ -24,7 +24,8 @@ scalable reads by shipping the write-ahead log:
   merges exact supports with the :mod:`repro.parallel.merge` bit-set
   re-basing, enforces per-request staleness bounds (429 + Retry-After)
   and evicts unhealthy replicas.  :class:`RouterService` serves it over
-  HTTP.
+  HTTP on the same :class:`~repro.serving.aserver.AsyncHTTPFront` as
+  every other role.
 
 Every routed answer is bit-identical to a single-store
 :class:`~repro.serving.reader.StoreReader` at the same committed offset
@@ -42,12 +43,13 @@ from repro.replication.router import (
     HTTPReplica,
     LocalReplica,
     QueryRouter,
+    ReplicaOverloaded,
     RouterOptions,
     RouterService,
     StaleReplicasError,
+    router_routes,
 )
 from repro.replication.shipper import (
-    PrimaryCore,
     PrimaryService,
     SegmentShipper,
     sign_manifest,
@@ -59,15 +61,16 @@ __all__ = [
     "FollowerOptions",
     "FollowerService",
     "HTTPReplica",
-    "PrimaryCore",
     "LocalReplica",
     "PrimaryClient",
     "PrimaryService",
     "QueryRouter",
+    "ReplicaOverloaded",
     "RouterOptions",
     "RouterService",
     "SegmentShipper",
     "StaleReplicasError",
+    "router_routes",
     "sign_manifest",
     "verify_manifest",
 ]

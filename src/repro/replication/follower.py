@@ -23,10 +23,10 @@ WAL is wiped *before* the swap and recreated starting at the snapshot's
 committed offset + 1, so no crash window can pair a new-epoch store
 with stale-epoch journal bytes.
 
-:class:`FollowerService` wraps a follower in an HTTP server (read-only
+:class:`FollowerService` wraps a follower in an HTTP front (read-only
 query endpoints + ``/health`` reporting role, applied offset, lag and
-sync liveness) and a background poll loop that alternates fetching and
-applying.
+sync liveness, ``/metrics`` including the sync counters) and a
+background poll loop that alternates fetching and applying.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ from repro.observability.metrics import (
 )
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.replication.shipper import verify_manifest
+from repro.serving.admission import AdmissionController
+from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.endpoints import serving_routes
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer, StoreRequestHandler
 from repro.streaming.applier import (
     ApplierOptions,
     StreamApplier,
@@ -504,33 +506,6 @@ class Follower:
         return max(0, self.last_watermark - 1 - self.applied_seq)
 
 
-class FollowerHTTPServer(StoreHTTPServer):
-    """Read-only serving socket with follower liveness in ``/health``."""
-
-    role = "follower"
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        reader: StoreReader,
-        service: "FollowerService",
-    ) -> None:
-        super().__init__(address, reader, handler=StoreRequestHandler)
-        self.service = service
-
-    def health_extras(self) -> dict:
-        follower = self.service.follower
-        error = follower.last_sync_error
-        return {
-            "applied_seq": follower.applied_seq,
-            "source": follower.client.base_url,
-            "watermark": follower.last_watermark,
-            "lag": follower.lag(),
-            "sync_ok": error is None,
-            "sync_error": None if error is None else str(error),
-        }
-
-
 class FollowerService:
     """A follower plus its HTTP face and background sync loop.
 
@@ -539,7 +514,8 @@ class FollowerService:
     :meth:`close` stops it and releases the WAL.  Sync failures (the
     primary being down, a partition) are recorded — and visible in
     ``/health`` as ``sync_ok: false`` — while queries keep serving the
-    last committed version.
+    last committed version.  ``admission`` is forwarded to the front
+    (``None`` admits every request).
     """
 
     def __init__(
@@ -553,6 +529,7 @@ class FollowerService:
         applier_options: ApplierOptions | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
+        admission: AdmissionController | None = None,
     ) -> None:
         self.metrics = (
             metrics if metrics is not None else LockingMetricsRegistry()
@@ -569,14 +546,33 @@ class FollowerService:
         self.follower.sync_once()
         self.follower.applier.drain()
         self.reader = StoreReader(store_dir, tracer=tracer)
-        self.server = FollowerHTTPServer((host, port), self.reader, self)
+        routes = serving_routes(
+            self.reader,
+            role="follower",
+            health_extras=self.health_extras,
+            metrics=self.metrics,
+        )
+        self.server = AsyncHTTPFront(routes, host, port, admission=admission)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
+        return self.server.host, self.server.port
+
+    def health_extras(self) -> dict:
+        """Follower liveness for ``GET /health``."""
+        follower = self.follower
+        error = follower.last_sync_error
+        return {
+            "applied_seq": follower.applied_seq,
+            "source": follower.client.base_url,
+            "watermark": follower.last_watermark,
+            "lag": follower.lag(),
+            "sync_ok": error is None,
+            "sync_error": None if error is None else str(error),
+        }
 
     def start(self) -> None:
         """Start the background fetch-and-apply loop."""

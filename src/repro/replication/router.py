@@ -7,7 +7,7 @@ similarity ops (``similar`` / ``similarity_score`` /
 HTTP servers (:class:`HTTPReplica`) or in-process readers
 (:class:`LocalReplica`).
 Answers are the *payload* form the HTTP layer serves
-(:func:`repro.serving.server.value_payload`), so a routed answer and a
+(:func:`repro.serving.endpoints.value_payload`), so a routed answer and a
 direct single-store answer are bit-identical after JSON encoding; the
 differential harness pins that.
 
@@ -16,7 +16,11 @@ Two modes:
 * **Replicated** (default): every replica holds a full store copy
   (WAL-shipped followers).  Requests round-robin across healthy
   replicas; a transport failure evicts the replica for
-  ``eviction_seconds`` and the request retries on the next one.
+  ``eviction_seconds`` and the request retries on the next one.  A
+  replica that answers 429 is alive but shedding load: it is skipped
+  without eviction (:class:`ReplicaOverloaded`), and when every
+  eligible replica sheds the router sheds too, relaying the replica's
+  ``Retry-After``.
   Per-request freshness: ``min_applied_seq`` (the ingest ack's ``seq``)
   restricts dispatch to replicas whose committed WAL offset has reached
   it — read-your-writes across the fleet — and ``max_staleness``
@@ -42,9 +46,13 @@ Two modes:
   exactly (the parallel runtime merges occurrence fragments *before*
   deciding either — shard-local decisions are unavoidably lossy).
 
-:class:`RouterService` exposes the router over HTTP: ``POST /query``
-and ``GET /top`` (both accepting ``min_applied_seq``), ``GET /health``
-listing per-replica liveness, and ``GET /metrics``.
+:func:`router_routes` is the router's HTTP surface — ``POST /query``,
+``POST /similar`` and ``GET /top`` (all accepting ``min_applied_seq``),
+``GET /health`` listing per-replica liveness, ``GET /metrics`` and the
+forwarded ``/sessions`` paths — and :class:`RouterService` mounts it
+on an :class:`~repro.serving.aserver.AsyncHTTPFront`, the same front
+(admission control, keep-alive, latency histograms) every replica
+runs.
 
 Interactive sessions (PR 10) are replica-local state — the scratch
 workspace and per-tenant caches live in one server's memory — so the
@@ -68,9 +76,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlparse
 
 from repro.exceptions import ReplicationError, ReproError
 from repro.observability.metrics import (
@@ -79,17 +85,27 @@ from repro.observability.metrics import (
 )
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.parallel.merge import merge_support_sets
+from repro.serving.admission import AdmissionController
+from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.endpoints import (
+    Endpoint,
+    HTTPRequest,
+    HTTPResult,
+    RouteTable,
+    value_payload,
+)
 from repro.serving.reader import StoreReader
-from repro.serving.server import value_payload
 
 __all__ = [
     "HTTPReplica",
     "LocalReplica",
     "QueryRejected",
     "QueryRouter",
+    "ReplicaOverloaded",
     "RouterOptions",
     "RouterService",
     "StaleReplicasError",
+    "router_routes",
 ]
 
 _SIMILARITY_OPS = ("similar", "similarity_score", "fuzzy_contains")
@@ -107,6 +123,18 @@ class StaleReplicasError(ReplicationError):
     """
 
     retry_after = 1
+
+
+class ReplicaOverloaded(ReplicationError):
+    """A replica answered 429: alive, but shedding load.
+
+    Not a failure of the replica, so the router skips it without
+    eviction; carries the replica's ``Retry-After`` for relaying.
+    """
+
+    def __init__(self, message: str, retry_after: str = "1") -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class QueryRejected(ReproError):
@@ -182,12 +210,17 @@ class HTTPReplica:
                 return json.loads(response.read())
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode("utf-8", "replace")
-            if exc.code == 400:
+            if exc.code in (400, 429):
                 try:
                     message = json.loads(detail).get("error", detail)
                 except ValueError:
                     message = detail
-                raise QueryRejected(str(message)) from exc
+                if exc.code == 400:
+                    raise QueryRejected(str(message)) from exc
+                raise ReplicaOverloaded(
+                    f"replica {self.base_url} shed a {op} query: {message}",
+                    retry_after=exc.headers.get("Retry-After", "1"),
+                ) from exc
             raise ReplicationError(
                 f"replica {self.base_url} failed a {op} query: "
                 f"{exc.code} {detail}"
@@ -537,6 +570,7 @@ class QueryRouter:
             for i in range(len(eligible))
         ]
         last_error: Exception | None = None
+        shed: ReplicaOverloaded | None = None
         for state in order:
             try:
                 payload = state.replica.query(
@@ -551,6 +585,10 @@ class QueryRouter:
                 )
             except QueryRejected:
                 raise
+            except ReplicaOverloaded as exc:
+                shed = exc
+                self.metrics.add("replication.router_replica_sheds", 1)
+                continue
             except (ReproError, OSError, ValueError) as exc:
                 last_error = exc
                 self._evict(state, time.monotonic(), str(exc))
@@ -558,6 +596,8 @@ class QueryRouter:
                 continue
             payload["replica"] = state.replica.name
             return payload
+        if shed is not None:
+            raise shed
         raise ReplicationError(
             f"every eligible replica failed the {op} query; "
             f"last error: {last_error}"
@@ -736,7 +776,7 @@ class QueryRouter:
         for state, future in zip(self._states, futures):
             try:
                 answers.append(future.result())
-            except QueryRejected:
+            except (QueryRejected, ReplicaOverloaded):
                 raise
             except (ReproError, OSError, ValueError) as exc:
                 self._evict(state, time.monotonic(), str(exc))
@@ -806,7 +846,7 @@ class QueryRouter:
                 pattern,
                 graph_id=graph_id - starts[shard],
             )
-        except QueryRejected:
+        except (QueryRejected, ReplicaOverloaded):
             raise
         except (ReproError, OSError, ValueError) as exc:
             self._evict(state, time.monotonic(), str(exc))
@@ -827,183 +867,130 @@ class QueryRouter:
 # -- HTTP face ----------------------------------------------------------------
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+def _failed(exc: ReproError) -> HTTPResult:
+    """Map a routing failure onto the serving tier's status codes."""
+    if isinstance(exc, QueryRejected):
+        return 400, {"error": str(exc)}, {}
+    if isinstance(exc, (StaleReplicasError, ReplicaOverloaded)):
+        return 429, {"error": str(exc)}, {
+            "Retry-After": str(exc.retry_after)
+        }
+    if isinstance(exc, ReplicationError):
+        return 503, {"error": str(exc)}, {}
+    return 400, {"error": str(exc)}, {}
 
-    def __init__(
-        self, address: tuple[str, int], router: QueryRouter
-    ) -> None:
-        super().__init__(address, RouterRequestHandler)
-        self.router = router
 
+def router_routes(router: QueryRouter) -> RouteTable:
+    """The router's HTTP surface, for an
+    :class:`~repro.serving.aserver.AsyncHTTPFront`.
 
-class RouterRequestHandler(BaseHTTPRequestHandler):
-    server: RouterHTTPServer
+    ``POST /query``, ``POST /similar`` and ``GET /top`` (all accepting
+    ``min_applied_seq``) route through :meth:`QueryRouter.query`;
+    ``GET /health`` lists per-replica liveness and session pins;
+    ``GET /metrics`` reports the router's registry; every
+    ``/sessions`` path the replicas serve is forwarded through the
+    session's pin, under the same admission kind as on the replica.
+    """
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test and CLI output deterministic
-
-    def _send(self, status: int, payload: object) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_shed(self, exc: StaleReplicasError) -> None:
-        body = json.dumps({"error": str(exc)}, indent=2).encode("utf-8")
-        self.send_response(429)
-        self.send_header("Retry-After", str(exc.retry_after))
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _routed(self, **kwargs) -> None:
-        router = self.server.router
+    def routed(**kwargs) -> HTTPResult:
         try:
-            self._send(200, router.query(**kwargs))
-        except QueryRejected as exc:
-            self._send(400, {"error": str(exc)})
-        except StaleReplicasError as exc:
-            self._send_shed(exc)
-        except ReplicationError as exc:
-            self._send(503, {"error": str(exc)})
+            return 200, router.query(**kwargs), {}
         except ReproError as exc:
-            self._send(400, {"error": str(exc)})
+            return _failed(exc)
 
-    def _forward_session(self, method: str) -> None:
-        """Relay one ``/sessions`` request through the router's pin."""
-        router = self.server.router
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length) if length else None
+    def handle_health(request: HTTPRequest) -> HTTPResult:
+        return 200, {
+            "status": "ok",
+            "role": "router",
+            "mode": "sharded" if router.options.sharded else "replicated",
+            "replicas": router.replica_states(),
+            "session_pins": router.session_pins(),
+        }, {}
+
+    def handle_metrics(request: HTTPRequest) -> HTTPResult:
+        return 200, router.metrics.as_dict(), {}
+
+    def handle_top(request: HTTPRequest) -> HTTPResult:
         try:
-            status, payload, headers = router.session_request(
-                method, urlparse(self.path).path, body
+            k = int(request.param("k", "10"))
+            min_applied = request.param("min_applied_seq")
+            min_applied_seq = (
+                None if min_applied is None else int(min_applied)
             )
-        except QueryRejected as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        except StaleReplicasError as exc:
-            self._send_shed(exc)
-            return
-        except ReplicationError as exc:
-            self._send(503, {"error": str(exc)})
-            return
-        body_out = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body_out)))
-        retry_after = headers.get("Retry-After")
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body_out)
+        except ValueError as exc:
+            return 400, {"error": f"malformed request: {exc!r}"}, {}
+        return routed(
+            op="top_k",
+            k=k,
+            label_filter=request.param("label"),
+            min_applied_seq=min_applied_seq,
+        )
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        router = self.server.router
-        if parsed.path.startswith("/sessions"):
-            self._forward_session("GET")
-            return
-        if parsed.path == "/health":
-            mode = "sharded" if router.options.sharded else "replicated"
-            self._send(
-                200,
-                {
-                    "status": "ok",
-                    "role": "router",
-                    "mode": mode,
-                    "replicas": router.replica_states(),
-                    "session_pins": router.session_pins(),
-                },
-            )
-            return
-        if parsed.path == "/metrics":
-            self._send(200, router.metrics.as_dict())
-            return
-        if parsed.path == "/top":
-            params = parse_qs(parsed.query)
-            try:
-                k = int(params.get("k", ["10"])[0])
-                label = params.get("label", [None])[0]
-                min_applied = params.get("min_applied_seq", [None])[0]
-                min_applied_seq = (
-                    None if min_applied is None else int(min_applied)
-                )
-            except ValueError as exc:
-                self._send(400, {"error": f"malformed request: {exc!r}"})
-                return
-            self._routed(
-                op="top_k",
-                k=k,
-                label_filter=label,
-                min_applied_seq=min_applied_seq,
-            )
-            return
-        self._send(404, {"error": f"unknown path {parsed.path!r}"})
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        if urlparse(self.path).path.startswith("/sessions"):
-            self._forward_session("DELETE")
-            return
-        self._send(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = urlparse(self.path).path
-        if path.startswith("/sessions"):
-            self._forward_session("POST")
-            return
-        if path not in ("/query", "/similar"):
-            self._send(404, {"error": f"unknown path {self.path!r}"})
-            return
+    def handle_query(request: HTTPRequest) -> HTTPResult:
+        similar = request.path == "/similar"
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(doc, dict):
-                raise ValueError("request body must be a JSON object")
-            op = str(doc.get("op", "similar" if path == "/similar" else
-                             "support"))
-            pattern = doc.get("pattern")
-            min_support = doc.get("min_support")
-            min_applied = doc.get("min_applied_seq")
-            threshold = doc.get("threshold")
-            semantics = doc.get("semantics")
-            k = doc.get("k")
-            graph_id = doc.get("graph_id")
+            doc = request.json()
+
+            def field(name: str, cast):
+                value = doc.get(name)
+                return None if value is None else cast(value)
+
+            op = str(doc.get("op", "similar" if similar else "support"))
             kwargs = {
                 "op": op,
-                "pattern": None if pattern is None else str(pattern),
-                "min_support": (
-                    None if min_support is None else float(min_support)
-                ),
-                "min_applied_seq": (
-                    None if min_applied is None else int(min_applied)
-                ),
-                "sim_threshold": (
-                    None if threshold is None else float(threshold)
-                ),
-                "semantics": (
-                    None if semantics is None else str(semantics)
-                ),
-                "k": None if k is None else int(k),
-                "graph_id": None if graph_id is None else int(graph_id),
+                "pattern": field("pattern", str),
+                "min_support": field("min_support", float),
+                "min_applied_seq": field("min_applied_seq", int),
+                "sim_threshold": field("threshold", float),
+                "semantics": field("semantics", str),
+                "k": field("k", int),
+                "graph_id": field("graph_id", int),
             }
         except (ValueError, TypeError, KeyError) as exc:
-            self._send(400, {"error": f"malformed query request: {exc!r}"})
-            return
-        if path == "/similar" and op not in _SIMILARITY_OPS:
-            self._send(400, {
+            return 400, {"error": f"malformed query request: {exc!r}"}, {}
+        if similar and op not in _SIMILARITY_OPS:
+            return 400, {
                 "error": f"op {op!r} is not a similarity op; expected "
                 f"one of {', '.join(_SIMILARITY_OPS)}"
-            })
-            return
-        self._routed(**kwargs)
+            }, {}
+        return routed(**kwargs)
+
+    def forward_session(request: HTTPRequest) -> HTTPResult:
+        try:
+            status, payload, headers = router.session_request(
+                request.method, request.path, request.body or None
+            )
+        except ReproError as exc:
+            return _failed(exc)
+        retry_after = headers.get("Retry-After")
+        return status, payload, (
+            {} if retry_after is None else {"Retry-After": str(retry_after)}
+        )
+
+    from repro.serving.endpoints import session_routes
+
+    # The replicas' own session table supplies the paths and kinds; its
+    # handlers are never called, so it needs no manager.
+    sessions = [
+        Endpoint(e.method, e.path, e.name, e.kind, forward_session)
+        for e in session_routes(None).endpoints()
+    ]
+    return RouteTable([
+        Endpoint("GET", "/health", "health", "control", handle_health),
+        Endpoint("GET", "/metrics", "metrics", "control", handle_metrics),
+        Endpoint("GET", "/top", "top", "query", handle_top),
+        Endpoint("POST", "/query", "query", "query", handle_query),
+        Endpoint("POST", "/similar", "similar", "query", handle_query),
+        *sessions,
+    ])
 
 
 class RouterService:
-    """The router behind one socket (``taxogram route``)."""
+    """The router behind one HTTP front (``taxogram route``).
+
+    ``admission`` is forwarded to the front (``None`` admits every
+    request).
+    """
 
     def __init__(
         self,
@@ -1013,16 +1000,19 @@ class RouterService:
         options: RouterOptions | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
+        admission: AdmissionController | None = None,
     ) -> None:
         self.router = QueryRouter(
             replicas, options=options, metrics=metrics, tracer=tracer
         )
         self.metrics = self.router.metrics
-        self.server = RouterHTTPServer((host, port), self.router)
+        self.server = AsyncHTTPFront(
+            router_routes(self.router), host, port, admission=admission
+        )
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
+        return self.server.host, self.server.port
 
     def serve_forever(self) -> None:
         self.server.serve_forever()

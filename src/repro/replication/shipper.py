@@ -16,7 +16,7 @@
   :class:`~repro.serving.reader.StoreReader` uses for torn-free reads).
 
 :class:`PrimaryService` is an :class:`~repro.streaming.service.
-IngestService` whose HTTP handler additionally routes::
+IngestService` whose front additionally mounts::
 
     GET /replication/manifest
     GET /replication/segment?start=S&offset=O&length=N
@@ -42,17 +42,11 @@ from repro.observability.metrics import (
     LockingMetricsRegistry,
     MetricsRegistry,
 )
-from repro.streaming.service import (
-    IngestCore,
-    IngestRequestHandler,
-    IngestService,
-)
+from repro.streaming.service import IngestService
 from repro.streaming.wal import WriteAheadLog
 
 __all__ = [
     "MANIFEST_FORMAT",
-    "PrimaryCore",
-    "PrimaryRequestHandler",
     "PrimaryService",
     "SegmentShipper",
     "sign_manifest",
@@ -224,55 +218,15 @@ class SegmentShipper:
         )
 
 
-class PrimaryRequestHandler(IngestRequestHandler):
-    """Kept for back-compat; the replication endpoints are mounted by
-    :meth:`PrimaryService.extra_routes` since PR 7, so both the
-    threaded and asyncio front-ends share them."""
-
-
-class PrimaryCore(IngestCore):
-    """A transport-free publishing ingest core (asyncio front-end).
-
-    The same WAL/applier/reader/shipper composition as
-    :class:`PrimaryService` minus the threaded HTTP server; mount
-    :meth:`~repro.streaming.service.IngestCore.routes` on an
-    :class:`~repro.serving.aserver.AsyncHTTPFront` instead.
-    """
-
-    def __init__(
-        self,
-        store_dir: str | Path,
-        wal_dir: str | Path,
-        secret: str | None = None,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(store_dir, wal_dir, **kwargs)
-        self.shipper = SegmentShipper(
-            self.wal, Path(store_dir), secret=secret, metrics=self.metrics
-        )
-        self.applier.app_state_extra["replication_role"] = "primary"
-
-    def extra_routes(self):
-        from repro.serving.endpoints import replication_routes
-
-        return replication_routes(self.shipper)
-
-
 class PrimaryService(IngestService):
-    """An ingest service that also publishes its WAL for followers.
+    """An ingest service that also publishes its WAL for followers
+    (``taxogram ingest --serve --publish``).
 
     ``secret`` turns on manifest signing.  The applier keeps its default
     WAL truncation: a follower that outlives the retained history
     re-seeds itself from ``GET /replication/snapshot``.
     """
 
-    handler_class = PrimaryRequestHandler
-
-    def extra_routes(self):
-        from repro.serving.endpoints import replication_routes
-
-        return replication_routes(self.shipper)
-
     def __init__(
         self,
         store_dir: str | Path,
@@ -280,10 +234,14 @@ class PrimaryService(IngestService):
         secret: str | None = None,
         **kwargs: object,
     ) -> None:
+        from repro.serving.endpoints import replication_routes
+
         super().__init__(store_dir, wal_dir, **kwargs)
         self.shipper = SegmentShipper(
             self.wal, Path(store_dir), secret=secret, metrics=self.metrics
         )
+        # Not serving yet, so the front's table can still grow.
+        self.server.routes.merge(replication_routes(self.shipper))
         # Stamp the role into app_state with each committed batch so
         # ``taxogram info`` can report it offline.
         self.applier.app_state_extra["replication_role"] = "primary"

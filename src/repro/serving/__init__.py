@@ -18,12 +18,12 @@ answers from those bit-sets:
   version bump.
 * :class:`BatchExecutor` / :class:`Query` — batch execution grouping
   queries per pattern class across a thread pool.
-* :func:`serve` / :class:`StoreHTTPServer` — a stdlib JSON/HTTP
-  front-end (``taxogram serve``).
+* :func:`serve_async` / :class:`AsyncHTTPFront` — the JSON/HTTP
+  front-end (``taxogram serve``) every serving socket runs on.
 
 Similarity queries (``similar`` / ``similarity_score`` /
 ``fuzzy_contains``) ride the same reader, cache, batch executor and
-HTTP fronts (``POST /similar``), backed by the
+HTTP front (``POST /similar``), backed by the
 :mod:`repro.similarity` engine; exact-threshold fuzzy containment
 (``threshold=1.0``) is bit-identical to the exact ``graphs`` path.
 
@@ -52,6 +52,7 @@ from repro.serving.endpoints import (
     ingest_routes,
     replication_routes,
     serving_routes,
+    value_payload,
 )
 from repro.serving.reader import (
     DEFAULT_SIMILAR_THRESHOLD,
@@ -60,7 +61,6 @@ from repro.serving.reader import (
     ServingAnswer,
     StoreReader,
 )
-from repro.serving.server import StoreHTTPServer, serve, value_payload
 from repro.similarity.engine import ScoredGraph, SimilarityEngine
 
 __all__ = [
@@ -80,13 +80,11 @@ __all__ = [
     "ScoredGraph",
     "ServingAnswer",
     "SimilarityEngine",
-    "StoreHTTPServer",
     "StoreReader",
     "VersionedResultCache",
     "ingest_routes",
     "query_key",
     "replication_routes",
-    "serve",
     "serve_async",
     "serving_routes",
     "value_payload",

@@ -1,4 +1,4 @@
-"""Admission control for the serving front-ends.
+"""Admission control for the HTTP front.
 
 The PR-5 ingest service shed load with one fixed rule — lag above
 ``--max-lag`` means 429 — which protects the WAL but says nothing about

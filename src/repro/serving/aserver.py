@@ -1,20 +1,21 @@
-"""The asyncio serving front-end: async accept, pooled compute.
+"""The HTTP front-end: async accept, pooled compute.
 
-The legacy front (:mod:`repro.serving.server`) spends one OS thread per
-in-flight request; under heavy fan-in the thread explosion — not the
-bit-set math — is what falls over first, and its only defense is the
-ingest path's fixed lag cliff.  This front keeps the *compute* exactly
-as blocking and batch-friendly as before but moves *accept/parse/
-respond* onto one event loop:
+Every serving socket in the stack — ``serve``, ``ingest --serve``,
+``replicate --serve`` and ``route``, and the in-process services that
+embed them — is an :class:`AsyncHTTPFront` over a
+:class:`~repro.serving.endpoints.RouteTable`.  The front keeps the
+*compute* blocking and batch-friendly but moves *accept/parse/respond*
+onto one event loop:
 
 * connections are accepted and HTTP/1.1 requests parsed by
   ``asyncio.start_server`` coroutines — thousands of idle or slow
-  connections cost bytes, not threads;
-* each admitted request runs its (blocking, shared-with-the-threaded-
-  front) :mod:`repro.serving.endpoints` handler on a bounded
+  connections cost bytes, not threads, and keep-alive connections are
+  reused across requests;
+* each admitted request runs its blocking
+  :mod:`repro.serving.endpoints` handler on a bounded
   ``ThreadPoolExecutor`` via ``run_in_executor``, capped per endpoint
   kind by an ``asyncio.Semaphore``;
-* *before* queueing, an :class:`~repro.serving.admission.
+* *before* queueing, an optional :class:`~repro.serving.admission.
   AdmissionController` may shed the request with 429 and a jittered
   ``Retry-After`` — queue-depth and lag pressure shed probabilistically
   instead of at a cliff, and control endpoints (health/metrics/lag/
@@ -24,10 +25,11 @@ respond* onto one event loop:
   record end-to-end request latency, surfaced as a ``front`` block on
   ``GET /metrics``.
 
-Response bodies are byte-identical to the threaded front for every
-shared endpoint (same ``json.dumps(..., indent=2)``), which is what
-lets the load harness A/B the two fronts and the golden CLI tests pass
-against either.
+The listening socket is bound in the constructor, so the address is
+known (and bind errors raise) before serving starts.  Drive the front
+like a ``socketserver`` server: :meth:`~AsyncHTTPFront.serve_forever`
+blocks, :meth:`~AsyncHTTPFront.shutdown` (thread-safe) stops it and
+waits, :meth:`~AsyncHTTPFront.server_close` releases the socket.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _HTTP_REASONS
@@ -66,18 +69,16 @@ class _BadRequest(Exception):
 
 
 class AsyncHTTPFront:
-    """One event loop, one route table, one bounded compute pool.
+    """One listening socket, one route table, one bounded compute pool.
 
     ``routes`` is owned by the front (its ``GET /metrics`` handler is
     decorated in place).  ``admission=None`` disables shedding — every
     request is admitted, still bounded by the per-kind semaphores.
-    ``max_requests`` stops the front after N responses (testing aid,
-    mirrors the threaded CLI's ``--max-requests``).
+    ``max_requests`` stops the front after N responses (the CLI's
+    ``--max-requests`` testing aid).
 
-    Drive it either natively (``await start()`` /
-    ``await serve_until_stopped()`` inside a running loop) or from
-    synchronous code via :meth:`start_background` /
-    :meth:`stop_background`, which run the loop on a daemon thread.
+    :meth:`serve_forever` runs the event loop on the calling thread;
+    :meth:`start_background` runs it on a daemon thread instead.
     """
 
     def __init__(
@@ -93,30 +94,45 @@ class AsyncHTTPFront:
         self.routes = routes
         self.admission = admission
         self.max_requests = max_requests
-        self.host = host
-        self.port = port
+        infos = socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+        )
+        # A name that resolves to both families (``localhost``) binds
+        # IPv4, as ``socketserver`` servers do.
+        family, _, _, _, address = next(
+            (info for info in infos if info[0] == socket.AF_INET), infos[0]
+        )
+        self._sock = socket.create_server(address, family=family)
+        self.host, self.port = self._sock.getsockname()[:2]
         if max_workers is None:
-            if admission is not None:
-                max_workers = sum(
-                    admission.limits.concurrency(kind)
-                    for kind in ENDPOINT_KINDS
-                )
-            else:
-                max_workers = 16
+            max_workers = (
+                16
+                if admission is None
+                else sum(self._bound(kind) for kind in ENDPOINT_KINDS)
+            )
         self.max_workers = max(1, min(64, max_workers))
         self.latency = {kind: LatencyHistogram() for kind in ENDPOINT_KINDS}
         self.handled = 0
         self.errors = 0
+        # Reentrant: request_stop() may run in a signal handler that
+        # interrupted this thread while it held the lock.
+        self._lock = threading.RLock()
+        self._stop_requested = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
-        self._stop_requested = False
-        self._server: asyncio.AbstractServer | None = None
+        self._idle = threading.Event()
+        self._idle.set()
         self._executor: ThreadPoolExecutor | None = None
         self._semaphores: dict[str, asyncio.Semaphore] = {}
         self._clients: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
-        self._thread_error: list[BaseException] = []
         self._decorate_metrics()
+
+    def _bound(self, kind: str) -> int:
+        """How many requests of ``kind`` may compute at once."""
+        if self.admission is None:
+            return 16
+        return self.admission.limits.concurrency(kind)
 
     # -- observability --------------------------------------------------------
 
@@ -149,94 +165,88 @@ class AsyncHTTPFront:
 
         self.routes.replace("GET", "/metrics", wrap)
 
-    # -- native asyncio API ---------------------------------------------------
+    # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind the socket; returns the bound ``(host, port)``."""
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        if self._stop_requested:
-            self._stop.set()
-        limits = self.admission.limits if self.admission else None
+    def serve_forever(self) -> None:
+        """Answer requests until :meth:`shutdown`, :meth:`request_stop`
+        or ``max_requests``; blocks the calling thread."""
+        with self._lock:
+            if self._stop_requested:
+                return
+            self._idle.clear()
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self._idle.set()
+
+    def request_stop(self) -> None:
+        """Thread-safe, non-blocking: make :meth:`serve_forever` return.
+        Sticky — a stop requested before serving starts takes effect
+        when it does."""
+        with self._lock:
+            self._stop_requested = True
+            loop, stop = self._loop, self._stop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(stop.set)
+            except RuntimeError:
+                pass  # the loop closed in between: already stopped
+
+    def shutdown(self) -> None:
+        """Thread-safe: stop :meth:`serve_forever` and wait for it to
+        return.  Must not be called from a request handler."""
+        self.request_stop()
+        self._idle.wait()
+
+    def server_close(self) -> None:
+        """Stop serving (if running) and release the listening socket."""
+        self.shutdown()
+        self._sock.close()
+
+    def start_background(self) -> tuple[str, int]:
+        """Run :meth:`serve_forever` on a daemon thread; returns the
+        bound address."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="aserve-loop", daemon=True
+        )
+        self._thread.start()
+        return self.host, self.port
+
+    def stop_background(self) -> None:
+        self.server_close()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    async def _serve(self) -> None:
         for kind in ENDPOINT_KINDS:
-            bound = limits.concurrency(kind) if limits else 16
-            self._semaphores[kind] = asyncio.Semaphore(bound)
+            self._semaphores[kind] = asyncio.Semaphore(self._bound(kind))
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="aserve"
         )
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+        stop = asyncio.Event()
+        with self._lock:
+            self._loop, self._stop = asyncio.get_running_loop(), stop
+            if self._stop_requested:
+                stop.set()
+        server = await asyncio.start_server(
+            self._handle_client, sock=self._sock
         )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return self.host, self.port
-
-    async def serve_until_stopped(self) -> None:
-        """Accept until :meth:`request_stop` (or ``max_requests``)."""
-        assert self._stop is not None and self._server is not None
-        await self._stop.wait()
-        self._server.close()
-        await self._server.wait_closed()
-        # Let in-flight requests finish writing, then drop stragglers.
-        pending = [task for task in self._clients if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
-        for task in self._clients:
-            if not task.done():
-                task.cancel()
-
-    async def shutdown(self) -> None:
-        if self._executor is not None:
+        try:
+            await stop.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+            # Let in-flight requests finish writing, then drop stragglers.
+            pending = [task for task in self._clients if not task.done()]
+            if pending:
+                await asyncio.wait(pending, timeout=5.0)
+            for task in self._clients:
+                if not task.done():
+                    task.cancel()
             self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-
-    def request_stop(self) -> None:
-        """Thread-safe: unblock :meth:`serve_until_stopped`.  Sticky —
-        a stop requested before :meth:`start` takes effect on start."""
-        self._stop_requested = True
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(stop.set)
-
-    # -- background-thread helpers (tests, sync callers) ----------------------
-
-    def start_background(self, timeout: float = 30.0) -> tuple[str, int]:
-        """Run the front on a daemon thread; returns the bound address."""
-        ready = threading.Event()
-
-        async def _main() -> None:
-            try:
-                await self.start()
-            except BaseException as exc:  # surface bind errors
-                self._thread_error.append(exc)
-                ready.set()
-                return
-            ready.set()
-            try:
-                await self.serve_until_stopped()
-            finally:
-                await self.shutdown()
-
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(_main()), daemon=True
-        )
-        self._thread.start()
-        if not ready.wait(timeout):
-            raise RuntimeError("async front did not start in time")
-        if self._thread_error:
-            # Surface bind failures (port in use, bad host) as their
-            # original exception type, as a blocking bind would.
-            raise self._thread_error[0]
-        return self.host, self.port
-
-    def stop_background(self, timeout: float = 30.0) -> None:
-        self.request_stop()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
+            with self._lock:
+                self._loop = self._stop = None
 
     # -- connection handling --------------------------------------------------
 
@@ -419,14 +429,14 @@ def serve_async(
     max_requests: int | None = None,
     sessions=True,
 ) -> tuple[AsyncHTTPFront, StoreReader]:
-    """An async front over a read-only store (``taxogram serve``).
+    """A front over a read-only store (``taxogram serve``).
 
-    The async counterpart of :func:`repro.serving.server.serve`;
-    returns the (unstarted) front and its reader.  ``sessions`` mounts
-    the interactive-session surface: ``True`` builds a default
-    :class:`~repro.sessions.manager.SessionManager` over the reader, a
-    manager instance is used as-is, and ``False``/``None`` disables the
-    surface.  The manager (if any) is exposed as ``front.sessions``.
+    Returns the bound, not yet serving front and its reader.
+    ``sessions`` mounts the interactive-session surface: ``True`` builds
+    a default :class:`~repro.sessions.manager.SessionManager` over the
+    reader, a manager instance is used as-is, and ``False``/``None``
+    disables the surface.  The manager (if any) is exposed as
+    ``front.sessions``.
     """
     from repro.serving.endpoints import session_routes
     from repro.sessions.manager import SessionManager

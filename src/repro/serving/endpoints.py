@@ -1,10 +1,8 @@
-"""Transport-neutral endpoint logic shared by both HTTP front-ends.
+"""Endpoint logic, written once per endpoint and mounted on the HTTP front.
 
-PR 7 gives the serving stack two front-ends — the original
-thread-per-request :class:`~repro.serving.server.StoreHTTPServer` and
-the asyncio :class:`~repro.serving.aserver.AsyncHTTPFront` — that must
-answer byte-identically so the load harness can A/B them.  The only way
-to keep that true over time is to write each endpoint exactly once:
+Every serving socket is an :class:`~repro.serving.aserver.AsyncHTTPFront`
+over a :class:`RouteTable`; the tables here are the building blocks each
+process role composes:
 
 * :class:`HTTPRequest` is the lowest common denominator of a parsed
   request (method, path, query params, body bytes);
@@ -22,16 +20,18 @@ it: :data:`ENDPOINT_KINDS` is the closed set of admission kinds and
 :data:`NEVER_SHED_KINDS` the subset admission control must never shed.
 :mod:`repro.serving.admission` imports both, so adding a control-plane
 kind in this module automatically exempts it from shedding on every
-front-end — the registry replaced a hardcoded tuple in the admission
+socket — the registry replaced a hardcoded tuple in the admission
 module that silently missed newly added control routes.
 
 ``serving_routes`` builds the read-only surface over a
-:class:`~repro.serving.reader.StoreReader`; ``ingest_routes`` adds the
+:class:`~repro.serving.reader.StoreReader` (plus, for ``GET /metrics``,
+the role's own registry); ``ingest_routes`` adds the
 streaming surface over an ingest service/core; ``replication_routes``
 adds the primary's segment-publishing surface over a
 :class:`~repro.replication.shipper.SegmentShipper`; ``session_routes``
 adds the interactive-session surface over a
-:class:`~repro.sessions.manager.SessionManager`.
+:class:`~repro.sessions.manager.SessionManager`; and
+:func:`repro.replication.router.router_routes` is the router's surface.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Callable, Mapping
 
 from repro.exceptions import ReproError
 from repro.incremental.delta import DatabaseDelta
+from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "ENDPOINT_KINDS",
@@ -234,8 +235,15 @@ def serving_routes(
     reader,
     role: str = "standalone",
     health_extras: Callable[[], dict] | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> RouteTable:
-    """The read-only surface: /health, /metrics, /top, /query, /similar."""
+    """The read-only surface: /health, /metrics, /top, /query, /similar.
+
+    ``metrics`` is the role's own registry (an ingest core's
+    ``streaming.*``/``admission.*``/``replication.*`` counters, a
+    follower's sync counters); ``GET /metrics`` reports it merged with
+    the reader's ``serving.*`` registry.
+    """
     from repro.serving.reader import SIMILARITY_OPS
 
     def handle_health(request: HTTPRequest) -> HTTPResult:
@@ -256,11 +264,14 @@ def serving_routes(
     def handle_metrics(request: HTTPRequest) -> HTTPResult:
         from repro.util.bitset import kernel_counters
 
-        payload = reader.metrics.as_dict()
+        merged = MetricsRegistry.from_dict(reader.metrics.as_dict())
+        if metrics is not None:
+            merged.merge(MetricsRegistry.from_dict(metrics.as_dict()))
+        payload = merged.as_dict()
         # Process-cumulative bit-set kernel work: similarity scoring
         # (overlap/jaccard over fragment fingerprints) runs on BitSet
-        # kernels, so operators can watch block-skipping pay off.
-        payload.setdefault("counters", {}).update(
+        # kernels.
+        payload["counters"].update(
             {k: v for k, v in kernel_counters().items() if v}
         )
         return 200, payload, {}
@@ -347,7 +358,7 @@ def ingest_routes(core) -> RouteTable:
     """The streaming surface over an ingest core: /ingest, /flush, /lag.
 
     ``core`` is anything with the :class:`~repro.streaming.service.
-    IngestCore` contract (``ingest``, ``flush``, ``lag_snapshot``,
+    IngestService` contract (``ingest``, ``flush``, ``lag_snapshot``,
     ``applier``).
     """
 

@@ -21,7 +21,6 @@ from repro.streaming.applier import (
     recover_store,
 )
 from repro.streaming.service import (
-    IngestCore,
     IngestOptions,
     IngestService,
 )
@@ -34,7 +33,6 @@ from repro.streaming.wal import (
 
 __all__ = [
     "ApplierOptions",
-    "IngestCore",
     "IngestOptions",
     "IngestService",
     "SegmentView",

@@ -1,18 +1,16 @@
-"""Live ingest service: the serving HTTP front-end plus a WAL pipeline.
+"""Live ingest service: the serving HTTP front plus a WAL pipeline.
 
-:class:`IngestCore` composes the whole streaming stack *without* a
-transport: a :class:`~repro.streaming.wal.WriteAheadLog` as the durable
-front door, a background :class:`~repro.streaming.applier.StreamApplier`
-folding journaled deltas into the pattern store, and a
+:class:`IngestService` composes the whole streaming stack on one
+:class:`~repro.serving.aserver.AsyncHTTPFront` (``server``): a
+:class:`~repro.streaming.wal.WriteAheadLog` as the durable front door,
+a background :class:`~repro.streaming.applier.StreamApplier` folding
+journaled deltas into the pattern store, and a
 :class:`~repro.serving.reader.StoreReader` answering queries against
 whichever store version is committed.  Readers never observe a
 half-applied batch — the applier's shadow-swap commit means the store
 directory always holds a complete, checksummed version.
-
-:class:`IngestService` is the core plus the threaded (legacy) HTTP
-server; the asyncio front-end (:mod:`repro.serving.aserver`) composes
-the same core with :func:`repro.serving.endpoints.ingest_routes`
-instead, so both fronts share one ingest path byte for byte.
+``taxogram ingest --serve`` builds the same service with lag-aware
+admission control on its front.
 
 Endpoints added on top of the serving surface:
 
@@ -45,28 +43,26 @@ from repro.observability.metrics import (
     MetricsRegistry,
 )
 from repro.observability.trace import NOOP_TRACER, Tracer
-from repro.serving.endpoints import RouteTable, ingest_routes, serving_routes
+from repro.serving.admission import AdmissionController
+from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.endpoints import ingest_routes, serving_routes
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer, StoreRequestHandler
 from repro.streaming.applier import ApplierOptions, StreamApplier
 from repro.streaming.wal import WriteAheadLog
 
 __all__ = [
-    "IngestCore",
-    "IngestHTTPServer",
     "IngestOptions",
-    "IngestRequestHandler",
     "IngestService",
 ]
 
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Admission and wait knobs for :class:`IngestCore`.
+    """Admission and wait knobs for :class:`IngestService`.
 
     ``max_lag_records`` is the hard backpressure bound: once that many
     acknowledged records await application, further ingests are shed
-    with 429 (the asyncio front-end additionally sheds probabilistically
+    with 429 (``ingest --serve`` additionally sheds probabilistically
     *before* this bound via :mod:`repro.serving.admission`).
     ``wait_timeout_seconds`` caps ``"wait": true`` blocking.
     ``wal_compress`` names the codec sealed WAL segments are rewritten
@@ -80,53 +76,22 @@ class IngestOptions:
     wal_compress: str | None = None
 
 
-class IngestRequestHandler(StoreRequestHandler):
-    """Kept for back-compat; routing is table-driven since PR 7."""
+class IngestService:
+    """WAL + applier + reader over one pattern store directory, served
+    on its own HTTP front (``server``).
 
-    server: "IngestHTTPServer"
+    Construction recovers the store (crash repair), replays any
+    journaled-but-unapplied records' bookkeeping and binds the socket;
+    once :meth:`start` is called the applier folds batches in the
+    background.  :meth:`close` stops serving, drains pending records
+    and releases everything; it is what SIGTERM handling calls for a
+    graceful exit.
 
-
-class IngestHTTPServer(StoreHTTPServer):
-    """The serving server with a back-reference to its ingest service."""
-
-    role = "primary"
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        reader: StoreReader,
-        service: "IngestCore",
-        handler: "type[StoreRequestHandler] | None" = None,
-    ) -> None:
-        super().__init__(
-            address,
-            reader,
-            handler=handler if handler is not None else IngestRequestHandler,
-        )
-        self.service = service
-
-    def health_extras(self) -> dict:
-        return self.service.health_extras()
-
-    def build_routes(self) -> RouteTable:
-        routes = super().build_routes()
-        routes.merge(ingest_routes(self.service))
-        extra = self.service.extra_routes()
-        if extra is not None:
-            routes.merge(extra)
-        return routes
-
-
-class IngestCore:
-    """WAL + applier + reader over one pattern store directory.
-
-    Construction recovers the store (crash repair) and replays any
-    journaled-but-unapplied records' bookkeeping; once :meth:`start` is
-    called the applier folds batches in the background.  :meth:`close`
-    drains pending records and releases everything; it is what SIGTERM
-    handling calls for a graceful exit.  The core is transport-free —
-    front-ends mount it via :meth:`routes` or
-    :class:`IngestHTTPServer`.
+    ``admission`` is forwarded to the front; the default ``None``
+    admits every request, leaving back-pressure to the
+    ``max_lag_records`` bound.
+    :class:`~repro.replication.shipper.PrimaryService` adds the
+    segment-publishing endpoints on the same socket.
     """
 
     role = "primary"
@@ -135,10 +100,13 @@ class IngestCore:
         self,
         store_dir: str | Path,
         wal_dir: str | Path,
+        host: str = "127.0.0.1",
+        port: int = 0,
         options: IngestOptions | None = None,
         applier_options: ApplierOptions | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
+        admission: AdmissionController | None = None,
     ) -> None:
         self.options = options if options is not None else IngestOptions()
         self.metrics = (
@@ -159,38 +127,37 @@ class IngestCore:
         )
         self.reader = StoreReader(store_dir, tracer=self.tracer)
         self._closed = False
+        routes = serving_routes(
+            self.reader,
+            role=self.role,
+            health_extras=self.health_extras,
+            metrics=self.metrics,
+        )
+        routes.merge(ingest_routes(self))
+        self.server = AsyncHTTPFront(routes, host, port, admission=admission)
 
     # -- lifecycle ------------------------------------------------------------
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server.host, self.server.port
 
     def start(self) -> None:
         """Start the background applier."""
         self.applier.start()
 
+    def serve_forever(self) -> None:
+        self.server.serve_forever()
+
     def close(self, drain: bool = True) -> None:
-        """Optionally drain the backlog, then release WAL and applier."""
+        """Stop serving, optionally drain the backlog, release files."""
         if self._closed:
             return
         self._closed = True
+        self.server.server_close()
         if drain and self.applier.error is None:
             self.applier.stop()
         self.wal.close()
-
-    # -- transport hooks ------------------------------------------------------
-
-    def routes(self) -> RouteTable:
-        """The full endpoint table for mounting on any front-end."""
-        table = serving_routes(
-            self.reader, role=self.role, health_extras=self.health_extras
-        )
-        table.merge(ingest_routes(self))
-        extra = self.extra_routes()
-        if extra is not None:
-            table.merge(extra)
-        return table
-
-    def extra_routes(self) -> RouteTable | None:
-        """Extra endpoints (the replication primary adds its surface)."""
-        return None
 
     def health_extras(self) -> dict:
         return {
@@ -258,52 +225,3 @@ class IngestCore:
             "applier_alive": error is None,
             "error": None if error is None else str(error),
         }
-
-
-class IngestService(IngestCore):
-    """An :class:`IngestCore` bound to the threaded HTTP server.
-
-    ``handler_class`` is the request handler the server is built with;
-    :class:`~repro.replication.shipper.PrimaryService` overrides
-    :meth:`extra_routes` to add the segment-publishing endpoints on the
-    same socket.
-    """
-
-    handler_class: "type[IngestRequestHandler]" = IngestRequestHandler
-
-    def __init__(
-        self,
-        store_dir: str | Path,
-        wal_dir: str | Path,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        options: IngestOptions | None = None,
-        applier_options: ApplierOptions | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        super().__init__(
-            store_dir,
-            wal_dir,
-            options=options,
-            applier_options=applier_options,
-            metrics=metrics,
-            tracer=tracer,
-        )
-        self.server = IngestHTTPServer(
-            (host, port), self.reader, self, handler=type(self).handler_class
-        )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
-
-    def serve_forever(self) -> None:
-        self.server.serve_forever()
-
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain the backlog, release files."""
-        if self._closed:
-            return
-        self.server.server_close()
-        super().close(drain=drain)

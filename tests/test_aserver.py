@@ -2,10 +2,9 @@
 
 Two contracts:
 
-* **Byte parity** — both front-ends serve the *same* endpoint
-  functions (:mod:`repro.serving.endpoints`), so for any request the
-  asyncio front's status and body must equal the threaded server's,
-  byte for byte.  The A/B benchmark and the router both lean on this.
+* **Lifecycle** — the socket binds at construction (bind errors raise
+  there), ``GET /metrics`` gains the front's own block, keep-alive
+  connections are reused, and ``max_requests`` stops the front.
 * **Real backpressure** — with an :class:`AdmissionController`
   attached, saturating a kind's queue yields 429s with a positive
   decimal ``Retry-After``, never a hang or a 500, and control
@@ -25,7 +24,6 @@ import pytest
 
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.graphs.database import GraphDatabase
-from repro.serving import StoreHTTPServer, StoreReader
 from repro.serving.admission import (
     AdmissionController,
     AdmissionLimits,
@@ -62,20 +60,6 @@ def async_front(store_dir):
         front.stop_background()
 
 
-@pytest.fixture
-def threaded_server(store_dir):
-    server = StoreHTTPServer(("127.0.0.1", 0), StoreReader(store_dir))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[0], server.server_address[1]
-    try:
-        yield f"{host}:{port}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
-
-
 def _raw(address: str, method: str, path: str, body: dict | None = None):
     """Status and exact body bytes, bypassing urllib's error mapping."""
     connection = http.client.HTTPConnection(address, timeout=30)
@@ -94,32 +78,14 @@ def _raw(address: str, method: str, path: str, body: dict | None = None):
 
 
 class TestByteParity:
-    CASES = [
-        ("GET", "/health", None),
-        ("GET", "/top?k=3", None),
-        ("GET", "/nope", None),
-        ("POST", "/query", {"op": "support", "pattern": PATTERN}),
-        ("POST", "/query", {"op": "graphs", "pattern": PATTERN}),
-        ("POST", "/query", {"op": "support", "pattern": "t # 0\nv 0 zz\n"}),
-        ("POST", "/query", {"op": "nonsense"}),
-    ]
-
-    def test_same_bytes_both_fronts(self, async_front, threaded_server):
-        _front, async_address = async_front
-        for method, path, body in self.CASES:
-            a_status, a_body, _ = _raw(async_address, method, path, body)
-            t_status, t_body, _ = _raw(threaded_server, method, path, body)
-            assert a_status == t_status, (method, path)
-            assert a_body == t_body, (method, path)
-
-    def test_metrics_adds_front_block(self, async_front, threaded_server):
-        _front, async_address = async_front
-        _, a_body, _ = _raw(async_address, "GET", "/metrics")
-        _, t_body, _ = _raw(threaded_server, "GET", "/metrics")
-        a_doc, t_doc = json.loads(a_body), json.loads(t_body)
-        front_block = a_doc.pop("front")
+    def test_metrics_adds_front_block(self, async_front):
+        _front, address = async_front
+        status, body, _ = _raw(address, "GET", "/metrics")
+        assert status == 200
+        doc = json.loads(body)
+        front_block = doc.pop("front")
         assert set(front_block) >= {"requests", "latency"}
-        assert a_doc == t_doc
+        assert set(doc) == {"counters", "gauges"}
 
     def test_keep_alive_reuses_the_connection(self, async_front):
         _front, address = async_front
@@ -150,11 +116,17 @@ class TestLifecycle:
         front, _ = serve_async(store_dir)
         host, port = front.start_background()
         try:
-            clash, _ = serve_async(store_dir, port=port)
             with pytest.raises(OSError):
-                clash.start_background()
+                serve_async(store_dir, port=port)
         finally:
             front.stop_background()
+
+    def test_dual_stack_name_binds_ipv4(self, store_dir):
+        front, _ = serve_async(store_dir, host="localhost")
+        try:
+            assert front.host == "127.0.0.1"
+        finally:
+            front.server_close()
 
     def test_malformed_request_line_is_400(self, async_front):
         _front, address = async_front

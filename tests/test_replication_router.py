@@ -763,3 +763,124 @@ class TestSessionPinning:
             service.server.shutdown()
             thread.join(timeout=10)
             service.close()
+
+
+class TestRouterAdmission:
+    """The router runs on the same HTTP front as its replicas: a
+    replica's 429 is load shedding, not death, and the router's own
+    admission control sheds while its control endpoints stay up."""
+
+    @staticmethod
+    def _tight_admission():
+        from repro.serving.admission import (
+            AdmissionController,
+            AdmissionLimits,
+            AdmissionPolicy,
+        )
+
+        limits = AdmissionLimits(query_concurrency=1, queue_factor=2.0)
+        return limits, AdmissionController(AdmissionPolicy(limits))
+
+    def test_replica_429_is_relayed_without_eviction(self, store):
+        from repro.serving import serve_async
+
+        limits, controller = self._tight_admission()
+        replica, _reader = serve_async(store, admission=controller)
+        host, port = replica.start_background()
+        service = RouterService([HTTPReplica(f"http://{host}:{port}")])
+        rhost, rport = service.server.start_background()
+        routed = f"http://{rhost}:{rport}"
+        query = {"op": "support", "pattern": GENERAL}
+        # Hold the replica's query queue at its bound: every further
+        # query sheds with probability 1.
+        held = limits.queue_limit("query")
+        for _ in range(held):
+            assert controller.try_admit("query").admitted
+        try:
+            status, body, headers = _request(routed, "/query", query)
+            assert status == 429
+            assert float(headers["Retry-After"]) > 0
+            assert "shed" in json.loads(body)["error"]
+            assert service.metrics.counter(
+                "replication.router_evictions"
+            ) == 0
+            assert service.metrics.counter(
+                "replication.router_replica_sheds"
+            ) == 1
+            assert all(s["up"] for s in service.router.replica_states())
+            for _ in range(held):
+                controller.release("query")
+            held = 0
+            status, body, _ = _request(routed, "/query", query)
+            assert status == 200
+            assert json.loads(body)["replica"] == f"http://{host}:{port}"
+        finally:
+            for _ in range(held):
+                controller.release("query")
+            service.server.stop_background()
+            service.close()
+            replica.stop_background()
+
+    def test_router_overload_sheds_while_control_answers(self):
+        from tests.conftest import wait_until
+
+        release = threading.Event()
+
+        class Blocking:
+            name = "blocking"
+
+            def health(self):
+                return {"status": "ok", "applied_seq": 0}
+
+            def query(self, op, pattern=None, **kwargs):
+                release.wait(timeout=30)
+                return {"op": op, "store_version": 1, "value": 1}
+
+        limits, admission = self._tight_admission()
+        service = RouterService([Blocking()], admission=admission)
+        host, port = service.server.start_background()
+        url = f"http://{host}:{port}"
+        results = []
+        lock = threading.Lock()
+
+        def hit():
+            status, _body, headers = _request(
+                url, "/query", {"op": "support", "pattern": GENERAL}
+            )
+            with lock:
+                results.append((status, headers))
+
+        threads = [
+            threading.Thread(target=hit, daemon=True) for _ in range(8)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            wait_until(
+                lambda: any(status == 429 for status, _ in results),
+                message="the router to shed a query",
+            )
+            assert _request(url, "/health")[0] == 200
+            assert _request(url, "/metrics")[0] == 200
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        try:
+            statuses = [status for status, _ in results]
+            assert len(statuses) == 8
+            assert set(statuses) <= {200, 429}
+            assert statuses.count(200) >= 1
+            for status, headers in results:
+                if status == 429:
+                    retry_after = float(headers["Retry-After"])
+                    assert 0.0 < retry_after <= limits.retry_after_max
+            wait_until(
+                lambda: not any(
+                    admission.snapshot()["inflight"].values()
+                ),
+                message="the router's in-flight counts to drain",
+            )
+        finally:
+            service.server.stop_background()
+            service.close()

@@ -46,7 +46,7 @@ from repro.serving import (
     Query,
     StoreReader,
     VersionedResultCache,
-    serve,
+    serve_async,
 )
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from tests.conftest import make_differential_case
@@ -545,15 +545,13 @@ class TestBatchExecutor:
 class TestHTTPServer:
     @pytest.fixture
     def server(self, store_dir):
-        server = serve(store_dir, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, _reader = serve_async(store_dir, port=0)
+        server.start_background()
         yield server
-        server.shutdown()
-        server.server_close()
+        server.stop_background()
 
     def _get(self, server, path):
-        host, port = server.server_address[:2]
+        host, port = server.host, server.port
         try:
             with urllib.request.urlopen(
                 f"http://{host}:{port}{path}"
@@ -563,7 +561,7 @@ class TestHTTPServer:
             return exc.code, json.loads(exc.read())
 
     def _post(self, server, path, doc):
-        host, port = server.server_address[:2]
+        host, port = server.host, server.port
         request = urllib.request.Request(
             f"http://{host}:{port}{path}",
             data=json.dumps(doc).encode("utf-8"),

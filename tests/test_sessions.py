@@ -6,11 +6,12 @@ Four layers:
   under an injectable clock, quota enforcement, mine-result caching;
 * per-tenant cache isolation, structurally (bucketed
   :class:`VersionedResultCache`) and behaviorally (the cached flag);
-* the HTTP surface on *both* fronts (threaded and asyncio), including
-  429 + ``Retry-After`` on quota breach and admission classification
-  (``session`` sheds under pressure, ``session_control`` never does);
+* the HTTP surface, over a caller-owned manager and over
+  ``serve_async``'s own, including 429 + ``Retry-After`` on quota
+  breach and admission classification (``session`` sheds under
+  pressure, ``session_control`` never does);
 * the acceptance-criteria stress test: 8 threads of mixed-tenant
-  traffic against the threaded front — no cross-tenant cache hits, all
+  traffic against the HTTP front — no cross-tenant cache hits, all
   quota breaches surface as 429 + ``Retry-After``, and successful
   mines stay inside a latency envelope.
 """
@@ -33,6 +34,7 @@ from repro.serving.admission import (
     AdmissionLimits,
     AdmissionPolicy,
 )
+from repro.serving.aserver import AsyncHTTPFront
 from repro.serving.cache import VersionedResultCache
 from repro.serving.endpoints import (
     ENDPOINT_KINDS,
@@ -42,7 +44,6 @@ from repro.serving.endpoints import (
     serving_routes,
 )
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer
 from repro.sessions import (
     QuotaAccountant,
     QuotaExceeded,
@@ -345,11 +346,12 @@ class TestAdmissionClassification:
         assert controller.depth("session") == 0
 
 
-def _serve(reader, manager) -> tuple[StoreHTTPServer, str]:
-    server = StoreHTTPServer(("127.0.0.1", 0), reader, sessions=manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+def _serve(reader, manager) -> tuple[AsyncHTTPFront, str]:
+    """A front over ``reader`` whose session surface is ``manager``."""
+    routes = serving_routes(reader).merge(session_routes(manager))
+    server = AsyncHTTPFront(routes)
+    host, port = server.start_background()
+    return server, f"http://{host}:{port}"
 
 
 def _call(base, method, path, doc=None):
@@ -365,6 +367,9 @@ def _call(base, method, path, doc=None):
 
 
 class TestThreadedFront:
+    """The session surface over a caller-owned manager, served from a
+    background thread."""
+
     def test_full_session_round_trip(self, reader):
         manager = SessionManager(reader)
         server, base = _serve(reader, manager)
@@ -451,7 +456,8 @@ class TestAsyncFront:
             front.stop_background()
 
     def test_byte_identical_mine_payload_across_fronts(self, store_dir):
-        """The differential bar for the two fronts: same bytes."""
+        """A caller-owned manager and ``serve_async``'s default one
+        answer the same mine with the same payload."""
         from repro.serving.aserver import serve_async
 
         reader = StoreReader(store_dir)
