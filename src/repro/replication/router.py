@@ -6,6 +6,11 @@ similarity ops (``similar`` / ``similarity_score`` /
 ``fuzzy_contains``) through a pool of :class:`ReplicaEndpoint`\\ s —
 HTTP servers (:class:`HTTPReplica`) or in-process readers
 (:class:`LocalReplica`).
+An :class:`HTTPReplica` keeps its connections alive between calls, so
+a routed read costs one request on an open connection; a connection
+the replica closed while it sat idle is retried once on a fresh one
+without evicting the replica, and a truncated or garbled answer is a
+transport failure like a reset.
 Answers are the *payload* form the HTTP layer serves
 (:func:`repro.serving.endpoints.value_payload`), so a routed answer and a
 direct single-store answer are bit-identical after JSON encoding; the
@@ -69,11 +74,10 @@ session's examples mine against one *whole* store.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +117,11 @@ _ROUTED_OPS = (
     "support", "contains", "graphs", "specializations", "top_k",
 ) + _SIMILARITY_OPS
 _SHARDED_OPS = ("support", "graphs") + _SIMILARITY_OPS
+# How a reused keep-alive connection fails when the replica closed it
+# while it sat idle: before any byte of the answer arrives.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
 
 
 class StaleReplicasError(ReplicationError):
@@ -147,21 +156,96 @@ class QueryRejected(ReproError):
 
 
 class HTTPReplica:
-    """A replica reached over the serving HTTP surface."""
+    """A replica reached over the serving HTTP surface.
+
+    Calls share a lock-guarded list of idle keep-alive connections: a
+    call takes one (or opens one), reads the whole answer and returns
+    the connection unless the replica said it will close it, so the
+    pool holds at most as many connections as callers ever ran at
+    once.  A reused connection that fails before any answer byte
+    arrives was closed by the replica while it sat idle; the call
+    retries once on a fresh connection, which is not a failure of the
+    replica.  A :class:`QueryRouter` counts connection opens in its
+    registry as ``replication.router_connections_opened``.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        scheme, _sep, self._netloc = self.base_url.partition("://")
+        if scheme != "http" or not self._netloc or "/" in self._netloc:
+            raise ReplicationError(
+                f"replica URL must be http://host:port, got {base_url!r}"
+            )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        self.metrics: MetricsRegistry | None = None
 
     @property
     def name(self) -> str:
         return self.base_url
 
+    def close(self) -> None:
+        """Close every idle connection (calls in flight keep theirs)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(self, connection, method, path, body):
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection.request(method, path, body, headers)
+        return connection.getresponse()
+
+    def _call(
+        self, method: str, path: str, body: bytes | None = None
+    ) -> tuple[int, bytes, dict]:
+        """One request/answer exchange on a pooled connection."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connect()
+        try:
+            try:
+                response = self._exchange(connection, method, path, body)
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                response = self._exchange(connection, method, path, body)
+            data = response.read()
+        except http.client.HTTPException as exc:
+            # A truncated or garbled answer (``IncompleteRead``,
+            # ``BadStatusLine``) is a transport failure, like a reset.
+            connection.close()
+            raise ReplicationError(
+                f"replica {self.base_url} sent a broken answer: {exc!r}"
+            ) from exc
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, data, dict(response.headers)
+
+    def _connect(self) -> http.client.HTTPConnection:
+        if self.metrics is not None:
+            self.metrics.add("replication.router_connections_opened", 1)
+        return http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+
     def health(self) -> dict:
-        with urllib.request.urlopen(
-            self.base_url + "/health", timeout=self.timeout
-        ) as response:
-            return json.loads(response.read())
+        status, data, _headers = self._call("GET", "/health")
+        if status != 200:
+            raise ReplicationError(
+                f"replica {self.base_url} failed a health check: "
+                f"{status} {data.decode('utf-8', 'replace')}"
+            )
+        return json.loads(data)
 
     def query(
         self,
@@ -178,8 +262,9 @@ class HTTPReplica:
             path = f"/top?k={10 if k is None else int(k)}"
             if label_filter is not None:
                 path += f"&label={label_filter}"
-            request = urllib.request.Request(self.base_url + path)
+            method, doc = "GET", None
         elif op in _SIMILARITY_OPS:
+            path, method = "/similar", "POST"
             doc = {"op": op, "pattern": pattern}
             if sim_threshold is not None:
                 doc["threshold"] = sim_threshold
@@ -189,42 +274,30 @@ class HTTPReplica:
                 doc["k"] = k
             if graph_id is not None:
                 doc["graph_id"] = graph_id
-            request = urllib.request.Request(
-                self.base_url + "/similar",
-                json.dumps(doc).encode("utf-8"),
-                {"Content-Type": "application/json"},
-            )
         else:
+            path, method = "/query", "POST"
             doc = {"op": op, "pattern": pattern}
             if min_support is not None:
                 doc["min_support"] = min_support
-            request = urllib.request.Request(
-                self.base_url + "/query",
-                json.dumps(doc).encode("utf-8"),
-                {"Content-Type": "application/json"},
+        body = None if doc is None else json.dumps(doc).encode("utf-8")
+        status, data, headers = self._call(method, path, body)
+        if 200 <= status < 300:
+            return json.loads(data)
+        detail = data.decode("utf-8", "replace")
+        if status in (400, 429):
+            try:
+                message = json.loads(detail).get("error", detail)
+            except ValueError:
+                message = detail
+            if status == 400:
+                raise QueryRejected(str(message))
+            raise ReplicaOverloaded(
+                f"replica {self.base_url} shed a {op} query: {message}",
+                retry_after=headers.get("Retry-After", "1"),
             )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            if exc.code in (400, 429):
-                try:
-                    message = json.loads(detail).get("error", detail)
-                except ValueError:
-                    message = detail
-                if exc.code == 400:
-                    raise QueryRejected(str(message)) from exc
-                raise ReplicaOverloaded(
-                    f"replica {self.base_url} shed a {op} query: {message}",
-                    retry_after=exc.headers.get("Retry-After", "1"),
-                ) from exc
-            raise ReplicationError(
-                f"replica {self.base_url} failed a {op} query: "
-                f"{exc.code} {detail}"
-            ) from exc
+        raise ReplicationError(
+            f"replica {self.base_url} failed a {op} query: {status} {detail}"
+        )
 
     def request(
         self, method: str, path: str, body: bytes | None = None
@@ -236,28 +309,14 @@ class HTTPReplica:
         only transport failures raise, so the router evicts on dead
         replicas but never on application errors.
         """
-        request = urllib.request.Request(
-            self.base_url + path,
-            body,
-            {"Content-Type": "application/json"} if body else {},
-            method=method,
-        )
+        status, data, headers = self._call(method, path, body)
+        if 200 <= status < 300:
+            return status, json.loads(data), headers
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return (
-                    response.status,
-                    json.loads(response.read()),
-                    dict(response.headers),
-                )
-        except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            try:
-                payload: object = json.loads(detail)
-            except ValueError:
-                payload = {"error": detail.decode("utf-8", "replace")}
-            return exc.code, payload, dict(exc.headers)
+            payload: object = json.loads(data)
+        except ValueError:
+            payload = {"error": data.decode("utf-8", "replace")}
+        return status, payload, headers
 
 
 class LocalReplica:
@@ -379,6 +438,12 @@ class RouterOptions:
     eviction_backoff_cap: float = 8.0
 
 
+def _close_idle(replica) -> None:
+    """Drop a replica's idle connections, if it keeps any."""
+    if isinstance(replica, HTTPReplica):
+        replica.close()
+
+
 class _ReplicaState:
     def __init__(self, replica) -> None:
         self.replica = replica
@@ -416,6 +481,9 @@ class QueryRouter:
             metrics if metrics is not None else LockingMetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        for state in states:
+            if isinstance(state.replica, HTTPReplica):
+                state.replica.metrics = self.metrics
         self._states = states
         self._lock = threading.Lock()
         self._round_robin = 0
@@ -433,6 +501,9 @@ class QueryRouter:
         )
 
     def close(self) -> None:
+        """Close idle replica connections and the shard pool."""
+        for state in self._states:
+            _close_idle(state.replica)
         if self._pool is not None:
             self._pool.shutdown(wait=False)
 
@@ -457,6 +528,7 @@ class QueryRouter:
         state.down_until = now + self.options.eviction_seconds * backoff
         state.health = None
         state.health_at = float("-inf")
+        _close_idle(state.replica)
         self.metrics.add("replication.router_evictions", 1)
 
     def replica_states(self) -> list[dict]:

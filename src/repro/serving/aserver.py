@@ -23,13 +23,17 @@ onto one event loop:
   at any load;
 * per-kind :class:`~repro.observability.metrics.LatencyHistogram`\\ s
   record end-to-end request latency, surfaced as a ``front`` block on
-  ``GET /metrics``.
+  ``GET /metrics``;
+* bodies are compact JSON (``json.dumps`` without ``indent``, which
+  keeps CPython's C encoder), encoded once per response.
 
 The listening socket is bound in the constructor, so the address is
 known (and bind errors raise) before serving starts.  Drive the front
 like a ``socketserver`` server: :meth:`~AsyncHTTPFront.serve_forever`
 blocks, :meth:`~AsyncHTTPFront.shutdown` (thread-safe) stops it and
-waits, :meth:`~AsyncHTTPFront.server_close` releases the socket.
+waits, :meth:`~AsyncHTTPFront.server_close` releases the socket.  On
+shutdown, keep-alive connections waiting for their next request close
+at once; requests in flight get a few seconds to finish writing.
 """
 
 from __future__ import annotations
@@ -125,6 +129,10 @@ class AsyncHTTPFront:
         self._executor: ThreadPoolExecutor | None = None
         self._semaphores: dict[str, asyncio.Semaphore] = {}
         self._clients: set[asyncio.Task] = set()
+        # Connections waiting for their next request line: shutdown
+        # drops these at once instead of waiting for a request.
+        self._waiting: set[asyncio.Task] = set()
+        self._draining = False
         self._thread: threading.Thread | None = None
         self._decorate_metrics()
 
@@ -236,14 +244,19 @@ class AsyncHTTPFront:
             await stop.wait()
         finally:
             server.close()
-            await server.wait_closed()
-            # Let in-flight requests finish writing, then drop stragglers.
+            # Idle keep-alive connections hold no request: close them
+            # now.  Let in-flight requests finish writing, then drop
+            # stragglers.
+            self._draining = True
+            for task in self._waiting:
+                task.cancel()
             pending = [task for task in self._clients if not task.done()]
             if pending:
                 await asyncio.wait(pending, timeout=5.0)
             for task in self._clients:
                 if not task.done():
                     task.cancel()
+            await server.wait_closed()
             self._executor.shutdown(wait=False, cancel_futures=True)
             with self._lock:
                 self._loop = self._stop = None
@@ -297,10 +310,16 @@ class AsyncHTTPFront:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[HTTPRequest | None, bool]:
+        if self._draining:
+            return None, False
+        task = asyncio.current_task()
+        self._waiting.add(task)
         try:
             line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError) as exc:
             raise _BadRequest(f"request line too long: {exc}") from exc
+        finally:
+            self._waiting.discard(task)
         if not line:
             return None, False
         parts = line.decode("latin-1").strip().split()
@@ -403,7 +422,7 @@ class AsyncHTTPFront:
             body = bytes(payload)
             content_type = "application/octet-stream"
         else:
-            body = json.dumps(payload, indent=2).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
         reason = _HTTP_REASONS.get(status, "Unknown")
         head = [f"HTTP/1.1 {status} {reason}"]

@@ -7,6 +7,7 @@ follower/primary servers.
 
 from __future__ import annotations
 
+import http.server
 import json
 import shutil
 import threading
@@ -884,3 +885,202 @@ class TestRouterAdmission:
         finally:
             service.server.stop_background()
             service.close()
+
+
+class _TruncatingHandler(http.server.BaseHTTPRequestHandler):
+    """Answers ``/health`` and cuts every other answer short:
+    ``Content-Length: 500``, then 10 body bytes, then close."""
+
+    def _answer(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        body = json.dumps({"status": "ok", "applied_seq": 0}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        if self.path == "/health":
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        else:
+            self.send_header("Content-Length", "500")
+            self.end_headers()
+            self.wfile.write(body[:10])
+        self.close_connection = True
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class TestTruncatedAnswer:
+    """A replica that cuts its answer short failed in transport: the
+    router evicts it and retries elsewhere, never answering 500."""
+
+    @pytest.fixture
+    def truncating(self):
+        server = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), _TruncatingHandler
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_evicts_and_retries_on_the_next_replica(
+        self, truncating, store
+    ):
+        router = QueryRouter(
+            [
+                HTTPReplica(truncating, timeout=5.0),
+                LocalReplica(store, name="healthy"),
+            ],
+            options=RouterOptions(eviction_seconds=60.0),
+        )
+        try:
+            answer = router.query("support", GENERAL)
+        finally:
+            router.close()
+        reader = StoreReader(store)
+        assert answer["replica"] == "healthy"
+        assert answer["value"] == reader.support(
+            reader.parse_pattern(GENERAL)
+        )
+        assert router.metrics.counter("replication.router_evictions") == 1
+        assert router.metrics.counter("replication.router_retries") == 1
+
+    def test_lone_truncating_replica_is_503(self, truncating):
+        service = RouterService([HTTPReplica(truncating, timeout=5.0)])
+        host, port = service.server.start_background()
+        try:
+            status, body, _ = _request(
+                f"http://{host}:{port}", "/query",
+                {"op": "support", "pattern": GENERAL},
+            )
+        finally:
+            service.server.stop_background()
+            service.close()
+        assert status == 503
+        assert "broken answer" in json.loads(body)["error"]
+        assert service.metrics.counter("replication.router_evictions") == 1
+
+
+class TestKeepAlive:
+    """:class:`HTTPReplica` reuses its connections; a connection the
+    replica closed while idle is retried once, without eviction."""
+
+    @pytest.fixture
+    def replica(self, store):
+        from repro.serving import serve_async
+
+        front, _reader = serve_async(store)
+        host, port = front.start_background()
+        try:
+            yield f"http://{host}:{port}"
+        finally:
+            front.stop_background()
+
+    def test_sequential_queries_share_one_connection(self, replica, store):
+        reader = StoreReader(store)
+        expected = reader.support(reader.parse_pattern(GENERAL))
+        router = QueryRouter([HTTPReplica(replica)])
+        try:
+            for _ in range(50):
+                assert router.query("support", GENERAL)["value"] == expected
+        finally:
+            router.close()
+        assert router.metrics.counter(
+            "replication.router_connections_opened"
+        ) == 1
+
+    def test_replica_restart_reconnects_without_eviction(self, store):
+        import time
+
+        from repro.serving import serve_async
+
+        front, _reader = serve_async(store)
+        host, port = front.start_background()
+        router = QueryRouter([HTTPReplica(f"http://{host}:{port}")])
+        try:
+            assert router.query("support", GENERAL)["value"] >= 1
+            assert router.metrics.counter(
+                "replication.router_connections_opened"
+            ) == 1
+            # The router's idle connection must not hold up shutdown.
+            started = time.monotonic()
+            front.stop_background()
+            assert time.monotonic() - started < 4.0
+            front, _reader = serve_async(store, port=port)
+            front.start_background()
+            answer = router.query("support", GENERAL)
+            assert answer["replica"] == f"http://{host}:{port}"
+            assert router.metrics.counter(
+                "replication.router_evictions"
+            ) == 0
+            assert router.metrics.counter(
+                "replication.router_connections_opened"
+            ) == 2
+        finally:
+            router.close()
+            front.stop_background()
+
+    def test_concurrent_callers_share_the_pool(self, replica, store):
+        """More callers than cores hammer one replica: every connection
+        opened comes back to the pool exactly once."""
+        import sys
+
+        reader = StoreReader(store)
+        expected = reader.support(reader.parse_pattern(GENERAL))
+        http_replica = HTTPReplica(replica)
+        router = QueryRouter([http_replica])
+        answers = []
+        lock = threading.Lock()
+
+        def hammer():
+            for _ in range(15):
+                value = router.query("support", GENERAL)["value"]
+                with lock:
+                    answers.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        idle = list(http_replica._idle)
+        opened = router.metrics.counter(
+            "replication.router_connections_opened"
+        )
+        router.close()
+        assert answers == [expected] * 120
+        assert 1 <= opened <= 8
+        assert len(idle) == opened
+        assert len({id(connection) for connection in idle}) == opened
+
+    def test_close_and_eviction_drop_idle_connections(self, replica):
+        import time
+
+        http_replica = HTTPReplica(replica)
+        router = QueryRouter([http_replica])
+        router.query("support", GENERAL)
+        idle = list(http_replica._idle)
+        assert len(idle) == 1 and idle[0].sock is not None
+        router.close()
+        assert http_replica._idle == []
+        assert idle[0].sock is None
+        router = QueryRouter([http_replica])
+        router.query("support", GENERAL)
+        idle = list(http_replica._idle)
+        router._evict(router._states[0], time.monotonic(), "test")
+        assert http_replica._idle == []
+        assert idle[0].sock is None
+        router.close()

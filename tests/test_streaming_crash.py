@@ -42,13 +42,16 @@ _WORKER = """
 import sys, time
 from repro.streaming import ApplierOptions, StreamApplier, WriteAheadLog
 
+print("ready", flush=True)
 store_dir, wal_dir = sys.argv[1], sys.argv[2]
 with WriteAheadLog(wal_dir) as wal:
     applier = StreamApplier(
         store_dir, wal, ApplierOptions(max_batch_records=2)
     )
+    # Five batches, each followed by 0.08 s: a fresh drain outlasts the
+    # parent's 0.35 s kill window on any host, so a kill always lands.
     while applier.apply_next_batch():
-        time.sleep(0.03)
+        time.sleep(0.08)
 print("drained", applier.applied_seq)
 """
 
@@ -100,6 +103,14 @@ def _run_with_kills(tmp_path, store_dir, wal_dir, rng, max_rounds=40):
             stderr=subprocess.PIPE,
             env=env,
         )
+        # Draw the kill delay from when the imports are done, so the
+        # window covers WAL open, applier construction and batches on
+        # any host, however slow its interpreter start-up.
+        ready = proc.stdout.readline()
+        if ready != b"ready\n":
+            proc.kill()
+            _stdout, stderr = proc.communicate()
+            pytest.fail(f"worker failed to start: {stderr.decode()}")
         time.sleep(rng.uniform(0.0, 0.35))
         if proc.poll() is None:
             proc.kill()
