@@ -2,9 +2,10 @@
 
 For one pattern class, the *occurrence store* registers every occurrence
 (embedding) of the class's most general pattern, numbered
-``graph#.occurrence#`` exactly as in the paper, and keeps a per-graph bit
-mask so that support (distinct containing graphs) of any occurrence
-bit-set is a popcount-style scan.
+``graph#.occurrence#`` exactly as in the paper.  Each graph's
+occurrences hold contiguous ids (a *run*), so the support (distinct
+containing graphs) of any occurrence bit-set is four big-int operations
+on two cached run masks: the run-carry kernel of DESIGN.md §3.
 
 The *occurrence index* holds one entry (OIE) per pattern node position: a
 mapping from covered taxonomy label to the bit-set of occurrences whose
@@ -15,8 +16,8 @@ structure itself is recovered on demand through
 restricted to covered labels.
 
 Occurrence sets are raw Python ints (see :mod:`repro.util.bitset` for the
-user-facing wrapper); AND + popcount keeps Step 3 free of isomorphism
-tests (Lemma 7).
+user-facing wrapper); AND + the run-carry count keeps Step 3 free of
+isomorphism tests (Lemma 7).
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.results import MiningCounters
+from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.mining.gspan import Embedding
 from repro.taxonomy.taxonomy import Taxonomy
+from repro.util.bitset import BitSet
 
 __all__ = [
     "OccurrenceStore",
@@ -35,81 +38,76 @@ __all__ = [
     "generalized_label_supports",
 ]
 
-
 class OccurrenceStore:
-    """Registry of the occurrences of one pattern class.
+    """Registry of the occurrences of one pattern class; a graph's
+    occurrences must be added together (else :class:`MiningError`).
 
     :class:`repro.incremental.delta.OccurrenceColumns` extends it with
-    tombstoned (``None``) occurrences; :attr:`all_bits` is the one place
-    that knows which occurrences are live, so the support kernel below
-    serves both classes.
+    tombstoned (``None``) occurrences, which belong to no run.
     """
 
-    __slots__ = ("occurrences", "_graph_masks")
+    __slots__ = ("occurrences", "_graph_ids", "_runs")
 
     def __init__(self) -> None:
         # occurrence id -> (graph id, mapped nodes); ids are dense.
         self.occurrences: list[tuple[int, tuple[int, ...]] | None] = []
-        self._graph_masks: dict[int, int] = {}
+        self._graph_ids = 0  # bit-set of the graph ids that own a run
+        self._runs: tuple[int, int] | None = None  # see _run_masks
 
     def add(self, graph_id: int, nodes: tuple[int, ...]) -> int:
-        occ_id = len(self.occurrences)
-        self.occurrences.append((graph_id, nodes))
-        self._graph_masks[graph_id] = self._graph_masks.get(graph_id, 0) | (
-            1 << occ_id
-        )
-        return occ_id
+        occurrences = self.occurrences
+        tail = occurrences[-1] if occurrences else None
+        if tail is None or tail[0] != graph_id:
+            if self._graph_ids >> graph_id & 1:
+                raise MiningError(f"graph {graph_id}'s occurrences are split")
+            self._graph_ids |= 1 << graph_id
+        occurrences.append((graph_id, nodes))
+        self._runs = None
+        return len(occurrences) - 1
 
     def __len__(self) -> int:
         return len(self.occurrences)
 
     @property
     def all_bits(self) -> int:
-        """Mask of every live occurrence."""
-        return (1 << len(self.occurrences)) - 1
+        """Mask of every live occurrence: the union of the runs."""
+        inner, last = self._runs or self._run_masks()
+        return inner | last
+
+    def _run_masks(self) -> tuple[int, int]:
+        """Cache ``(inner, last)``: each run's top bit is in ``last``, its
+        other bits in ``inner``; tombstones are in neither."""
+        gids = [column and column[0] for column in self.occurrences]
+        inner, last = [], []
+        for gid, after in zip(gids, [*gids[1:], None]):
+            inner.append("01"[gid is not None and gid == after])
+            last.append("01"[gid is not None and gid != after])
+        self._runs = tuple(
+            int("".join(reversed(d)) or "0", 2) for d in (inner, last)
+        )
+        return self._runs
 
     def support_count(self, bits: int) -> int:
         """Distinct graphs with at least one live occurrence in ``bits``.
 
-        Adaptive kernel: when the candidate set is much smaller than the
-        number of graphs, walking its set bits and collecting owning
-        graph ids is O(popcount) instead of the O(#graphs) mask scan —
-        the dominant cost of the specialize phase on large databases.
-        Both strategies return identical counts.
+        Adding ``inner`` carries into a run's top bit exactly when a lower
+        bit of the run is in ``bits``, and stops there (the top bit is 0
+        in both operands); OR-ing ``bits`` back covers a set top bit.
         """
-        if bits == 0:
-            return 0
-        live = self.all_bits
-        if bits == live:
-            return len(self._graph_masks)
-        if bits.bit_count() * 4 < len(self._graph_masks):
-            occurrences = self.occurrences
-            graphs: set[int] = set()
-            # Clamping to the live mask skips tombstoned occurrences (their
-            # graphs' masks are gone, so the dense scan skips them too).
-            probe = bits & live
-            while probe:
-                low = probe & -probe
-                graphs.add(occurrences[low.bit_length() - 1][0])
-                probe ^= low
-            return len(graphs)
-        return sum(1 for mask in self._graph_masks.values() if mask & bits)
+        inner, last = self._runs or self._run_masks()
+        return ((((bits & inner) + inner) | bits) & last).bit_count()
 
     def support_set(self, bits: int) -> frozenset[int]:
-        """Graph ids with at least one occurrence in ``bits``."""
-        return frozenset(
-            gid for gid, mask in self._graph_masks.items() if mask & bits
-        )
+        """Owners of the run top bits :meth:`support_count` counts."""
+        inner, last = self._runs or self._run_masks()
+        hits = BitSet.from_bits((((bits & inner) + inner) | bits) & last)
+        return frozenset(self.occurrences[occ_id][0] for occ_id in hits)
 
     def occurrence_ids(self, bits: int) -> list[str]:
         """Render set members as the paper's ``graph#.occurrence#`` ids."""
         per_graph: dict[int, int] = {}
         out: list[str] = []
-        probe = bits
-        while probe:
-            low = probe & -probe
-            occ_id = low.bit_length() - 1
-            probe ^= low
+        for occ_id in BitSet.from_bits(bits):
             gid = self.occurrences[occ_id][0]
             per_graph[gid] = per_graph.get(gid, 0) + 1
             out.append(f"G{gid}.{per_graph[gid]}")

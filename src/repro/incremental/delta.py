@@ -24,6 +24,7 @@ from repro.core.occurrence_index import OccurrenceStore
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
+from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 
 __all__ = ["DatabaseDelta", "OccurrenceColumns"]
@@ -98,30 +99,23 @@ class OccurrenceColumns(OccurrenceStore):
     stay valid without rewriting the index on each removal; they are
     reclaimed by :meth:`compact` when :attr:`dead_fraction` grows.
     The support kernels are :class:`OccurrenceStore`'s; dead columns
-    count for nothing because :attr:`all_bits` excludes them and their
-    graph masks are dropped.
+    belong to no run, so they count for nothing, and rows that split a
+    graph's columns raise :class:`~repro.exceptions.MiningError`.
     """
 
-    __slots__ = ("_dead_bits",)
+    __slots__ = ()
 
     def __init__(
         self,
         columns: Iterable[tuple[int, tuple[int, ...]] | None] = (),
     ) -> None:
         super().__init__()
-        self._dead_bits = 0
         for column in columns:
             if column is None:
                 self.occurrences.append(None)
-                self._dead_bits |= 1 << (len(self.occurrences) - 1)
             else:
                 gid, nodes = column
                 self.append(gid, tuple(nodes))
-
-    @property
-    def all_bits(self) -> int:
-        """Mask of every *live* occurrence."""
-        return ((1 << len(self.occurrences)) - 1) & ~self._dead_bits
 
     #: Register one occurrence in ``graph_id``; returns its column id.
     append = OccurrenceStore.add
@@ -130,28 +124,26 @@ class OccurrenceColumns(OccurrenceStore):
 
     @property
     def live_count(self) -> int:
-        return len(self.occurrences) - self._dead_bits.bit_count()
+        return self.all_bits.bit_count()
 
     @property
     def dead_fraction(self) -> float:
         if not self.occurrences:
             return 0.0
-        return self._dead_bits.bit_count() / len(self.occurrences)
+        size = len(self.occurrences)
+        return (size - self.live_count) / size
 
     def clear_graphs(self, removed: Iterable[int]) -> int:
         """Clear every column of the given graphs; returns the cleared mask."""
+        removed = set(removed)
+        occurrences = self.occurrences
         cleared = 0
-        for gid in removed:
-            mask = self._graph_masks.pop(gid, None)
-            if mask is None:
-                continue
-            cleared |= mask
-            probe = mask
-            while probe:
-                low = probe & -probe
-                self.occurrences[low.bit_length() - 1] = None
-                probe ^= low
-        self._dead_bits |= cleared
+        for occ_id, column in enumerate(occurrences):
+            if column is not None and column[0] in removed:
+                occurrences[occ_id] = None
+                cleared |= 1 << occ_id
+        self._graph_ids &= ~BitSet(removed).bits
+        self._runs = None
         return cleared
 
     def remap_graphs(self, id_map: Mapping[int, int]) -> None:
@@ -160,9 +152,8 @@ class OccurrenceColumns(OccurrenceStore):
         Every live graph id must be present in ``id_map`` — clear removed
         graphs first with :meth:`clear_graphs`.
         """
-        self._graph_masks = {
-            id_map[gid]: mask for gid, mask in self._graph_masks.items()
-        }
+        graph_ids = BitSet.from_bits(self._graph_ids)
+        self._graph_ids = graph_ids.compact(id_map).bits
         for occ_id, column in enumerate(self.occurrences):
             if column is not None:
                 self.occurrences[occ_id] = (id_map[column[0]], column[1])
@@ -183,10 +174,7 @@ class OccurrenceColumns(OccurrenceStore):
         """
         survivors = [c for c in self.occurrences if c is not None]
         self.occurrences = survivors
-        self._dead_bits = 0
-        self._graph_masks = {}
-        for occ_id, (gid, _nodes) in enumerate(survivors):
-            self._graph_masks[gid] = self._graph_masks.get(gid, 0) | (1 << occ_id)
+        self._runs = None
 
     # -- persistence ---------------------------------------------------------------
 
@@ -210,5 +198,5 @@ class OccurrenceColumns(OccurrenceStore):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OccurrenceColumns(live={self.live_count}, "
-            f"dead={self._dead_bits.bit_count()})"
+            f"dead={len(self.occurrences) - self.live_count})"
         )

@@ -38,6 +38,7 @@ the differential crash tests assert.
 
 from __future__ import annotations
 
+import ctypes
 import shutil
 import threading
 import time
@@ -66,6 +67,14 @@ _MANIFEST = "manifest.json"
 _NEXT_SUFFIX = ".next"
 _PREV_SUFFIX = ".prev"
 _APPLIED_KEY = "wal_applied_seq"
+
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+else:
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    _MALLOC_TRIM.restype = ctypes.c_int
 
 
 def applied_wal_seq(store: PatternStore) -> int:
@@ -321,6 +330,10 @@ class StreamApplier:
             return 0
         with self.tracer.span("streaming.apply_batch"):
             self._apply_records(batch)
+        # Hand the MBs of blocks a batch freed back to the OS: glibc keeps
+        # them, and the resident set would ratchet up with every batch.
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
         return len(batch)
 
     def _apply_records(self, batch: list[WALRecord]) -> None:

@@ -70,10 +70,10 @@ class TestOccurrenceColumns:
         assert cols.support_set(0b111) == frozenset({0, 2})
 
     def test_clear_graphs_tombstones_columns(self):
-        cols = OccurrenceColumns([(0, (0, 1)), (1, (0, 1)), (0, (1, 0))])
+        cols = OccurrenceColumns([(0, (0, 1)), (0, (1, 0)), (1, (0, 1))])
         cleared = cols.clear_graphs([0])
-        assert cleared == 0b101
-        assert cols.all_bits == 0b010
+        assert cleared == 0b011
+        assert cols.all_bits == 0b100
         assert cols.live_count == 1
         assert cols.dead_fraction == pytest.approx(2 / 3)
         assert cols.support_set(cols.all_bits) == frozenset({1})

@@ -352,3 +352,23 @@ class TestBackgroundThread:
                 assert applier.error is not None
             finally:
                 applier.stop()
+
+
+class TestHeapRelease:
+    def test_each_applied_batch_trims_the_heap(
+        self, tmp_path, seeded, monkeypatch
+    ):
+        from repro.streaming import applier as applier_module
+
+        calls = []
+        monkeypatch.setattr(applier_module, "_MALLOC_TRIM", calls.append)
+        store_dir, adds = seeded
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            for name in ("x", "y", "x"):
+                wal.append(adds([name]))
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            assert applier.drain() == 3
+            assert applier.apply_next_batch() == 0
+        assert calls == [0, 0, 0]

@@ -1,11 +1,11 @@
-"""The adaptive support kernel, on both of its owners.
+"""The run-carry support kernel, on both of its owners.
 
-``OccurrenceStore.support_count`` walks the set bits of sparse masks
-(``popcount * 4 < #graphs``) and scans the per-graph masks otherwise;
-``OccurrenceColumns`` inherits the same kernel and adds tombstoned
-(cleared) columns.  Every answer must equal ``len(support_set(bits))``
-and a direct count over the live occurrences, on both sides of the
-switch.
+``OccurrenceStore.support_count`` counts the runs (one per graph) that
+``bits`` touches with four big-int operations; ``OccurrenceColumns``
+inherits the same kernel and adds tombstoned (cleared) columns.  Every
+answer must equal ``len(support_set(bits))`` and a direct count over the
+live occurrences, on sparse masks (``popcount * 4 < #graphs``) and dense
+ones alike.
 """
 
 from __future__ import annotations
