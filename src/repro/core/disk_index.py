@@ -300,14 +300,6 @@ class DiskOccurrenceIndex:
                 self._covered[position].discard(label)
             self._lru.clear()
 
-    def row_count(self) -> int:
-        """Number of persisted (position, label) rows."""
-        self._flush()
-        row = self._read_connection().execute(
-            "SELECT COUNT(*) FROM entries"
-        ).fetchone()
-        return int(row[0])
-
     def dump_rows(self) -> list[tuple[int, int, int]]:
         """Every ``(position, label, bits)`` row, staged entries merged in.
 

@@ -20,6 +20,9 @@ default :class:`~repro.core.taxogram.Taxogram` run:
 - taxonomy contraction (enhancement (d)) is disabled — contraction also
   depends on the observed label set.
 
+Both paths also persist each class's Step-3 pattern set, so the store's
+first reader loads it instead of specializing every class again.
+
 With ``options.workers > 1`` the parallel runtime mines, and the driver
 persists the merged class state through the runtime's ``class_sink``
 hook; the border is reconstructed on the driver by enumerating the
@@ -40,7 +43,7 @@ from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.incremental.delta import OccurrenceColumns
-from repro.incremental.store import PatternStore
+from repro.incremental.store import PatternStore, stored_patterns
 from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
 from repro.mining.gspan import Embedding, GSpanMiner, MinedPattern, min_support_count
 from repro.observability.metrics import MetricsRegistry
@@ -133,22 +136,22 @@ def _mine_sequential(
                 None,
                 counters,
             )
-            patterns.extend(
-                specialize_class(
-                    class_id=counters.pattern_classes - 1,
-                    structure=mined.graph,
-                    store=mem_store,
-                    index=index,
-                    taxonomy=relabeled.taxonomy,
-                    min_count=min_count,
-                    database_size=len(database),
-                    options=specializer_options,
-                    counters=counters,
-                )
+            class_patterns = specialize_class(
+                class_id=counters.pattern_classes - 1,
+                structure=mined.graph,
+                store=mem_store,
+                index=index,
+                taxonomy=relabeled.taxonomy,
+                min_count=min_count,
+                database_size=len(database),
+                options=specializer_options,
+                counters=counters,
             )
+            patterns.extend(class_patterns)
             stored = store.add_class(
                 mined.code.edges, OccurrenceColumns(mem_store.occurrences)
             )
+            stored.patterns = stored_patterns(class_patterns)
             _persist_entries(store, stored, index, options)
 
     total = Stopwatch()
@@ -269,10 +272,14 @@ def _mine_parallel(
             getattr(options, "store_compression", None)
         ),
     )
-    for merged in kept_sink:
+    by_class: dict[int, list[TaxonomyPattern]] = {}
+    for pattern in result.patterns:
+        by_class.setdefault(pattern.class_id, []).append(pattern)
+    for class_id, merged in enumerate(kept_sink):
         stored = store.add_class(
             merged.code, OccurrenceColumns(merged.occurrences)
         )
+        stored.patterns = stored_patterns(by_class.get(class_id, []))
         _persist_entries(store, stored, OccurrenceIndex(merged.entries), options)
     store.border = _driver_border(
         relabeled.dmg, kept_sink, min_count, options.max_edges

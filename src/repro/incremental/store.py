@@ -6,7 +6,8 @@ Layout (``format_version`` 1)::
       manifest.json      version, options fingerprint, checksums (written last)
       labels.json        interner name tables + taxonomy parent map
       database.graphs    the mined database (graph-db text format)
-      classes.json       per class: DFS code, occurrence columns, OIE name
+      classes.json       per class: DFS code, occurrence columns, OIE name,
+                         and the class's Step-3 pattern set
       border.json        negative border: DFS code -> supporting graph ids
       oie/class_<k>/occurrence_index.sqlite3   per-class persisted OIE
 
@@ -20,9 +21,26 @@ bit-identical to the original.
 ``manifest.json`` is written last and carries SHA-256 checksums of every
 JSON/text file plus per-class OIE row counts; a torn or tampered store
 fails :meth:`PatternStore.open` with :class:`repro.exceptions.StoreError`
-instead of producing silently wrong supports.  OIE directory names are
-allocated from a monotonic counter, so class reordering across updates
-never renames directories.
+instead of producing silently wrong supports.  ``open`` is an integrity
+check followed by a parse; :meth:`PatternStore.is_committed_copy` runs
+the same check alone, so a process that still holds the store it just
+committed can adopt a fresh copy of its directory without parsing it.
+OIE directory names are allocated from a monotonic counter, so class
+reordering across updates never renames directories.
+
+Each class entry in ``classes.json`` also carries ``patterns``: the
+class's Step-3 output at the store's own threshold, so a version's
+pattern set is computed once, by whichever writer committed it, and the
+reader loads it instead of running Step 3 again.  Each pattern holds
+its position labels (node ``p`` of ``graph_from_code(class code)``),
+its canonical code edges, its support count and its support set as a
+hex graph-id mask.  The list is sorted by code edges rather than kept
+in Step-3 emission order, which the parallel runtime does not return,
+so the sequential and parallel store builds write the same list.
+``support`` and ``class_id`` are derived on load.  The key is absent on
+stores written before it existed; such a class is specialized on demand
+and persisted by its first update.  Old builds ignore the key, so the
+format version stays 1.
 
 Stores may optionally be *compressed*: when ``PatternStore.initialize``
 is given a codec name (see :mod:`repro.util.compression`), every store
@@ -47,15 +65,18 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.core.disk_index import DiskOccurrenceIndex
+from repro.core.results import TaxonomyPattern
 from repro.exceptions import CompressionError, StoreError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
 from repro.incremental.delta import OccurrenceColumns
-from repro.mining.dfs_code import DFSCode, DFSEdge
+from repro.mining.dfs_code import DFSCode, DFSEdge, graph_from_code
 from repro.taxonomy.io import serialize_taxonomy
 from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.bitset import BitSet
@@ -65,8 +86,10 @@ from repro.util.interner import LabelInterner
 __all__ = [
     "PatternStore",
     "StoredClass",
+    "StoredPattern",
     "FORMAT_VERSION",
     "fence_state",
+    "stored_patterns",
     "taxonomy_fingerprint",
 ]
 
@@ -118,13 +141,92 @@ def taxonomy_fingerprint(taxonomy: Taxonomy) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class StoredPattern(NamedTuple):
+    """One persisted Step-3 pattern of a class.
+
+    ``labels[p]`` is the label of node ``p`` of the class structure
+    ``graph_from_code(class code)``; ``graph_mask`` has bit ``g`` set
+    iff graph ``g`` supports the pattern.
+    """
+
+    labels: tuple[int, ...]
+    code: _Code
+    support_count: int
+    graph_mask: int
+
+    @classmethod
+    def of(cls, pattern: TaxonomyPattern) -> "StoredPattern":
+        graph = pattern.graph
+        return cls(
+            labels=tuple(graph.node_label(p) for p in range(graph.num_nodes)),
+            code=pattern.code.edges,
+            support_count=pattern.support_count,
+            graph_mask=BitSet(pattern.support_set).bits,
+        )
+
+    def to_pattern(
+        self, class_code: _Code, class_id: int, database_size: int
+    ) -> TaxonomyPattern:
+        """The pattern :func:`~repro.core.specializer.specialize_class`
+        emitted, rebuilt without touching the class's bit-sets."""
+        graph = graph_from_code(class_code)
+        for position, label in enumerate(self.labels):
+            graph.relabel_node(position, label)
+        return TaxonomyPattern(
+            code=DFSCode(self.code),
+            graph=graph,
+            support_count=self.support_count,
+            support=self.support_count / database_size,
+            support_set=frozenset(BitSet.from_bits(self.graph_mask)),
+            class_id=class_id,
+        )
+
+    def without_graphs(self, removed_desc: list[int]) -> "StoredPattern":
+        """Renumber the support set after the graphs ``removed_desc``
+        (sorted descending) were deleted and later ids shifted down."""
+        mask = self.graph_mask
+        for gid in removed_desc:
+            mask = (mask & ((1 << gid) - 1)) | ((mask >> (gid + 1)) << gid)
+        return self._replace(graph_mask=mask)
+
+    def to_doc(self) -> dict:
+        return {
+            "labels": list(self.labels),
+            "code": [list(edge) for edge in self.code],
+            "count": self.support_count,
+            "graphs": format(self.graph_mask, "x"),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "StoredPattern":
+        return cls(
+            labels=tuple(int(label) for label in doc["labels"]),
+            code=tuple(tuple(int(x) for x in edge) for edge in doc["code"]),
+            support_count=int(doc["count"]),
+            graph_mask=int(doc["graphs"], 16),
+        )
+
+
+def stored_patterns(patterns: list[TaxonomyPattern]) -> list[StoredPattern]:
+    """One class's Step-3 output in its persisted (code-sorted) order."""
+    return sorted(
+        (StoredPattern.of(pattern) for pattern in patterns),
+        key=lambda stored: stored.code,
+    )
+
+
 @dataclass
 class StoredClass:
-    """One persisted pattern class: canonical code + occurrence state."""
+    """One persisted pattern class: canonical code + occurrence state.
+
+    ``patterns`` is the class's Step-3 output at the store's threshold,
+    or ``None`` for a class loaded from a store that predates it.
+    """
 
     code: _Code
     columns: OccurrenceColumns
     oie_name: str
+    patterns: list[StoredPattern] | None = None
 
     @property
     def num_positions(self) -> int:
@@ -171,6 +273,9 @@ class PatternStore:
         # "delta applied" and "offset advanced" are one atomic rename
         # (the crash-recovery protocol of repro.streaming depends on it).
         self.app_state: dict = {}
+        # The manifest this object last wrote or read: a directory whose
+        # verified manifest equals it holds exactly this in-memory state.
+        self._committed_manifest: dict | None = None
         self._next_oie_id = 0
         self._taxonomy_sha = taxonomy_fingerprint(taxonomy)
 
@@ -351,16 +456,7 @@ class PatternStore:
                 for label, parents in self.taxonomy.parent_map().items()
             ],
         }
-        classes_doc = {
-            "classes": [
-                {
-                    "code": [list(edge) for edge in stored.code],
-                    "oie": stored.oie_name,
-                    "columns": stored.columns.to_rows(),
-                }
-                for stored in self.classes
-            ]
-        }
+        classes_doc = {"classes": [_class_doc(s) for s in self.classes]}
         border_doc = {
             "border": [
                 [[list(edge) for edge in code], sorted(gids)]
@@ -389,13 +485,10 @@ class PatternStore:
             # verification on open never needs to decompress first.
             checksums[name] = hashlib.sha256(data).hexdigest()
         self.compression_stats = compression_stats
-        oie_rows: dict[str, int] = {}
-        for stored in self.classes:
-            index = self.load_index(stored)
-            try:
-                oie_rows[stored.oie_name] = index.row_count()
-            finally:
-                index.close()
+        oie_rows = {
+            stored.oie_name: _oie_row_count(self.directory, stored.oie_name)
+            for stored in self.classes
+        }
         self.store_version += 1
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -422,6 +515,7 @@ class PatternStore:
         tmp_path = manifest_path.with_name(_MANIFEST + ".tmp")
         tmp_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         tmp_path.replace(manifest_path)
+        self._committed_manifest = manifest
         marker = self.directory / _UPDATE_MARKER
         if marker.exists():
             marker.unlink()
@@ -430,33 +524,36 @@ class PatternStore:
     def open(cls, directory: str | Path) -> "PatternStore":
         """Load and integrity-check a persisted store."""
         directory = Path(directory)
-        manifest_path = directory / _MANIFEST
-        if not manifest_path.exists():
-            raise StoreError(f"{directory} is not a pattern store (no manifest)")
+        manifest, files = _verified_files(directory)
+        return cls._parse(directory, manifest, files)
+
+    def is_committed_copy(self, directory: str | Path) -> bool:
+        """Does ``directory`` pass :meth:`open`'s integrity check and
+        hold the manifest this store last committed?
+
+        When it does, the directory's files are byte-for-byte the ones
+        this object saved (the manifest pins every file checksum and
+        OIE row count), so the caller may point :attr:`directory` at it
+        instead of parsing it again.  Any failure answers False; the
+        caller then falls back to :meth:`open`, which raises the error.
+        """
+        if self._committed_manifest is None:
+            return False
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"unreadable store manifest: {exc}") from exc
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise StoreError(
-                f"unsupported store format version {version!r} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
+            manifest, _files = _verified_files(Path(directory))
+        except StoreError:
+            return False
+        return manifest == self._committed_manifest
+
+    @classmethod
+    def _parse(
+        cls, directory: Path, manifest: dict, files: dict[str, bytes]
+    ) -> "PatternStore":
+        """Build the in-memory store from verified files."""
         compression_doc = manifest.get("compression")
         codec = compression_doc["codec"] if compression_doc else None
         texts: dict[str, str] = {}
-        for name, expected in manifest["checksums"].items():
-            path = directory / name
-            if not path.exists():
-                raise StoreError(f"store file {name} is missing")
-            data = path.read_bytes()
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected:
-                raise StoreError(
-                    f"store file {name} failed its integrity check "
-                    f"(expected {expected[:12]}..., got {actual[:12]}...)"
-                )
+        for name, data in files.items():
             if codec is not None:
                 try:
                     data, _ = decode_container(data)
@@ -505,28 +602,105 @@ class PatternStore:
         store._next_oie_id = int(manifest["next_oie_id"])
         store.store_version = int(manifest.get("store_version", 0))
         store.app_state = dict(manifest.get("app_state", {}))
+        store._committed_manifest = manifest
 
         oie_rows = manifest.get("oie_rows", {})
         for entry in json.loads(texts[_CLASSES])["classes"]:
             code = tuple(tuple(int(x) for x in edge) for edge in entry["code"])
-            stored = StoredClass(
-                code=code,
-                columns=OccurrenceColumns.from_rows(entry["columns"]),
-                oie_name=entry["oie"],
-            )
-            index = store.load_index(stored)  # raises StoreError if missing
-            try:
-                rows = index.row_count()
-            finally:
-                index.close()
-            if rows != oie_rows.get(stored.oie_name):
+            if entry["oie"] not in oie_rows:
                 raise StoreError(
-                    f"occurrence index {stored.oie_name} has {rows} rows, "
-                    f"manifest says {oie_rows.get(stored.oie_name)}"
+                    f"occurrence index {entry['oie']} has no row count in "
+                    "the manifest"
                 )
-            store.classes.append(stored)
+            patterns = entry.get("patterns")
+            store.classes.append(
+                StoredClass(
+                    code=code,
+                    columns=OccurrenceColumns.from_rows(entry["columns"]),
+                    oie_name=entry["oie"],
+                    patterns=None
+                    if patterns is None
+                    else [StoredPattern.from_doc(doc) for doc in patterns],
+                )
+            )
 
         for code_doc, gids in json.loads(texts[_BORDER])["border"]:
             code = tuple(tuple(int(x) for x in edge) for edge in code_doc)
             store.border[code] = BitSet(int(g) for g in gids)
         return store
+
+
+def _class_doc(stored: StoredClass) -> dict:
+    doc = {
+        "code": [list(edge) for edge in stored.code],
+        "oie": stored.oie_name,
+        "columns": stored.columns.to_rows(),
+    }
+    if stored.patterns is not None:
+        doc["patterns"] = [pattern.to_doc() for pattern in stored.patterns]
+    return doc
+
+
+def _verified_files(directory: Path) -> tuple[dict, dict[str, bytes]]:
+    """The integrity check shared by :meth:`PatternStore.open` and
+    :meth:`PatternStore.is_committed_copy`.
+
+    Returns the manifest and the on-disk bytes of every checksummed
+    file after verifying the format version, every file checksum and
+    every OIE row count; raises :class:`StoreError` otherwise.
+    """
+    manifest_path = directory / _MANIFEST
+    if not manifest_path.exists():
+        raise StoreError(f"{directory} is not a pattern store (no manifest)")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"unreadable store manifest: {exc}") from exc
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise StoreError(
+            f"unsupported store format version {version!r} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    files: dict[str, bytes] = {}
+    for name, expected in manifest["checksums"].items():
+        path = directory / name
+        if not path.exists():
+            raise StoreError(f"store file {name} is missing")
+        data = path.read_bytes()
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != expected:
+            raise StoreError(
+                f"store file {name} failed its integrity check "
+                f"(expected {expected[:12]}..., got {actual[:12]}...)"
+            )
+        files[name] = data
+    for oie_name, expected_rows in manifest.get("oie_rows", {}).items():
+        rows = _oie_row_count(directory, oie_name)
+        if rows != expected_rows:
+            raise StoreError(
+                f"occurrence index {oie_name} has {rows} rows, "
+                f"manifest says {expected_rows}"
+            )
+    return manifest, files
+
+
+def _oie_row_count(directory: Path, oie_name: str) -> int:
+    path = directory / _OIE_DIR / oie_name / "occurrence_index.sqlite3"
+    if not path.exists():
+        raise StoreError(
+            f"store {directory} is missing the occurrence index of {oie_name}"
+        )
+    try:
+        connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        try:
+            (rows,) = connection.execute(
+                "SELECT COUNT(*) FROM entries"
+            ).fetchone()
+        finally:
+            connection.close()
+    except sqlite3.Error as exc:
+        raise StoreError(
+            f"occurrence index {oie_name} is unreadable: {exc}"
+        ) from exc
+    return int(rows)

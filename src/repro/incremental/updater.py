@@ -16,7 +16,13 @@ database:
    code's exact support set is maintained the same way; codes reaching
    the new threshold are re-expanded with gSpan (the only subgraph
    search of the whole update).
-4. **Specialize** every surviving and discovered class.
+4. **Specialize** every surviving and discovered class — except a
+   surviving class the delta left untouched (no column cleared, no
+   embedding appended) under an unchanged ``min_count``: Step 3 reads
+   only the class's columns, its OIE rows, the taxonomy and
+   ``min_count``, so its persisted pattern set is reused with support
+   sets renumbered past the removed graphs and the class id taken from
+   its new sort position (``incremental.classes_reused``).
 
 Completeness rests on two invariants.  First, the border always holds
 *every* minimal infrequent code with at least one embedding whose
@@ -48,7 +54,7 @@ from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError, TaxonomyError
 from repro.graphs.database import GraphDatabase
 from repro.incremental.delta import DatabaseDelta, OccurrenceColumns
-from repro.incremental.store import PatternStore, StoredClass
+from repro.incremental.store import PatternStore, StoredClass, stored_patterns
 from repro.mining.dfs_code import (
     DFSCode,
     DFSEdge,
@@ -208,56 +214,65 @@ class IncrementalTaxogram:
         # unstable until save() commits the new version.
         store.mark_update_in_progress()
 
+        # A class whose columns and OIE rows the delta leaves untouched,
+        # under an unchanged threshold, keeps its persisted Step-3 output
+        # (see the class-reuse lemma in DESIGN.md §3).
+        reusable: set[str] = set()
+        same_threshold = min_count_new == min_support_count(
+            store.min_support, old_size
+        )
+
         watch = Stopwatch()
         with watch, tracer.span("incremental.maintain"):
             for stored in list(store.classes):
-                index = store.load_index(stored, opts.disk_max_resident_entries)
-                try:
-                    if removed_set:
-                        cleared = stored.columns.clear_graphs(removed_set)
-                        if cleared:
-                            metrics.add(
-                                "incremental.columns_cleared",
-                                cleared.bit_count(),
-                            )
-                            index.clear_bits(cleared)
-                        stored.columns.remap_graphs(id_map)
-                    if n_added:
-                        embeddings = project_code(adds_dmg, stored.code)
+                cleared = 0
+                if removed_set:
+                    cleared = stored.columns.clear_graphs(removed_set)
+                    if cleared:
                         metrics.add(
-                            "incremental.embeddings_replayed", len(embeddings)
+                            "incremental.columns_cleared", cleared.bit_count()
                         )
-                        counters.embedding_extensions += len(embeddings)
-                        for emb in embeddings:
-                            occ_bit = 1 << stored.columns.append(
-                                base + emb.graph_id, emb.nodes
-                            )
-                            graph_originals = adds_originals[emb.graph_id]
-                            for position, node in enumerate(emb.nodes):
-                                for label in ancestors_of(graph_originals[node]):
-                                    index.insert(position, label, occ_bit)
-                                    counters.occurrence_index_updates += 1
-                        if embeddings and not (
-                            store.max_edges is not None
-                            and len(stored.code) >= store.max_edges
-                        ):
-                            self._scan_new_children(
-                                scan_miner,
-                                stored.code,
-                                embeddings,
-                                base,
-                                class_codes,
-                                store.border,
-                                adds_border,
-                            )
-                    if stored.columns.dead_fraction > opts.compact_dead_fraction:
-                        remap = stored.columns.compaction_map()
-                        index.remap_bits(remap)
-                        stored.columns.compact(remap)
-                        metrics.add("incremental.compactions", 1)
-                    index.finish()
-                finally:
-                    index.close()
+                    stored.columns.remap_graphs(id_map)
+                embeddings = (
+                    project_code(adds_dmg, stored.code) if n_added else []
+                )
+                if n_added:
+                    metrics.add(
+                        "incremental.embeddings_replayed", len(embeddings)
+                    )
+                    counters.embedding_extensions += len(embeddings)
+                touched = bool(cleared or embeddings)
+                dead = stored.columns.dead_fraction
+                if touched or dead > opts.compact_dead_fraction:
+                    self._maintain_index(
+                        stored,
+                        cleared,
+                        embeddings,
+                        base,
+                        adds_originals,
+                        ancestors_of,
+                        counters,
+                        metrics,
+                    )
+                if (
+                    not touched
+                    and same_threshold
+                    and stored.patterns is not None
+                ):
+                    reusable.add(stored.oie_name)
+                if embeddings and not (
+                    store.max_edges is not None
+                    and len(stored.code) >= store.max_edges
+                ):
+                    self._scan_new_children(
+                        scan_miner,
+                        stored.code,
+                        embeddings,
+                        base,
+                        class_codes,
+                        store.border,
+                        adds_border,
+                    )
                 support = stored.columns.support_count(stored.columns.all_bits)
                 if support >= min_count_new:
                     survivors.append(stored)
@@ -348,28 +363,45 @@ class IncrementalTaxogram:
             ]
             entries.extend(discovered.items())
             entries.sort(key=lambda item: _CODE_KEY(item[0]))
+            removed_desc = sorted(removed_set, reverse=True)
             for class_id, (code, payload) in enumerate(entries):
                 if isinstance(payload, StoredClass):
                     stored = payload
+                    if stored.oie_name in reusable:
+                        # Same columns, OIE rows, taxonomy and threshold:
+                        # Step 3 would emit the same patterns, up to the
+                        # graph-id shift and the class id.
+                        if removed_desc:
+                            stored.patterns = [
+                                pattern.without_graphs(removed_desc)
+                                for pattern in stored.patterns
+                            ]
+                        patterns.extend(
+                            pattern.to_pattern(code, class_id, new_size)
+                            for pattern in stored.patterns
+                        )
+                        metrics.add("incremental.classes_reused", 1)
+                        final_classes.append(stored)
+                        continue
                     index = store.load_index(
                         stored, opts.disk_max_resident_entries
                     )
                     try:
-                        patterns.extend(
-                            specialize_class(
-                                class_id=class_id,
-                                structure=graph_from_code(stored.code),
-                                store=stored.columns,
-                                index=index,
-                                taxonomy=working,
-                                min_count=min_count_new,
-                                database_size=new_size,
-                                options=specializer_options,
-                                counters=counters,
-                            )
+                        class_patterns = specialize_class(
+                            class_id=class_id,
+                            structure=graph_from_code(stored.code),
+                            store=stored.columns,
+                            index=index,
+                            taxonomy=working,
+                            min_count=min_count_new,
+                            database_size=new_size,
+                            options=specializer_options,
+                            counters=counters,
                         )
                     finally:
                         index.close()
+                    patterns.extend(class_patterns)
+                    stored.patterns = stored_patterns(class_patterns)
                     final_classes.append(stored)
                 else:
                     mem_store, mem_index = build_occurrence_index(
@@ -380,22 +412,22 @@ class IncrementalTaxogram:
                         None,
                         counters,
                     )
-                    patterns.extend(
-                        specialize_class(
-                            class_id=class_id,
-                            structure=payload.graph,
-                            store=mem_store,
-                            index=mem_index,
-                            taxonomy=working,
-                            min_count=min_count_new,
-                            database_size=new_size,
-                            options=specializer_options,
-                            counters=counters,
-                        )
+                    class_patterns = specialize_class(
+                        class_id=class_id,
+                        structure=payload.graph,
+                        store=mem_store,
+                        index=mem_index,
+                        taxonomy=working,
+                        min_count=min_count_new,
+                        database_size=new_size,
+                        options=specializer_options,
+                        counters=counters,
                     )
+                    patterns.extend(class_patterns)
                     stored = store.add_class(
                         code, OccurrenceColumns(mem_store.occurrences)
                     )
+                    stored.patterns = stored_patterns(class_patterns)
                     disk = store.create_index(
                         stored, opts.disk_max_resident_entries
                     )
@@ -439,6 +471,47 @@ class IncrementalTaxogram:
         )
 
     # -- helpers ------------------------------------------------------------------
+
+    def _maintain_index(
+        self,
+        stored: StoredClass,
+        cleared: int,
+        embeddings,
+        base: int,
+        adds_originals: list[list[int]],
+        ancestors_of,
+        counters: MiningCounters,
+        metrics: MetricsRegistry,
+    ) -> None:
+        """Mirror one class's column changes into its persisted OIE.
+
+        The columns already lost ``cleared`` (an occurrence-id mask);
+        here the replayed ``embeddings`` are appended, and the columns
+        and OIE bit-sets are compacted once tombstones pass
+        ``compact_dead_fraction``.
+        """
+        opts = self.options
+        index = self.store.load_index(stored, opts.disk_max_resident_entries)
+        try:
+            if cleared:
+                index.clear_bits(cleared)
+            for emb in embeddings:
+                occ_bit = 1 << stored.columns.append(
+                    base + emb.graph_id, emb.nodes
+                )
+                graph_originals = adds_originals[emb.graph_id]
+                for position, node in enumerate(emb.nodes):
+                    for label in ancestors_of(graph_originals[node]):
+                        index.insert(position, label, occ_bit)
+                        counters.occurrence_index_updates += 1
+            if stored.columns.dead_fraction > opts.compact_dead_fraction:
+                remap = stored.columns.compaction_map()
+                index.remap_bits(remap)
+                stored.columns.compact(remap)
+                metrics.add("incremental.compactions", 1)
+            index.finish()
+        finally:
+            index.close()
 
     @staticmethod
     def _scan_new_children(

@@ -5,10 +5,14 @@ Open-loop semantics: each planned request has an absolute arrival time
 and is fired at that time (or immediately, if the runner is already
 behind) regardless of how previous requests fared — a slow or dying
 server faces the *same* offered load, which is exactly what makes
-backpressure measurable.  Worker threads take requests round-robin
-(worker ``w`` fires plan entries ``w, w+N, w+2N, ...``), so each
-worker's outcomes form a time-ordered subsequence — the unit over
-which store-version monotonicity (no time travel) is asserted.
+backpressure measurable.  Latency is timed from the due time, not the
+fire time, so a worker stalled behind a slow request charges the delay
+to every request it held back; how late each request was fired (the
+generator's own lateness) is reported beside it.  Worker threads take
+requests round-robin (worker ``w`` fires plan entries ``w, w+N, w+2N,
+...``), so each worker's outcomes form a time-ordered subsequence — the
+unit over which store-version monotonicity (no time travel) is
+asserted.
 
 Every request ends in exactly one :class:`RequestOutcome`; nothing is
 dropped, including transport failures while a fault has the server
@@ -57,6 +61,7 @@ class RequestOutcome:
     acked_seq: int | None = None  # ingest 202/200 ack
     applied: bool | None = None  # ingest: server applied before reply
     store_version: int | None = None  # query answers
+    lateness_seconds: float = 0.0  # fired this long after its due time
 
 
 def classify(status: int | None, timed_out: bool = False) -> str:
@@ -126,12 +131,13 @@ class LoadRunner:
     def _worker(self, index: int, start: float) -> None:
         for position in range(index, len(self.plan), self.workers):
             planned = self.plan[position]
-            delay = start + planned.at - time.monotonic()
+            due = start + planned.at
+            delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            fired = time.monotonic()
+            lateness = max(0.0, time.monotonic() - due)
             status, payload, timed_out = self._fire(planned)
-            latency = time.monotonic() - fired
+            latency = time.monotonic() - due
             acked_seq = applied = version = None
             if status is not None and 200 <= status < 300:
                 if planned.kind == "ingest":
@@ -151,6 +157,7 @@ class LoadRunner:
                 acked_seq=acked_seq,
                 applied=applied,
                 store_version=version,
+                lateness_seconds=lateness,
             )
             with self._lock:
                 self._outcomes.append(outcome)
@@ -181,6 +188,7 @@ class LoadReport:
         self.outcomes = sorted(outcomes, key=lambda o: (o.at, o.worker))
         self.wall_seconds = wall_seconds
         self.latency: dict[str, LatencyHistogram] = {}
+        self.lateness = LatencyHistogram()
         self.counts: dict[str, int] = {c: 0 for c in OUTCOME_CLASSES}
         self.status_counts: dict[int, int] = {}
         for outcome in self.outcomes:
@@ -193,6 +201,7 @@ class LoadReport:
             if hist is None:
                 hist = self.latency[outcome.kind] = LatencyHistogram()
             hist.observe(outcome.latency_seconds)
+            self.lateness.observe(outcome.lateness_seconds)
 
     @property
     def total(self) -> int:
@@ -265,6 +274,7 @@ class LoadReport:
                 kind: hist.as_dict()
                 for kind, hist in sorted(self.latency.items())
             },
+            "lateness": self.lateness.as_dict(),
             "max_acked_seq": self.max_acked_seq,
             "acked_writes": len(self.acked_seqs),
             "version_regressions": self.version_regressions(),

@@ -416,30 +416,48 @@ class StoreReader:
         if stored is None:
             value = ()
         else:
-            rows = self._class_rows(state, stored)
-            counters = MiningCounters()
-            patterns = specialize_class(
-                class_id=state.class_ids[stored.code],
-                structure=graph_from_code(stored.code),
-                store=stored.columns,
-                index=rows,
-                taxonomy=state.working,
-                min_count=resolved,
-                database_size=len(state.store.database),
-                options=SpecializerOptions(),
-                counters=counters,
-            )
-            self.metrics.add(
-                "serving.bitset_intersections",
-                counters.bitset_intersections,
-            )
-            self.metrics.add("serving.bitset_queries", 1)
+            patterns = self._class_patterns(state, stored, resolved)
             patterns.sort(
                 key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
             )
             value = tuple(patterns)
         self._cache.put(state.version, key, value, tenant=tenant)
         return value
+
+    def _class_patterns(
+        self, state: _ReaderState, stored: StoredClass, min_count: int
+    ) -> list[TaxonomyPattern]:
+        """One class's Step-3 output at ``min_count``, unsorted.
+
+        At the store's own threshold this is the persisted pattern set;
+        a legacy class without one, or any other threshold, runs Step 3
+        over the class's occurrence rows.
+        """
+        class_id = state.class_ids[stored.code]
+        database_size = len(state.store.database)
+        if stored.patterns is not None and min_count == state.min_count:
+            return [
+                pattern.to_pattern(stored.code, class_id, database_size)
+                for pattern in stored.patterns
+            ]
+        rows = self._class_rows(state, stored)
+        counters = MiningCounters()
+        patterns = specialize_class(
+            class_id=class_id,
+            structure=graph_from_code(stored.code),
+            store=stored.columns,
+            index=rows,
+            taxonomy=state.working,
+            min_count=min_count,
+            database_size=database_size,
+            options=SpecializerOptions(),
+            counters=counters,
+        )
+        self.metrics.add(
+            "serving.bitset_intersections", counters.bitset_intersections
+        )
+        self.metrics.add("serving.bitset_queries", 1)
+        return patterns
 
     def class_key(self, pattern: Graph) -> tuple:
         """Canonical key of the pattern's class structure.
@@ -928,34 +946,18 @@ class StoreReader:
     def _materialized_patterns(
         self, state: _ReaderState
     ) -> tuple[TaxonomyPattern, ...]:
-        """The store's full mined pattern set, built once per version by
-        re-running Step 3 over the persisted bit-sets (no iso tests)."""
+        """The store's full mined pattern set, built once per version from
+        the persisted per-class sets (Step 3 runs only for a legacy class
+        that has none)."""
         with state.patterns_lock:
             if state.patterns is None:
-                counters = MiningCounters()
                 patterns: list[TaxonomyPattern] = []
-                database_size = len(state.store.database)
-                for class_id, stored in enumerate(state.store.classes):
-                    rows = self._class_rows(state, stored)
+                for stored in state.store.classes:
                     patterns.extend(
-                        specialize_class(
-                            class_id=class_id,
-                            structure=graph_from_code(stored.code),
-                            store=stored.columns,
-                            index=rows,
-                            taxonomy=state.working,
-                            min_count=state.min_count,
-                            database_size=database_size,
-                            options=SpecializerOptions(),
-                            counters=counters,
-                        )
+                        self._class_patterns(state, stored, state.min_count)
                     )
                 patterns.sort(
                     key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
-                )
-                self.metrics.add(
-                    "serving.bitset_intersections",
-                    counters.bitset_intersections,
                 )
                 state.patterns = tuple(patterns)
             return state.patterns

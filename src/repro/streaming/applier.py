@@ -27,6 +27,15 @@ exactly one complete sibling exists and is adopted.  Replay is
 idempotent because records at or below the committed
 ``wal_applied_seq`` are skipped.
 
+Between batches the applier keeps the store it just committed in
+memory.  The next batch checks its fresh shadow copy with
+:meth:`~repro.incremental.store.PatternStore.is_committed_copy` — file
+checksums and OIE row counts against a manifest that must equal the one
+this store committed — and adopts the in-memory store instead of parsing
+the copy.  A failed check, or any exception in a batch, drops the
+carried store; the batch then runs ``PatternStore.open``, which raises on
+corruption exactly as a cold start would.
+
 Records are validated individually at compose time with *copies* of the
 store's label interners (a rejected record must not leak labels into
 the persisted ``labels.json``), and a rejected record — unparsable
@@ -276,6 +285,9 @@ class StreamApplier:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.recovery = recover_store(self.store_dir)
         store = PatternStore.open(self.store_dir)
+        # The store as last committed to ``store_dir``, kept in memory so
+        # the next batch verifies its shadow copy instead of parsing it.
+        self._committed: PatternStore | None = store
         self._lock = threading.Lock()
         self._applied = threading.Condition(self._lock)
         self._applied_seq = applied_wal_seq(store)
@@ -343,8 +355,14 @@ class StreamApplier:
             shutil.rmtree(next_dir)
         with self.tracer.span("streaming.shadow_copy"):
             shutil.copytree(base, next_dir)
+        # Taken, not borrowed: the updater mutates it in place, so only a
+        # batch that commits and swaps hands a store to the next batch.
+        shadow, self._committed = self._committed, None
         try:
-            shadow = PatternStore.open(next_dir)
+            if shadow is not None and shadow.is_committed_copy(next_dir):
+                shadow.directory = next_dir
+            else:
+                shadow = PatternStore.open(next_dir)
             composer = _BatchComposer(shadow)
             for record in batch:
                 composer.push(record)
@@ -366,6 +384,8 @@ class StreamApplier:
         base.rename(prev_dir)
         next_dir.rename(base)
         shutil.rmtree(prev_dir)
+        updater.store.directory = base
+        self._committed = updater.store
         with self._applied:
             self._applied_seq = batch[-1].seq
             self._applied.notify_all()

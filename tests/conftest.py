@@ -221,3 +221,93 @@ def make_random_database(
             edges.append((u, v, rng.choice(edge_labels)))
         db.new_graph(node_labels, edges)
     return db
+
+
+def pattern_view(patterns) -> list[tuple]:
+    """Everything a mined pattern carries, in one sortable tuple each:
+    class id, code, support count and fraction, support set, and the
+    node labels of the emitted representative graph."""
+    return sorted(
+        (
+            p.class_id,
+            p.code.edges,
+            p.support_count,
+            p.support,
+            tuple(sorted(p.support_set)),
+            tuple(p.graph.node_label(v) for v in p.graph.nodes()),
+        )
+        for p in patterns
+    )
+
+
+def step3_oracle(store_dir) -> list[tuple]:
+    """The store's pattern set, recomputed by running Step 3 over every
+    class's persisted bit-sets (the reader's materialization before the
+    sets were persisted); :func:`pattern_view` shaped."""
+    from repro.core.relabel import repair_taxonomy
+    from repro.core.results import MiningCounters
+    from repro.core.specializer import SpecializerOptions, specialize_class
+    from repro.incremental import PatternStore
+    from repro.mining.dfs_code import graph_from_code
+    from repro.mining.gspan import min_support_count
+
+    store = PatternStore.open(store_dir)
+    working, _most_general = repair_taxonomy(
+        store.taxonomy, store.artificial_root_name
+    )
+    min_count = min_support_count(store.min_support, len(store.database))
+    patterns = []
+    for class_id, stored in enumerate(store.classes):
+        index = store.load_index(stored, read_only=True)
+        try:
+            patterns.extend(
+                specialize_class(
+                    class_id=class_id,
+                    structure=graph_from_code(stored.code),
+                    store=stored.columns,
+                    index=index,
+                    taxonomy=working,
+                    min_count=min_count,
+                    database_size=len(store.database),
+                    options=SpecializerOptions(),
+                    counters=MiningCounters(),
+                )
+            )
+        finally:
+            index.close()
+    return pattern_view(patterns)
+
+
+def persisted_patterns(store_dir) -> list[tuple]:
+    """The store's persisted pattern set; :func:`pattern_view` shaped.
+    Fails when a class has none (a legacy class)."""
+    from repro.incremental import PatternStore
+
+    store = PatternStore.open(store_dir)
+    patterns = []
+    for class_id, stored in enumerate(store.classes):
+        assert stored.patterns is not None, f"class {class_id} unpersisted"
+        patterns.extend(
+            pattern.to_pattern(stored.code, class_id, len(store.database))
+            for pattern in stored.patterns
+        )
+    return pattern_view(patterns)
+
+
+def strip_persisted_patterns(store_dir) -> None:
+    """Rewrite a raw store as a legacy one: drop every class's
+    ``patterns`` key from ``classes.json`` and re-sign its checksum."""
+    import hashlib
+    import json
+
+    store_dir = Path(store_dir)
+    classes_path = store_dir / "classes.json"
+    doc = json.loads(classes_path.read_text(encoding="utf-8"))
+    for entry in doc["classes"]:
+        entry.pop("patterns", None)
+    data = json.dumps(doc).encode("utf-8")
+    classes_path.write_bytes(data)
+    manifest_path = store_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["checksums"]["classes.json"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")

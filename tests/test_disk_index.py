@@ -118,7 +118,7 @@ class TestIncrementalMaintenance:
             assert index.bits(0, 7) == 0b101
             assert index.bits(1, 9) == 0b010
             assert index.is_covered(0, 7)
-            assert index.row_count() == 2
+            assert len(index.dump_rows()) == 2
 
     def test_clear_bits_masks_entries(self, tmp_path):
         with DiskOccurrenceIndex(1, directory=tmp_path) as index:
@@ -141,7 +141,7 @@ class TestIncrementalMaintenance:
             assert not index.is_covered(0, tax.id_of("b"))
             assert index.covered(0) == {}
             assert index.covered_children(0, tax.id_of("a"), tax) == []
-            assert index.row_count() == 0
+            assert len(index.dump_rows()) == 0
 
     def test_clear_bits_empty_mask_is_noop(self, tmp_path):
         with DiskOccurrenceIndex(1, directory=tmp_path) as index:
@@ -166,7 +166,7 @@ class TestIncrementalMaintenance:
             index.finish()
             index.remap_bits({0: 0, 1: 1})  # occurrence 2 dropped
             assert not index.is_covered(0, 1)
-            assert index.row_count() == 1
+            assert len(index.dump_rows()) == 1
             assert index.bits(0, 2) == 0b011
 
     def test_clear_then_reopen_roundtrip(self, tmp_path):

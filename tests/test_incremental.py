@@ -11,6 +11,9 @@ fallback).
 from __future__ import annotations
 
 import json
+import random
+import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +29,17 @@ from repro.incremental import (
     mine_to_store,
 )
 from repro.incremental.store import FORMAT_VERSION, taxonomy_fingerprint
+from repro.serving import StoreReader
 from repro.taxonomy.builders import taxonomy_from_parent_names
+from repro.util.interner import LabelInterner
+from tests.conftest import (
+    make_random_database,
+    make_random_taxonomy,
+    pattern_view,
+    persisted_patterns,
+    step3_oracle,
+    strip_persisted_patterns,
+)
 
 
 def _flat_taxonomy():
@@ -473,3 +486,222 @@ class TestParallelStoreBuild:
             updater.store.database, taxonomy
         )
         assert updated.pattern_codes() == fresh.pattern_codes()
+
+
+SIGMA = 0.25
+
+
+def _random_store(tmp_path, seed, options=None):
+    """A random DAG/multi-root case of 24 graphs mined into a store.
+
+    At sigma 0.25 the absolute threshold stays 6 from 24 down to 21
+    graphs, so removals leave classes reusable."""
+    rng = random.Random(seed)
+    taxonomy = make_random_taxonomy(
+        rng,
+        LabelInterner(),
+        rng.randint(4, 8),
+        dag=seed % 2 == 1,
+        multiroot=seed % 3 == 0,
+    )
+    db = make_random_database(
+        rng, taxonomy, 24, edge_labels=("x", "y", "z")
+    )
+    if options is None:
+        options = TaxogramOptions(min_support=SIGMA, max_edges=2)
+    store_dir = tmp_path / f"store{seed}"
+    result = Taxogram(replace(options, store_out=str(store_dir))).mine(
+        db, taxonomy
+    )
+    return rng, taxonomy, store_dir, result
+
+
+def _fresh_view(database, taxonomy):
+    """A fresh mine's patterns, without the representative's labels
+    (taxonomy contraction may pick another automorphic labelling)."""
+    fresh = Taxogram(TaxogramOptions(min_support=SIGMA, max_edges=2)).mine(
+        database, taxonomy
+    )
+    return [row[:5] for row in pattern_view(fresh.patterns)]
+
+
+PERSIST_SEEDS = [0, 1, 2, 3, 5]
+
+
+class TestPersistedPatterns:
+    """The Step-3 pattern set persisted with every store version equals
+    a Step-3 re-run over that version's bit-sets and a fresh mine."""
+
+    @pytest.mark.parametrize("seed", PERSIST_SEEDS)
+    def test_mined_store_persists_step3_output(self, tmp_path, seed):
+        _rng, taxonomy, store_dir, result = _random_store(tmp_path, seed)
+        persisted = persisted_patterns(store_dir)
+        assert persisted == step3_oracle(store_dir)
+        assert persisted == pattern_view(result.patterns)
+        database = PatternStore.open(store_dir).database
+        assert [row[:5] for row in persisted] == _fresh_view(
+            database, taxonomy
+        )
+
+    def test_baseline_store_persists_the_same_set(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(
+            tmp_path,
+            3,
+            TaxogramOptions.baseline(min_support=SIGMA, max_edges=2),
+        )
+        assert persisted_patterns(store_dir) == step3_oracle(store_dir)
+
+    def test_compressed_store_persists_the_same_set(self, tmp_path):
+        _rng, _taxonomy, raw_dir, _result = _random_store(tmp_path, 2)
+        _rng, _taxonomy, zl_dir, _result = _random_store(
+            tmp_path / "zl",
+            2,
+            TaxogramOptions(
+                min_support=SIGMA, max_edges=2, store_compression="zlib"
+            ),
+        )
+        assert persisted_patterns(zl_dir) == persisted_patterns(raw_dir)
+
+    @pytest.mark.parametrize("seed", PERSIST_SEEDS)
+    def test_every_updated_version_matches(self, tmp_path, seed):
+        rng, taxonomy, store_dir, _result = _random_store(tmp_path, seed)
+        updater = IncrementalTaxogram(store_dir)
+        reused_after_removal = 0
+
+        def middle():
+            return len(updater.store.database) // 2
+
+        steps = [
+            DatabaseDelta.removing([0]),
+            DatabaseDelta.removing([middle()]),
+            DatabaseDelta.adding(make_random_database(rng, taxonomy, 1)),
+            DatabaseDelta(
+                add_text=DatabaseDelta.adding(
+                    make_random_database(rng, taxonomy, 1)
+                ).add_text,
+                remove_ids=(0,),
+            ),
+            DatabaseDelta.removing([3]),
+            DatabaseDelta.removing([]),
+        ]
+        for delta in steps:
+            result = updater.apply(delta)
+            assert result.report.counter("incremental.fallbacks") == 0
+            persisted = persisted_patterns(store_dir)
+            assert persisted == step3_oracle(store_dir)
+            assert persisted == pattern_view(result.patterns)
+            assert [row[:5] for row in persisted] == _fresh_view(
+                updater.store.database, taxonomy
+            )
+            if delta.remove_ids:
+                reused_after_removal += result.report.counter(
+                    "incremental.classes_reused"
+                )
+        # The removals renumbered the support sets of reused classes.
+        assert reused_after_removal > 0
+
+    def test_empty_delta_reuses_every_class(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 1)
+        classes = len(PatternStore.open(store_dir).classes)
+        updater = IncrementalTaxogram(store_dir)
+        result = updater.apply(DatabaseDelta.removing([]))
+        assert result.report.counter("incremental.classes_reused") == classes
+        assert result.counters.bitset_intersections == 0
+        assert result.counters.pattern_classes == classes
+
+    def test_changed_threshold_reuses_nothing(self, tmp_path):
+        # Removing four of 24 graphs moves min_count from 6 to 5: every
+        # class must rerun Step 3.
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 1)
+        result = IncrementalTaxogram(store_dir).apply(
+            DatabaseDelta.removing([4, 5, 6, 7])
+        )
+        assert result.report.counter("incremental.classes_reused") == 0
+        assert persisted_patterns(store_dir) == step3_oracle(store_dir)
+
+
+class TestLegacyStore:
+    """A store written before pattern sets were persisted."""
+
+    def _legacy_pair(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 5)
+        legacy_dir = tmp_path / "legacy"
+        shutil.copytree(store_dir, legacy_dir)
+        strip_persisted_patterns(legacy_dir)
+        return store_dir, legacy_dir
+
+    def test_opens_without_patterns(self, tmp_path):
+        _store_dir, legacy_dir = self._legacy_pair(tmp_path)
+        store = PatternStore.open(legacy_dir)
+        assert store.classes
+        assert all(stored.patterns is None for stored in store.classes)
+
+    def test_reader_answers_the_same(self, tmp_path):
+        store_dir, legacy_dir = self._legacy_pair(tmp_path)
+        fresh, legacy = StoreReader(store_dir), StoreReader(legacy_dir)
+        assert legacy.num_patterns == fresh.num_patterns
+        assert pattern_view(legacy.top_k(10_000)) == pattern_view(
+            fresh.top_k(10_000)
+        )
+        assert [legacy.render(p) for p in legacy.top_k(5)] == [
+            fresh.render(p) for p in fresh.top_k(5)
+        ]
+        for code in fresh.class_codes():
+            for min_count in (None, 2):
+                assert pattern_view(
+                    legacy.class_members(code, min_count)
+                ) == pattern_view(fresh.class_members(code, min_count))
+        # Only the legacy reader had to run Step 3 for the full set.
+        assert legacy.metrics.counter("serving.bitset_intersections") > 0
+
+    def test_first_update_persists_every_class(self, tmp_path):
+        _store_dir, legacy_dir = self._legacy_pair(tmp_path)
+        updater = IncrementalTaxogram(legacy_dir)
+        result = updater.apply(DatabaseDelta.removing([6]))
+        assert result.report.counter("incremental.classes_reused") == 0
+        assert persisted_patterns(legacy_dir) == step3_oracle(legacy_dir)
+        assert persisted_patterns(legacy_dir) == pattern_view(result.patterns)
+
+
+class TestReaderLoadsPersistedSet:
+    def test_top_k_runs_no_step3(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 2)
+        IncrementalTaxogram(store_dir).apply(DatabaseDelta.removing([0]))
+        reader = StoreReader(store_dir)
+        top = reader.top_k(10_000)
+        assert pattern_view(top) == step3_oracle(store_dir)
+        for code in reader.class_codes():
+            reader.class_members(code)
+        counters = reader.metrics.as_dict()["counters"]
+        assert counters.get("serving.bitset_intersections", 0) == 0
+        assert counters.get("serving.row_loads", 0) == 0
+
+
+class TestCommittedCopy:
+    def test_copy_of_committed_store_is_adoptable(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 1)
+        store = PatternStore.open(store_dir)
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(store_dir, copy_dir)
+        assert store.is_committed_copy(copy_dir)
+
+    def test_other_version_is_not(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 1)
+        store = PatternStore.open(store_dir)
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(store_dir, copy_dir)
+        IncrementalTaxogram(copy_dir).apply(DatabaseDelta.removing([0]))
+        assert not store.is_committed_copy(copy_dir)
+
+    def test_tampered_copy_is_not(self, tmp_path):
+        _rng, _taxonomy, store_dir, _result = _random_store(tmp_path, 1)
+        store = PatternStore.open(store_dir)
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(store_dir, copy_dir)
+        path = copy_dir / "classes.json"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert not store.is_committed_copy(copy_dir)
+        with pytest.raises(StoreError, match="integrity"):
+            PatternStore.open(copy_dir)

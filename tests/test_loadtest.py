@@ -11,6 +11,8 @@ stands in for the real service where a live socket is needed.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.loadtest.harness import (
@@ -22,6 +24,7 @@ from repro.loadtest.harness import (
 )
 from repro.loadtest.workload import (
     LoadOptions,
+    PlannedRequest,
     WorkloadMix,
     build_plan,
 )
@@ -248,6 +251,14 @@ class TestLoadReport:
         assert doc["statuses"] == {"200": 1, "429": 1}
         assert doc["latency"]["query"]["count"] == 3
 
+    def test_lateness_reported(self):
+        report = LoadReport(
+            [_outcome(lateness_seconds=0.5), _outcome()], wall_seconds=1.0
+        )
+        lateness = report.as_dict()["lateness"]
+        assert lateness["count"] == 2
+        assert lateness["max_ms"] == pytest.approx(500.0)
+
     def test_json_roundtrip(self, tmp_path):
         import json
 
@@ -285,6 +296,41 @@ class TestEnvelope:
         assert Envelope(max_transport_fraction=0.5).violations(
             flaky
         ) == []
+
+
+class _StallingRunner(LoadRunner):
+    """Answers every request at once, except the first, which stalls."""
+
+    STALL_SECONDS = 0.3
+
+    def __init__(self, plan) -> None:
+        super().__init__("http://unused.invalid", plan, workers=1)
+        self.fired = 0
+
+    def _fire(self, planned):
+        self.fired += 1
+        if self.fired == 1:
+            time.sleep(self.STALL_SECONDS)
+        return 200, {"store_version": 1}, False
+
+
+class TestLoadRunnerClock:
+    def test_stall_is_charged_to_the_requests_it_delays(self):
+        plan = [PlannedRequest(at=at, kind="query") for at in (0.0, 0.05, 0.1)]
+        report = _StallingRunner(plan).run()
+        first, second, third = report.outcomes
+        stall = _StallingRunner.STALL_SECONDS
+        assert first.latency_seconds >= stall
+        # Fired only once the stall ended: the wait behind the first
+        # request counts against the delayed requests' latency.
+        assert second.latency_seconds >= stall - second.at
+        assert third.latency_seconds >= stall - third.at
+        assert second.lateness_seconds >= stall - second.at
+        assert third.lateness_seconds >= stall - third.at
+        assert first.lateness_seconds < stall - second.at
+        lateness = report.as_dict()["lateness"]
+        assert lateness["count"] == 3
+        assert lateness["max_ms"] >= (stall - second.at) * 1000.0
 
 
 class TestLoadRunnerLive:

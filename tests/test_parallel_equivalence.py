@@ -124,6 +124,63 @@ class TestParallelEquivalence:
             assert parallel.worker_seconds[phase] >= 0.0
 
 
+def _persisted_classes(store_dir) -> list:
+    """Every class's code and persisted pattern set, as written."""
+    from repro.incremental import PatternStore
+
+    return [
+        (stored.code, stored.patterns)
+        for stored in PatternStore.open(store_dir).classes
+    ]
+
+
+def _assert_same_store_patterns(tmp_path, seed, workers, **overrides):
+    database, taxonomy = _dataset(seed, dag=seed % 2 == 0)
+    seq_dir = tmp_path / f"seq{seed}"
+    par_dir = tmp_path / f"par{seed}"
+    Taxogram(
+        TaxogramOptions(
+            min_support=0.5, max_edges=3, store_out=str(seq_dir), **overrides
+        )
+    ).mine(database, taxonomy)
+    Taxogram(
+        TaxogramOptions(
+            min_support=0.5,
+            max_edges=3,
+            workers=workers,
+            store_out=str(par_dir),
+            **overrides,
+        )
+    ).mine(database, taxonomy)
+    sequential = _persisted_classes(seq_dir)
+    assert _persisted_classes(par_dir) == sequential
+    assert all(patterns is not None for _code, patterns in sequential)
+
+
+class TestParallelStorePatterns:
+    """The parallel store build persists the sequential pattern sets."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_persisted_sets(self, tmp_path, seed):
+        _assert_same_store_patterns(tmp_path, seed, 2)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(2, 8))
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_persisted_sets_wide(self, tmp_path, seed, workers):
+        _assert_same_store_patterns(tmp_path, seed, workers)
+
+    @pytest.mark.slow
+    def test_same_persisted_sets_baseline(self, tmp_path):
+        _assert_same_store_patterns(
+            tmp_path,
+            7,
+            3,
+            enhancement_descendant_pruning=False,
+            enhancement_occurrence_collapse=False,
+        )
+
+
 class TestDegradation:
     def test_workers_one_stays_sequential(self):
         database, taxonomy = _dataset(0)

@@ -10,6 +10,7 @@ the records the incremental updater itself would reject.
 from __future__ import annotations
 
 import shutil
+import sqlite3
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.streaming import (
     recover_store,
 )
 from repro.taxonomy.builders import taxonomy_from_parent_names
+from tests.conftest import pattern_view, persisted_patterns, step3_oracle
 
 
 def _taxonomy():
@@ -372,3 +374,173 @@ class TestHeapRelease:
             assert applier.drain() == 3
             assert applier.apply_next_batch() == 0
         assert calls == [0, 0, 0]
+
+
+class TestPersistedPatterns:
+    def test_every_committed_version_matches_step3(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        records = [
+            DatabaseDelta.removing([0]),  # graph 0: renumbers every id
+            adds(["y"]),
+            DatabaseDelta.removing([2]),  # a middle graph
+            adds(["y", "x"]),  # 2 adds reach min_count: full remine
+            DatabaseDelta.removing([0, 3]),
+        ]
+        oracle = _offline_replay(store_dir, tmp_path / "oracle", records)
+        reused = 0
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            for record in records:
+                wal.append(record)
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            while applier.apply_next_batch():
+                persisted = persisted_patterns(store_dir)
+                assert persisted == step3_oracle(store_dir)
+                store = PatternStore.open(store_dir)
+                fresh = Taxogram(TaxogramOptions(min_support=0.3)).mine(
+                    store.database, store.taxonomy
+                )
+                assert [row[:5] for row in persisted] == [
+                    row[:5] for row in pattern_view(fresh.patterns)
+                ]
+            reused = applier.metrics.counter("incremental.classes_reused")
+        assert reused > 0
+        assert _store_digest(store_dir) == _store_digest(oracle)
+        assert persisted_patterns(store_dir) == persisted_patterns(oracle)
+
+
+def _counting_opens(monkeypatch):
+    """Record every ``PatternStore.open`` call from here on."""
+    calls = []
+    real_open = PatternStore.open.__func__
+
+    def counting(cls, directory):
+        calls.append(directory)
+        return real_open(cls, directory)
+
+    monkeypatch.setattr(PatternStore, "open", classmethod(counting))
+    return calls
+
+
+class TestCarriedStore:
+    """The applier keeps the store it committed between batches."""
+
+    def test_batches_adopt_the_committed_store(
+        self, tmp_path, seeded, monkeypatch
+    ):
+        store_dir, adds = seeded
+        records = [adds(["y"]), DatabaseDelta.removing([1]), adds(["x"])]
+        oracle = _offline_replay(store_dir, tmp_path / "oracle", records)
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            for record in records:
+                wal.append(record)
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            opens = _counting_opens(monkeypatch)
+            assert applier.drain() == 3
+        assert opens == []
+        assert _store_digest(store_dir) == _store_digest(oracle)
+
+    def test_exception_drops_the_carried_store(
+        self, tmp_path, seeded, monkeypatch
+    ):
+        from repro.incremental import updater as updater_module
+
+        store_dir, adds = seeded
+        records = [adds(["y"]), DatabaseDelta.removing([0]), adds(["x"])]
+        oracle = _offline_replay(store_dir, tmp_path / "oracle", records)
+        real_specialize = updater_module.specialize_class
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected Step-3 failure")
+
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            for record in records:
+                wal.append(record)
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            # The failure lands after maintenance already appended the
+            # add's embeddings to the in-memory columns.
+            monkeypatch.setattr(updater_module, "specialize_class", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                applier.apply_next_batch()
+            monkeypatch.setattr(
+                updater_module, "specialize_class", real_specialize
+            )
+            opens = _counting_opens(monkeypatch)
+            assert applier.apply_next_batch() == 1
+            assert len(opens) == 1  # reopened from disk
+            assert applier.drain() == 2
+            assert len(opens) == 1  # carried again after the good batch
+        assert applied_wal_seq(PatternStore.open(store_dir)) == 2
+        assert _store_digest(store_dir) == _store_digest(oracle)
+        assert persisted_patterns(store_dir) == step3_oracle(store_dir)
+
+    def test_version_committed_elsewhere_is_reopened(
+        self, tmp_path, seeded, monkeypatch
+    ):
+        store_dir, adds = seeded
+        first, offline, second = (
+            adds(["y"]),
+            DatabaseDelta.removing([0]),
+            adds(["x"]),
+        )
+        oracle = _offline_replay(
+            store_dir, tmp_path / "oracle", [first, offline, second]
+        )
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(first)
+            wal.append(second)
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            assert applier.apply_next_batch() == 1
+            # A valid new version lands in the live directory behind the
+            # applier's back: its carried store is stale now.
+            IncrementalTaxogram(store_dir).apply(offline)
+            opens = _counting_opens(monkeypatch)
+            assert applier.apply_next_batch() == 1
+            assert len(opens) == 1
+        assert _store_digest(store_dir) == _store_digest(oracle)
+
+    def test_flipped_byte_in_live_store_raises(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(adds(["y"]))
+            wal.append(adds(["x"]))
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            assert applier.apply_next_batch() == 1
+            path = store_dir / "classes.json"
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+            with pytest.raises(StoreError, match="integrity check"):
+                applier.apply_next_batch()
+            assert applier.applied_seq == 0
+
+    def test_deleted_oie_row_in_live_store_raises(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(adds(["y"]))
+            wal.append(adds(["x"]))
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_batch_records=1)
+            )
+            assert applier.apply_next_batch() == 1
+            oie = PatternStore.open(store_dir).classes[0].oie_name
+            db_path = store_dir / "oie" / oie / "occurrence_index.sqlite3"
+            connection = sqlite3.connect(db_path)
+            connection.execute(
+                "DELETE FROM entries WHERE rowid = "
+                "(SELECT MIN(rowid) FROM entries)"
+            )
+            connection.commit()
+            connection.close()
+            with pytest.raises(StoreError, match="rows"):
+                applier.apply_next_batch()
+            assert applier.applied_seq == 0
