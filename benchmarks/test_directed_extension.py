@@ -6,16 +6,20 @@ directly and, for contrast, their undirected skeletons, validating the
 projection property: the skeleton of every frequent directed pattern is
 a frequent undirected pattern, while direction-sensitive patterns (e.g.
 cascades vs. co-regulation) stay separated only in the directed run.
+Both mines go through the same ``mine`` call; each records a
+``BENCH_directed_extension`` point (labels ``directed`` and
+``skeleton``) for CI's bench-regression gate.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from benchmarks._common import print_header, print_row
+from benchmarks._common import print_header, print_row, record_bench_point
 from repro.core.taxogram import mine
 from repro.datagen.regulatory import RegulatoryConfig, generate_regulatory_database
-from repro.directed.taxogram import mine_directed
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.taxonomy.go import go_like_taxonomy
@@ -52,9 +56,12 @@ def test_directed_mining(benchmark):
     directed, _skeleton, taxonomy = _data()
 
     def run():
-        return mine_directed(
-            directed, taxonomy, min_support=SIGMA, max_edges=MAX_EDGES
+        start = time.perf_counter()
+        result = mine(directed, taxonomy, min_support=SIGMA, max_edges=MAX_EDGES)
+        record_bench_point(
+            "directed_extension", "directed", time.perf_counter() - start, result
         )
+        return result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _shared["directed_result"] = result
@@ -68,7 +75,12 @@ def test_skeleton_mining(benchmark):
     _directed, skeleton, taxonomy = _data()
 
     def run():
-        return mine(skeleton, taxonomy, min_support=SIGMA, max_edges=MAX_EDGES)
+        start = time.perf_counter()
+        result = mine(skeleton, taxonomy, min_support=SIGMA, max_edges=MAX_EDGES)
+        record_bench_point(
+            "directed_extension", "skeleton", time.perf_counter() - start, result
+        )
+        return result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _shared["skeleton_result"] = result

@@ -2,16 +2,16 @@
 """Directed taxonomy-superimposed mining: signaling cascades.
 
 The paper notes Taxogram handles directed graphs in principle but its
-gSpan-based implementation could not.  This library implements directed
-mining natively (repro.directed); here we mine *directed* regulation
-patterns — kinase -> transcription factor cascades — where arc direction
-carries meaning: "A phosphorylates B" is not "B phosphorylates A".
+gSpan-based implementation could not.  Here the one ``mine`` call mines
+a ``DiGraphDatabase`` — gSpan's DFS codes carry each arc's direction —
+for *directed* regulation patterns: kinase -> transcription factor
+cascades, where arc direction carries meaning ("A phosphorylates B" is
+not "B phosphorylates A").
 
 Run:  python examples/directed_mining.py
 """
 
-from repro import format_pattern, taxonomy_from_parent_names
-from repro.directed import DiGraphDatabase, mine_directed
+from repro import DiGraphDatabase, mine, taxonomy_from_parent_names
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
         [(0, 1, "activates"), (2, 0, "activates")],
     )
 
-    result = mine_directed(db, taxonomy, min_support=1.0)
+    result = mine(db, taxonomy, min_support=1.0)
     print(f"{result.algorithm}: {len(result)} conserved directed patterns\n")
     for pattern in result:
         arcs = ", ".join(

@@ -53,6 +53,7 @@ from repro.exceptions import (
     TaxonomyError,
 )
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraph, DiGraphDatabase
 from repro.graphs.graph import Graph
 from repro.incremental import (
     DatabaseDelta,
@@ -119,6 +120,8 @@ __all__ = [
     # substrates
     "Graph",
     "GraphDatabase",
+    "DiGraph",
+    "DiGraphDatabase",
     "GSpanMiner",
     "Taxonomy",
     "LabelInterner",

@@ -145,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--directed",
         action="store_true",
-        help="parse the database as directed ('a' arc records) and mine "
-        "with the directed pipeline",
+        help="parse the database as directed ('a' arc records); the "
+        "taxogram and baseline algorithms mine weakly connected directed "
+        "patterns",
     )
     mine.add_argument(
         "--store-out",
@@ -832,10 +833,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     taxonomy = read_taxonomy(args.taxonomy)
-    if args.directed:
-        return _cmd_mine_directed(args, taxonomy)
     tracer = Tracer() if _wants_report(args) else None
-    database = read_graph_database(args.database, node_labels=taxonomy.interner)
+    database = read_graph_database(
+        args.database, node_labels=taxonomy.interner, directed=args.directed
+    )
     if args.algorithm == "tacgm":
         result = TAcGM(
             TAcGMOptions(
@@ -874,39 +875,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             " ",
             format_pattern(pattern, taxonomy.interner, database.edge_labels),
         )
-    hidden = len(result.patterns) - len(shown)
-    if hidden > 0:
-        print(f"  ... and {hidden} more (use --limit 0 to print all)")
-    if _wants_report(args):
-        _emit_report(args, _result_report(result))
-    return 0
-
-
-def _cmd_mine_directed(args: argparse.Namespace, taxonomy) -> int:
-    from repro.directed.io import read_digraph_database
-    from repro.directed.taxogram import mine_directed
-
-    if args.algorithm != "taxogram":
-        print(
-            "error: --directed supports only the taxogram algorithm",
-            file=sys.stderr,
-        )
-        return 1
-    database = read_digraph_database(
-        args.database, node_labels=taxonomy.interner
-    )
-    result = mine_directed(
-        database, taxonomy, min_support=args.support, max_edges=args.max_edges
-    )
-    print(result.summary())
-    shown = result.patterns if args.limit == 0 else result.patterns[: args.limit]
-    for pattern in shown:
-        arcs = ", ".join(
-            f"{taxonomy.name_of(pattern.graph.node_label(s))}"
-            f"->{taxonomy.name_of(pattern.graph.node_label(t))}"
-            for s, t, _l in pattern.graph.arcs()
-        )
-        print(f"  [{arcs}] sup={pattern.support:.3f}")
     hidden = len(result.patterns) - len(shown)
     if hidden > 0:
         print(f"  ... and {hidden} more (use --limit 0 to print all)")

@@ -35,7 +35,9 @@ def mine_with_oracle(
     """Reference implementation of the full mining problem (paper §2).
 
     ``max_edges`` is mandatory: the oracle's pattern universe is finite
-    only under a size cap, so compare algorithms with the same cap.
+    only under a size cap, so compare algorithms with the same cap.  A
+    ``DiGraphDatabase`` is enumerated by weakly connected arc subsets and
+    matched direction-preserving, like ``Taxogram`` mines it.
     """
     working, _most_general = repair_taxonomy(taxonomy, artificial_root_name)
     min_count = min_support_count(min_support, len(database))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import DFSCode
 from repro.util.interner import LabelInterner
@@ -27,7 +28,7 @@ class TaxonomyPattern:
     """
 
     code: DFSCode
-    graph: Graph
+    graph: Graph | DiGraph
     support_count: int
     support: float
     support_set: frozenset[int]
@@ -184,19 +185,21 @@ def format_pattern(
     With ``edge_labels`` supplied, edges render as ``u-v:name``; without
     it, a numeric edge-label suffix appears only when the pattern uses a
     label other than 0, so simple single-label data stays clean while
-    multi-label patterns remain distinguishable.
+    multi-label patterns remain distinguishable.  A ``DiGraph``'s arcs
+    render as ``u->v``.
     """
     graph = pattern.graph
     nodes = ", ".join(
         f"{v}:{interner.name_of(graph.node_label(v))}" for v in graph.nodes()
     )
+    joint = "->" if isinstance(graph, DiGraph) else "-"
 
     def render_edge(u: int, v: int, label: int) -> str:
         if edge_labels is not None:
-            return f"{u}-{v}:{edge_labels.name_of(label)}"
+            return f"{u}{joint}{v}:{edge_labels.name_of(label)}"
         if label != 0:
-            return f"{u}-{v}:{label}"
-        return f"{u}-{v}"
+            return f"{u}{joint}{v}:{label}"
+        return f"{u}{joint}{v}"
 
     edges = ", ".join(render_edge(u, v, e) for u, v, e in graph.edges())
     return f"[{nodes} | {edges}] sup={pattern.support:.3f}"

@@ -33,6 +33,7 @@ from repro.core.relabel import repair_taxonomy
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.exceptions import MemoryBudgetExceeded
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import reject_directed
 from repro.graphs.graph import Graph
 from repro.isomorphism.matchers import GeneralizedMatcher
 from repro.isomorphism.vf2 import find_embedding, is_generalized_isomorphic
@@ -79,6 +80,7 @@ class TAcGM:
         self.options = options if options is not None else TAcGMOptions()
 
     def mine(self, database: GraphDatabase, taxonomy: Taxonomy) -> TaxogramResult:
+        reject_directed(database, "TAcGM")
         options = self.options
         counters = MiningCounters()
         stopwatch = Stopwatch()

@@ -17,6 +17,13 @@ baseline algorithm does not utilize efficiency enhancements"; use
 
 Classes stream through Step 3 one at a time (gSpan's DFS order), so peak
 memory holds a single occurrence index — the paper's Lemma 4 bound.
+
+The paper notes (§4.1) that Taxogram "can handle both directed and
+undirected graphs" but was held back by gSpan.  Here gSpan, the
+canonical codes and VF2 take a :class:`~repro.graphs.digraph.DiGraphDatabase`
+as well, so the same pipeline mines weakly connected directed patterns
+(algorithm ``taxogram-directed``); the parallel runtime and pattern
+stores stay undirected and refuse one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from repro.core.relabel import relabel_database
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraphDatabase
 from repro.mining.gspan import GSpanMiner, MinedPattern, min_support_count
 from repro.observability.report import RunReport
 from repro.observability.trace import NOOP_TRACER, Tracer
@@ -230,6 +238,8 @@ class Taxogram:
         stage_seconds["specialize"] = specialize.elapsed
 
         algorithm = "taxogram" if _any_enhancement(options) else "baseline"
+        if isinstance(database, DiGraphDatabase):
+            algorithm += "-directed"
         return TaxogramResult(
             patterns=patterns,
             database_size=len(database),
@@ -273,7 +283,8 @@ def mine(
     workers: int = 1,
     tracer: Tracer | None = None,
 ) -> TaxogramResult:
-    """One-call Taxogram mining with default enhancements."""
+    """One-call Taxogram mining with default enhancements; ``database``
+    may be a ``GraphDatabase`` or a ``DiGraphDatabase``."""
     options = TaxogramOptions(
         min_support=min_support, max_edges=max_edges, workers=workers
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.directed.digraph import DiGraph, DiGraphDatabase
+from repro.graphs.digraph import DiGraph, DiGraphDatabase
 from repro.exceptions import MiningError
 from repro.taxonomy.taxonomy import Taxonomy
 

@@ -1,49 +1,21 @@
-"""Directed taxonomy-superimposed graph mining.
+"""Re-exports of the directed-mining names under their former package.
 
-The paper notes (§4.1) that "Taxogram can handle both directed and
-undirected graphs, but since the current implementation is built upon
-gSpan's implementation and gSpan does not support directed graphs, all
-the experimental data sets consist of undirected graphs."  This package
-removes that limitation: a directed graph type, directed DFS codes with
-a minimum-code canonical form, a directed gSpan, directed (generalized)
-subgraph isomorphism, and a directed Taxogram pipeline reusing the
-occurrence-index and specializer machinery of :mod:`repro.core`.
+Directed mining now runs on the core pipeline: ``DiGraph`` and
+``DiGraphDatabase`` live in :mod:`repro.graphs.digraph`, and
+:func:`repro.core.taxogram.mine` and the VF2 functions of
+:mod:`repro.isomorphism.vf2` take them directly.  New code should import
+from there; this module keeps the four names older callers use.
 """
 
-from repro.directed.digraph import DiGraph, DiGraphDatabase
-from repro.directed.dfs_code import (
-    DirectedDFSCode,
-    digraph_from_code,
-    is_min_dicode,
-    min_directed_dfs_code,
+from repro.core.taxogram import mine as mine_directed
+from repro.graphs.digraph import DiGraph, DiGraphDatabase
+from repro.isomorphism.vf2 import (
+    is_generalized_subgraph_isomorphic as is_directed_generalized_subgraph_isomorphic,
 )
-from repro.directed.gspan import DirectedGSpanMiner
-from repro.directed.isomorphism import (
-    directed_iter_embeddings,
-    is_directed_generalized_subgraph_isomorphic,
-)
-from repro.directed.io import (
-    parse_digraph_database,
-    read_digraph_database,
-    serialize_digraph_database,
-    write_digraph_database,
-)
-from repro.directed.taxogram import mine_directed, mine_directed_with_oracle
 
 __all__ = [
     "DiGraph",
     "DiGraphDatabase",
-    "DirectedDFSCode",
-    "min_directed_dfs_code",
-    "is_min_dicode",
-    "digraph_from_code",
-    "DirectedGSpanMiner",
-    "directed_iter_embeddings",
-    "is_directed_generalized_subgraph_isomorphic",
     "mine_directed",
-    "mine_directed_with_oracle",
-    "parse_digraph_database",
-    "read_digraph_database",
-    "serialize_digraph_database",
-    "write_digraph_database",
+    "is_directed_generalized_subgraph_isomorphic",
 ]

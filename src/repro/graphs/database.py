@@ -18,7 +18,11 @@ __all__ = ["GraphDatabase"]
 
 
 class GraphDatabase:
-    """An indexed list of :class:`Graph` objects with shared label interners."""
+    """An indexed list of :class:`Graph` objects with shared label interners.
+
+    :class:`repro.graphs.digraph.DiGraphDatabase` holds ``DiGraph``
+    objects instead; every method but :meth:`new_graph` serves both.
+    """
 
     __slots__ = ("node_labels", "edge_labels", "_graphs")
 
@@ -103,14 +107,14 @@ class GraphDatabase:
 
     def copy(self) -> "GraphDatabase":
         """Deep copy of graphs; interners are copied too."""
-        out = GraphDatabase(self.node_labels.copy(), self.edge_labels.copy())
+        out = type(self)(self.node_labels.copy(), self.edge_labels.copy())
         for graph in self._graphs:
             out._graphs.append(graph.copy())
         return out
 
     def __repr__(self) -> str:
         return (
-            f"GraphDatabase(graphs={len(self._graphs)}, "
+            f"{type(self).__name__}(graphs={len(self._graphs)}, "
             f"node_labels={len(self.node_labels)}, "
             f"edge_labels={len(self.edge_labels)})"
         )

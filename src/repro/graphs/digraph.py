@@ -3,18 +3,25 @@
 Arcs are ordered pairs ``u -> v`` with an integer label.  Both ``u -> v``
 and ``v -> u`` may exist (with independent labels); self-loops and
 parallel arcs in the same direction are rejected, matching the
-undirected substrate's conventions.
+undirected :class:`~repro.graphs.graph.Graph`'s conventions.
+
+:class:`DiGraph` offers the same read interface as ``Graph`` — the
+canonical-code builder, gSpan, VF2 and the oracle run on either type.
+Its adjacency accessors (:meth:`DiGraph.incident`, :meth:`DiGraph.links`,
+:meth:`DiGraph.edge_orientations`) yield DFS-code tails
+``(arc label, neighbour label, d)``, where ``d`` is 1 when the arc runs
+along the traversal and 0 against it; connectivity is weak (traversal
+may cross an arc in either direction).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.exceptions import GraphError
-from repro.util.interner import LabelInterner
-from repro.util.stats import DatabaseStats, describe_database
+from repro.exceptions import GraphError, MiningError
+from repro.graphs.database import GraphDatabase
 
-__all__ = ["DiGraph", "DiGraphDatabase"]
+__all__ = ["DiGraph", "DiGraphDatabase", "reject_directed"]
 
 
 class DiGraph:
@@ -50,6 +57,9 @@ class DiGraph:
         self._out[source][target] = label
         self._in[target][source] = label
 
+    # The name graph-generic code (parsers, subgraph enumeration) uses.
+    add_edge = add_arc
+
     def relabel_node(self, v: int, label: int) -> None:
         self._check_node(v)
         if label < 0:
@@ -67,12 +77,7 @@ class DiGraph:
         for label in node_labels:
             graph.add_node(label)
         for arc in arcs:
-            if len(arc) == 2:
-                u, v = arc  # type: ignore[misc]
-                graph.add_arc(u, v)
-            else:
-                u, v, label = arc  # type: ignore[misc]
-                graph.add_arc(u, v, label)
+            graph.add_arc(*arc)
         return graph
 
     # -- inspection ------------------------------------------------------------
@@ -83,7 +88,7 @@ class DiGraph:
 
     @property
     def num_edges(self) -> int:
-        """Arc count (named ``num_edges`` for stats interoperability)."""
+        """Arc count (named ``num_edges`` like ``Graph``'s)."""
         return sum(len(targets) for targets in self._out)
 
     def node_label(self, v: int) -> int:
@@ -106,7 +111,12 @@ class DiGraph:
         self._check_node(v)
         return iter(self._in[v].items())
 
-    def undirected_degree(self, v: int) -> int:
+    def neighbors(self, v: int) -> Iterator[int]:
+        """Nodes joined to ``v`` by an arc in either direction, once each."""
+        self._check_node(v)
+        return iter(self._out[v].keys() | self._in[v].keys())
+
+    def degree(self, v: int) -> int:
         """Incident arc count, both directions."""
         self._check_node(v)
         return len(self._out[v]) + len(self._in[v])
@@ -127,8 +137,50 @@ class DiGraph:
             for target, label in targets.items():
                 yield (source, target, label)
 
-    def is_weakly_connected(self) -> bool:
-        """Connectivity of the underlying undirected skeleton."""
+    # The name graph-generic code uses; an arc's key is (source, target).
+    edges = arcs
+
+    # -- DFS-code adjacency (see the module docstring) ---------------------------
+
+    def incident(self, v: int) -> list[tuple[int, tuple[int, int], tuple]]:
+        """``(neighbour, arc key, tail)`` for every arc at ``v``, traversed
+        from ``v``: out-arcs (``d`` = 1) first, then in-arcs."""
+        labels = self._labels
+        return [
+            (w, (v, w), (label, labels[w], 1))
+            for w, label in self._out[v].items()
+        ] + [
+            (w, (w, v), (label, labels[w], 0))
+            for w, label in self._in[v].items()
+        ]
+
+    def links(self, u: int, w: int) -> list[tuple[tuple[int, int], tuple]]:
+        """``(arc key, tail)`` for the arcs between ``u`` and ``w``,
+        traversed from ``u``: ``u -> w`` first, then ``w -> u``."""
+        found = []
+        label = self._out[u].get(w)
+        if label is not None:
+            found.append(((u, w), (label, self._labels[w], 1)))
+        label = self._in[u].get(w)
+        if label is not None:
+            found.append(((w, u), (label, self._labels[w], 0)))
+        return found
+
+    def has_link(self, u: int, w: int, tail: tuple) -> bool:
+        """Whether an arc between ``u`` and ``w`` has ``tail``'s label and
+        direction (the neighbour label is not compared)."""
+        return (self._out if tail[2] else self._in)[u].get(w) == tail[0]
+
+    def edge_orientations(
+        self,
+    ) -> Iterator[tuple[int, int, tuple[int, int], tuple, tuple]]:
+        """``(u, v, key, tail u->v, tail v->u)`` once per arc ``u -> v``."""
+        labels = self._labels
+        for u, v, label in self.arcs():
+            yield u, v, (u, v), (label, labels[v], 1), (label, labels[u], 0)
+
+    def is_connected(self) -> bool:
+        """Weak connectivity: one component of the undirected skeleton."""
         n = len(self._labels)
         if n == 0:
             return True
@@ -153,7 +205,9 @@ class DiGraph:
         return out
 
     def structure_key(self) -> tuple:
-        return (tuple(self._labels), tuple(sorted(self.arcs())))
+        """Like ``Graph.structure_key``, tagged so that a digraph never
+        shares a key (or a cached canonical code) with a ``Graph``."""
+        return ("arcs", tuple(self._labels), tuple(sorted(self.arcs())))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DiGraph):
@@ -174,75 +228,34 @@ class DiGraph:
             raise GraphError(f"unknown node {v} (graph has {len(self._labels)} nodes)")
 
 
-class DiGraphDatabase:
-    """An indexed list of :class:`DiGraph` with shared label interners."""
+class DiGraphDatabase(GraphDatabase):
+    """A :class:`GraphDatabase` of :class:`DiGraph` objects."""
 
-    __slots__ = ("node_labels", "edge_labels", "_graphs")
-
-    def __init__(
-        self,
-        node_labels: LabelInterner | None = None,
-        edge_labels: LabelInterner | None = None,
-    ) -> None:
-        self.node_labels = node_labels if node_labels is not None else LabelInterner()
-        self.edge_labels = edge_labels if edge_labels is not None else LabelInterner()
-        self._graphs: list[DiGraph] = []
-
-    def add_graph(self, graph: DiGraph) -> int:
-        for label in graph.node_labels():
-            if label >= len(self.node_labels):
-                raise GraphError(
-                    f"graph uses node label id {label} not present in the "
-                    f"database interner ({len(self.node_labels)} labels)"
-                )
-        graph.graph_id = len(self._graphs)
-        self._graphs.append(graph)
-        return graph.graph_id
+    __slots__ = ()
 
     def new_graph(
         self,
         node_labels: Sequence[str],
         arcs: Iterable[tuple[int, int] | tuple[int, int, str]] = (),
     ) -> DiGraph:
+        """Create, intern, add and return a digraph from string labels;
+        ``arcs`` entries are ``(source, target[, arc label string])``."""
         graph = DiGraph()
         for name in node_labels:
             graph.add_node(self.node_labels.intern(name))
-        for arc in arcs:
-            if len(arc) == 2:
-                u, v = arc  # type: ignore[misc]
-                graph.add_arc(u, v, self.edge_labels.intern("-"))
-            else:
-                u, v, name = arc  # type: ignore[misc]
-                graph.add_arc(u, v, self.edge_labels.intern(name))
+        for source, target, *name in arcs:
+            label = self.edge_labels.intern(name[0] if name else "-")
+            graph.add_arc(source, target, label)
         self.add_graph(graph)
         return graph
 
-    def __len__(self) -> int:
-        return len(self._graphs)
 
-    def __iter__(self) -> Iterator[DiGraph]:
-        return iter(self._graphs)
+def reject_directed(database: GraphDatabase, feature: str) -> None:
+    """Raise :class:`MiningError` when ``feature`` meets a digraph database.
 
-    def __getitem__(self, graph_id: int) -> DiGraph:
-        return self._graphs[graph_id]
-
-    def distinct_node_labels(self) -> set[int]:
-        used: set[int] = set()
-        for graph in self._graphs:
-            used.update(graph.node_labels())
-        return used
-
-    def stats(self) -> DatabaseStats:
-        return describe_database(self._graphs)
-
-    def copy(self) -> "DiGraphDatabase":
-        out = DiGraphDatabase(self.node_labels.copy(), self.edge_labels.copy())
-        for graph in self._graphs:
-            out._graphs.append(graph.copy())
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"DiGraphDatabase(graphs={len(self._graphs)}, "
-            f"node_labels={len(self.node_labels)})"
-        )
+    The parallel runtime, pattern stores and TAcGM handle undirected
+    databases only; they refuse a ``DiGraphDatabase`` rather than
+    return a wrong result.
+    """
+    if isinstance(database, DiGraphDatabase):
+        raise MiningError(f"{feature} does not support directed databases")

@@ -137,6 +137,43 @@ class Graph:
                 if u < v:
                     yield (u, v, elabel)
 
+    # -- DFS-code adjacency ------------------------------------------------------
+    #
+    # The canonical-code builder, gSpan and VF2 read adjacency through
+    # these accessors only, so they run unchanged on a DiGraph, whose
+    # tails carry a direction component (see repro.graphs.digraph).  An
+    # undirected tail is ``(edge label, neighbour label)``: appended to
+    # ``(i, j, label of i)`` it is a DFS-code edge.
+
+    def incident(self, v: int) -> list[tuple[int, tuple[int, int], tuple]]:
+        """``(neighbour, edge key, tail)`` for every edge at ``v``."""
+        labels = self._labels
+        return [
+            (w, (v, w) if v < w else (w, v), (label, labels[w]))
+            for w, label in self._adj[v].items()
+        ]
+
+    def links(self, u: int, w: int) -> tuple[tuple[tuple[int, int], tuple], ...]:
+        """``(edge key, tail)`` for the edge between ``u`` and ``w``, if any."""
+        label = self._adj[u].get(w)
+        if label is None:
+            return ()
+        return (((u, w) if u < w else (w, u), (label, self._labels[w])),)
+
+    def has_link(self, u: int, w: int, tail: tuple) -> bool:
+        """Whether the edge ``{u, w}`` exists with ``tail``'s edge label
+        (the neighbour label is not compared)."""
+        return self._adj[u].get(w) == tail[0]
+
+    def edge_orientations(
+        self,
+    ) -> Iterator[tuple[int, int, tuple[int, int], tuple, tuple]]:
+        """``(u, v, key, tail u->v, tail v->u)`` once per edge, as
+        :meth:`edges` orders them."""
+        labels = self._labels
+        for u, v, label in self.edges():
+            yield u, v, (u, v), (label, labels[v]), (label, labels[u])
+
     def is_connected(self) -> bool:
         """True for the empty graph and any graph with one component."""
         n = len(self._labels)

@@ -14,6 +14,19 @@ string labels:
 
 Blank lines and ``#``-prefixed comment lines are ignored.  Node ids must
 be dense and ascending within a graph.
+
+A directed database (``directed=True``) uses ``a`` (arc) records instead
+of ``e`` records:
+
+.. code-block:: text
+
+    t # 0
+    v 0 kinase
+    v 1 transcription_factor
+    a 0 1 activates    # arc <source> <target> [label]
+
+Each reader rejects the other's edge record: direction must not be
+silently invented or dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from typing import Iterable, TextIO
 
 from repro.exceptions import FormatError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraph, DiGraphDatabase
 from repro.graphs.graph import Graph
 from repro.util.interner import LabelInterner
 
@@ -39,34 +53,38 @@ def parse_graph_database(
     text: str,
     node_labels: LabelInterner | None = None,
     edge_labels: LabelInterner | None = None,
+    directed: bool = False,
 ) -> GraphDatabase:
-    """Parse the text format into a :class:`GraphDatabase`.
+    """Parse the text format into a :class:`GraphDatabase`, or a
+    :class:`DiGraphDatabase` of ``a`` records with ``directed=True``.
 
     Pass an existing ``node_labels`` interner (typically the taxonomy's)
     to keep label ids consistent with a taxonomy parsed separately.
     """
-    return _parse(io.StringIO(text), node_labels, edge_labels)
+    return _parse(io.StringIO(text), node_labels, edge_labels, directed)
 
 
 def read_graph_database(
     path: str | Path,
     node_labels: LabelInterner | None = None,
     edge_labels: LabelInterner | None = None,
+    directed: bool = False,
 ) -> GraphDatabase:
     """Read a graph database file (see module docstring for the format)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return _parse(handle, node_labels, edge_labels)
+        return _parse(handle, node_labels, edge_labels, directed)
 
 
 def serialize_graph_database(db: GraphDatabase) -> str:
     """Render ``db`` in the text format; inverse of :func:`parse_graph_database`."""
+    record = "a" if isinstance(db, DiGraphDatabase) else "e"
     out: list[str] = []
     for graph in db:
         out.append(f"t # {graph.graph_id}")
         for v in graph.nodes():
             out.append(f"v {v} {db.node_label_name(graph.node_label(v))}")
         for u, v, elabel in graph.edges():
-            out.append(f"e {u} {v} {db.edge_label_name(elabel)}")
+            out.append(f"{record} {u} {v} {db.edge_label_name(elabel)}")
     out.append("")
     return "\n".join(out)
 
@@ -80,9 +98,17 @@ def _parse(
     handle: TextIO | Iterable[str],
     node_labels: LabelInterner | None,
     edge_labels: LabelInterner | None,
+    directed: bool,
 ) -> GraphDatabase:
-    db = GraphDatabase(node_labels, edge_labels)
-    graph: Graph | None = None
+    if directed:
+        db: GraphDatabase = DiGraphDatabase(node_labels, edge_labels)
+        new_graph, record = DiGraph, "a"
+        usage = "a <source> <target> [label]"
+    else:
+        db = GraphDatabase(node_labels, edge_labels)
+        new_graph, record = Graph, "e"
+        usage = "e <u> <v> [label]"
+    graph: Graph | DiGraph | None = None
     for lineno, raw in enumerate(handle, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -92,7 +118,7 @@ def _parse(
         if kind == "t":
             if graph is not None:
                 db.add_graph(graph)
-            graph = Graph()
+            graph = new_graph()
         elif kind == "v":
             if graph is None:
                 raise FormatError(f"line {lineno}: 'v' before any 't' header")
@@ -105,11 +131,13 @@ def _parse(
                     f"(expected {graph.num_nodes}, got {node_id})"
                 )
             graph.add_node(db.node_labels.intern(parts[2]))
-        elif kind == "e":
+        elif kind == record:
             if graph is None:
-                raise FormatError(f"line {lineno}: 'e' before any 't' header")
+                raise FormatError(
+                    f"line {lineno}: {record!r} before any 't' header"
+                )
             if len(parts) not in (3, 4):
-                raise FormatError(f"line {lineno}: expected 'e <u> <v> [label]'")
+                raise FormatError(f"line {lineno}: expected {usage!r}")
             u = _parse_int(parts[1], lineno)
             v = _parse_int(parts[2], lineno)
             name = parts[3] if len(parts) == 4 else "-"
@@ -117,6 +145,11 @@ def _parse(
                 graph.add_edge(u, v, db.edge_labels.intern(name))
             except Exception as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
+        elif kind == "e":  # only reached when directed
+            raise FormatError(
+                f"line {lineno}: undirected 'e' record in a directed "
+                "database; use 'a <source> <target>'"
+            )
         else:
             raise FormatError(f"line {lineno}: unknown record type {kind!r}")
     if graph is not None:

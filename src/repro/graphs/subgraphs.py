@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -81,26 +82,28 @@ def induced_subgraph(graph: Graph, nodes: frozenset[int] | set[int]) -> Graph:
 
 
 def connected_edge_subgraphs(
-    graph: Graph, max_edges: int
-) -> Iterator[tuple[Graph, tuple[int, ...]]]:
+    graph: Graph | DiGraph, max_edges: int
+) -> Iterator[tuple[Graph | DiGraph, tuple[int, ...]]]:
     """Yield connected (not necessarily induced) subgraphs up to ``max_edges``.
 
     Every connected subset of edges is yielded exactly once, as a
     ``(subgraph, node_mapping)`` pair where ``node_mapping[i]`` is the
     original node id for subgraph node ``i``.  This matches the pattern
     universe of frequent subgraph mining (patterns are arbitrary connected
-    subgraphs, not only induced ones).
+    subgraphs, not only induced ones).  For a ``DiGraph`` the subgraphs
+    are the weakly connected arc subsets, as digraphs.
     """
-    edges = sorted((min(u, v), max(u, v), e) for u, v, e in graph.edges())
-    edge_index = {((u, v)): i for i, (u, v, _) in enumerate(edges)}
+    # An edge's key is (u, v) as edges() yields it: u < v for a Graph,
+    # (source, target) for a DiGraph.
+    edges = sorted(graph.edges())
+    edge_index = {(u, v): i for i, (u, v, _) in enumerate(edges)}
 
     def incident_edge_ids(node_set: frozenset[int]) -> set[int]:
-        out: set[int] = set()
-        for u in node_set:
-            for v in graph.neighbors(u):
-                key = (min(u, v), max(u, v))
-                out.add(edge_index[key])
-        return out
+        return {
+            edge_index[key]
+            for u in node_set
+            for _w, key, _tail in graph.incident(u)
+        }
 
     for start in range(len(edges)):
         u0, v0, _ = edges[start]
@@ -139,14 +142,14 @@ def connected_edge_subgraphs(
 
 
 def _materialize(
-    graph: Graph,
+    graph: Graph | DiGraph,
     edges: list[tuple[int, int, int]],
     edge_set: frozenset[int],
     node_set: frozenset[int],
-) -> tuple[Graph, tuple[int, ...]]:
+) -> tuple[Graph | DiGraph, tuple[int, ...]]:
     ordered = sorted(node_set)
     remap = {old: new for new, old in enumerate(ordered)}
-    out = Graph(graph.graph_id)
+    out = type(graph)(graph.graph_id)
     for old in ordered:
         out.add_node(graph.node_label(old))
     for eid in sorted(edge_set):

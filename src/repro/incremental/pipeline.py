@@ -42,6 +42,7 @@ from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import reject_directed
 from repro.incremental.delta import OccurrenceColumns
 from repro.incremental.store import PatternStore, stored_patterns
 from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
@@ -67,6 +68,7 @@ def mine_to_store(
     """Mine ``database`` and persist the result under ``options.store_out``."""
     if options.store_out is None:
         raise MiningError("mine_to_store requires options.store_out")
+    reject_directed(database, "store_out")
     if tracer is None:
         tracer = NOOP_TRACER
     if options.workers > 1 and len(database) > 1:

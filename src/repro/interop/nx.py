@@ -17,14 +17,13 @@ from typing import TYPE_CHECKING
 from repro.core.results import TaxonomyPattern
 from repro.exceptions import GraphError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.interner import LabelInterner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx
-
-    from repro.directed.digraph import DiGraph
 
 __all__ = [
     "graph_to_networkx",
@@ -75,7 +74,7 @@ def digraph_to_networkx(
     node_labels: LabelInterner | None = None,
     edge_labels: LabelInterner | None = None,
 ) -> "networkx.DiGraph":
-    """Convert a :class:`~repro.directed.digraph.DiGraph` to
+    """Convert a :class:`~repro.graphs.digraph.DiGraph` to
     ``networkx.DiGraph`` (arc direction preserved)."""
     nx = _networkx()
     out = nx.DiGraph(graph_id=graph.graph_id)
@@ -130,8 +129,12 @@ def pattern_to_networkx(
     node_labels: LabelInterner | None = None,
     edge_labels: LabelInterner | None = None,
 ) -> "networkx.Graph":
-    """Convert a mined pattern; support metadata lands in ``graph.graph``."""
-    out = graph_to_networkx(pattern.graph, node_labels, edge_labels)
+    """Convert a mined pattern (a directed one to ``networkx.DiGraph``);
+    support metadata lands in ``graph.graph``."""
+    if isinstance(pattern.graph, DiGraph):
+        out = digraph_to_networkx(pattern.graph, node_labels, edge_labels)
+    else:
+        out = graph_to_networkx(pattern.graph, node_labels, edge_labels)
     out.graph["support"] = pattern.support
     out.graph["support_count"] = pattern.support_count
     out.graph["class_id"] = pattern.class_id

@@ -14,12 +14,17 @@ Label compatibility is delegated to a
 The solver orders pattern nodes so that each node after the first
 attaches to an already-mapped node whenever the pattern is connected,
 which keeps the candidate sets small (neighbor-anchored search).
+
+Pattern and graph may both be :class:`~repro.graphs.digraph.DiGraph`:
+edges are checked through ``has_link`` with the pattern's DFS-code
+tails, so an arc must map onto an arc in the same direction.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.isomorphism.matchers import ExactMatcher, GeneralizedMatcher, NodeMatcher
 from repro.taxonomy.taxonomy import Taxonomy
@@ -37,8 +42,8 @@ _EXACT = ExactMatcher()
 
 
 def iter_embeddings(
-    pattern: Graph,
-    graph: Graph,
+    pattern: Graph | DiGraph,
+    graph: Graph | DiGraph,
     matcher: NodeMatcher | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every embedding of ``pattern`` into ``graph``.
@@ -57,8 +62,10 @@ def iter_embeddings(
 
     order = _matching_order(pattern)
     # For each position in the order, a pattern neighbor already mapped
-    # (or -1 when none exists, e.g. the first node of a component).
+    # (or -1 when none exists, e.g. the first node of a component), and
+    # the (neighbor, tail) pairs of the edges to mapped neighbors.
     anchors: list[int] = []
+    checks: list[list[tuple[int, tuple]]] = []
     placed: set[int] = set()
     for p in order:
         anchor = -1
@@ -67,6 +74,9 @@ def iter_embeddings(
                 anchor = q
                 break
         anchors.append(anchor)
+        checks.append(
+            [(q, tail) for q, _key, tail in pattern.incident(p) if q in placed]
+        )
         placed.add(p)
 
     mapping = [-1] * np
@@ -90,12 +100,9 @@ def iter_embeddings(
                 continue
             yield g
 
-    def feasible(p: int, g: int) -> bool:
-        for q, elabel in pattern.neighbor_items(p):
-            gq = mapping[q]
-            if gq < 0:
-                continue
-            if not graph.has_edge(g, gq) or graph.edge_label(g, gq) != elabel:
+    def feasible(position: int, g: int) -> bool:
+        for q, tail in checks[position]:
+            if not graph.has_link(g, mapping[q], tail):
                 return False
         return True
 
@@ -105,7 +112,7 @@ def iter_embeddings(
             return
         p = order[position]
         for g in candidates(position):
-            if feasible(p, g):
+            if feasible(position, g):
                 mapping[p] = g
                 used[g] = True
                 yield from search(position + 1)
@@ -116,8 +123,8 @@ def iter_embeddings(
 
 
 def find_embedding(
-    pattern: Graph,
-    graph: Graph,
+    pattern: Graph | DiGraph,
+    graph: Graph | DiGraph,
     matcher: NodeMatcher | None = None,
 ) -> tuple[int, ...] | None:
     """The first embedding found, or None."""
@@ -127,29 +134,31 @@ def find_embedding(
 
 
 def count_embeddings(
-    pattern: Graph,
-    graph: Graph,
+    pattern: Graph | DiGraph,
+    graph: Graph | DiGraph,
     matcher: NodeMatcher | None = None,
 ) -> int:
     """Number of distinct embeddings (occurrences) of ``pattern`` in ``graph``."""
     return sum(1 for _ in iter_embeddings(pattern, graph, matcher))
 
 
-def is_subgraph_isomorphic(pattern: Graph, graph: Graph) -> bool:
+def is_subgraph_isomorphic(
+    pattern: Graph | DiGraph, graph: Graph | DiGraph
+) -> bool:
     """Traditional subgraph isomorphism (exact labels)."""
     return find_embedding(pattern, graph, _EXACT) is not None
 
 
 def is_generalized_subgraph_isomorphic(
-    pattern: Graph, graph: Graph, taxonomy: Taxonomy
+    pattern: Graph | DiGraph, graph: Graph | DiGraph, taxonomy: Taxonomy
 ) -> bool:
     """Paper §2: ``graph`` contains a subgraph that ``pattern`` generalizes."""
     return find_embedding(pattern, graph, GeneralizedMatcher(taxonomy)) is not None
 
 
 def is_generalized_isomorphic(
-    general: Graph,
-    specific: Graph,
+    general: Graph | DiGraph,
+    specific: Graph | DiGraph,
     taxonomy: Taxonomy,
     strict_structure: bool = True,
 ) -> bool:
@@ -172,7 +181,7 @@ def is_generalized_isomorphic(
     return find_embedding(general, specific, matcher) is not None
 
 
-def _matching_order(pattern: Graph) -> list[int]:
+def _matching_order(pattern: Graph | DiGraph) -> list[int]:
     """BFS order from the highest-degree node; new components appended as
     encountered.  Guarantees (within a component) that every node after
     the first has a previously-ordered neighbor."""

@@ -5,6 +5,16 @@ A DFS code is a sequence of edge 5-tuples ``(i, j, li, le, lj)`` where
 their node labels and ``le`` the edge label.  ``i < j`` marks a *forward*
 edge (discovering vertex ``j``), ``i > j`` a *backward* edge.
 
+A :class:`~repro.graphs.digraph.DiGraph`'s code edges are 6-tuples
+``(i, j, li, le, lj, d)``: ``d`` is 1 when the arc runs along the
+traversal (``i -> j``) and 0 when it runs against it.  Traversal may
+cross an arc either way, so codes describe weakly connected digraphs.
+The builder reads adjacency only through the graph's DFS-code accessors
+(``incident``, ``links``, ``edge_orientations``), which hand out the
+tuple's tail after ``(i, j, li)``; nothing here branches on direction
+except :func:`graph_from_code`, which picks the graph type from the
+tuple width.
+
 Among all DFS codes of a graph, the lexicographically smallest under the
 DFS lexicographic order (Yan & Han 2002) is the *minimum DFS code* — a
 canonical form.  Two connected labeled graphs are isomorphic iff their
@@ -25,6 +35,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.exceptions import MiningError
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -39,8 +50,9 @@ __all__ = [
     "min_dfs_code",
 ]
 
-# (i, j, from_label, edge_label, to_label)
-DFSEdge = tuple[int, int, int, int, int]
+# (i, j, from_label, edge_label, to_label), plus a direction component
+# for a DiGraph's codes.
+DFSEdge = tuple[int, ...]
 
 
 def dfs_edge_lt(e1: DFSEdge, e2: DFSEdge) -> bool:
@@ -55,6 +67,9 @@ def dfs_edge_lt(e1: DFSEdge, e2: DFSEdge) -> bool:
       label tuple.
     * two forward edges: smaller ``j`` first, then *larger* ``i``, then
       label tuple.
+
+    The label tuple is ``(li, le, lj)``, or ``(li, le, lj, d)`` for
+    directed codes.
     """
     i1, j1 = e1[0], e1[1]
     i2, j2 = e2[0], e2[1]
@@ -98,7 +113,8 @@ class DFSCode:
 
     def _derive_vertex_labels(self) -> tuple[int, ...]:
         labels: dict[int, int] = {}
-        for i, j, li, _le, lj in self.edges:
+        for edge in self.edges:
+            i, j, li, lj = edge[0], edge[1], edge[2], edge[4]
             labels.setdefault(i, li)
             labels.setdefault(j, lj)
             if labels[i] != li or labels[j] != lj:
@@ -140,7 +156,7 @@ class DFSCode:
     def extended(self, edge: DFSEdge) -> "DFSCode":
         return DFSCode(self.edges + (edge,))
 
-    def to_graph(self, graph_id: int = -1) -> Graph:
+    def to_graph(self, graph_id: int = -1) -> Graph | DiGraph:
         return graph_from_code(self.edges, graph_id)
 
     def __len__(self) -> int:
@@ -161,14 +177,21 @@ class DFSCode:
         return f"DFSCode({list(self.edges)})"
 
 
-def graph_from_code(edges: Sequence[DFSEdge], graph_id: int = -1) -> Graph:
-    """Materialize the labeled graph a DFS code describes."""
+def graph_from_code(
+    edges: Sequence[DFSEdge], graph_id: int = -1
+) -> Graph | DiGraph:
+    """Materialize the labeled graph a DFS code describes: a ``DiGraph``
+    for 6-wide code edges, else a ``Graph``."""
     code = edges if isinstance(edges, DFSCode) else DFSCode(edges)
-    graph = Graph(graph_id)
+    directed = bool(code.edges) and len(code.edges[0]) == 6
+    graph = DiGraph(graph_id) if directed else Graph(graph_id)
     for label in code.vertex_labels:
         graph.add_node(label)
-    for i, j, _li, le, _lj in code.edges:
-        graph.add_edge(i, j, le)
+    for edge in code.edges:
+        i, j = edge[0], edge[1]
+        if directed and not edge[5]:  # the arc runs against the traversal
+            i, j = j, i
+        graph.add_edge(i, j, edge[3])
     return graph
 
 
@@ -191,21 +214,17 @@ class _State:
 
     def __init__(self, nodes: tuple[int, ...], used: frozenset[tuple[int, int]]):
         self.nodes = nodes  # code vertex id -> graph node
-        self.used = used  # undirected edge keys already consumed
+        self.used = used  # edge keys already consumed
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _min_code_steps(graph: Graph) -> "_MinCodeBuilder":
+def _min_code_steps(graph: Graph | DiGraph) -> "_MinCodeBuilder":
     return _MinCodeBuilder(graph)
 
 
 class _MinCodeBuilder:
     """Incrementally constructs the minimum DFS code of ``graph``."""
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph | DiGraph) -> None:
         self.graph = graph
         self.code: list[DFSEdge] = []
         self.vertex_labels: list[int] = []
@@ -216,22 +235,14 @@ class _MinCodeBuilder:
         graph = self.graph
         best: DFSEdge | None = None
         states: list[_State] = []
-        for u, v, elabel in graph.edges():
-            for a, b in ((u, v), (v, u)):
-                cand: DFSEdge = (
-                    0,
-                    1,
-                    graph.node_label(a),
-                    elabel,
-                    graph.node_label(b),
-                )
+        for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
+            for a, b, tail in ((u, v, tail_uv), (v, u, tail_vu)):
+                cand: DFSEdge = (0, 1, graph.node_label(a)) + tail
                 if best is None or cand[2:] < best[2:]:
                     best = cand
                     states = []
                 if cand == best:
-                    states.append(
-                        _State((a, b), frozenset((_edge_key(a, b),)))
-                    )
+                    states.append(_State((a, b), frozenset((key,))))
         if best is None:
             return  # edgeless graph: empty code
         self.code.append(best)
@@ -265,26 +276,17 @@ class _MinCodeBuilder:
         for state in self.states:
             g_rm = state.nodes[rm]
             for j in rmpath[:-1]:
-                g_j = state.nodes[j]
-                if not graph.has_edge(g_rm, g_j):
-                    continue
-                key = _edge_key(g_rm, g_j)
-                if key in state.used:
-                    continue
-                cand: DFSEdge = (
-                    rm,
-                    j,
-                    self.vertex_labels[rm],
-                    graph.edge_label(g_rm, g_j),
-                    self.vertex_labels[j],
-                )
-                if best is None or dfs_edge_lt(cand, best):
-                    best = cand
-                    best_states = []
-                if cand == best:
-                    best_states.append(
-                        _State(state.nodes, state.used | {key})
-                    )
+                for key, tail in graph.links(g_rm, state.nodes[j]):
+                    if key in state.used:
+                        continue
+                    cand: DFSEdge = (rm, j, self.vertex_labels[rm]) + tail
+                    if best is None or dfs_edge_lt(cand, best):
+                        best = cand
+                        best_states = []
+                    if cand == best:
+                        best_states.append(
+                            _State(state.nodes, state.used | {key})
+                        )
         if best is None:
             return None
         return best, best_states
@@ -300,28 +302,19 @@ class _MinCodeBuilder:
         # the rightmost vertex toward the root and stop at the first depth
         # with any candidate.
         for i in reversed(rmpath):
+            head = (i, new_id, self.vertex_labels[i])
             for state in self.states:
-                g_i = state.nodes[i]
                 mapped = set(state.nodes)
-                for w, elabel in graph.neighbor_items(g_i):
+                for w, key, tail in graph.incident(state.nodes[i]):
                     if w in mapped:
                         continue
-                    cand: DFSEdge = (
-                        i,
-                        new_id,
-                        self.vertex_labels[i],
-                        elabel,
-                        graph.node_label(w),
-                    )
+                    cand: DFSEdge = head + tail
                     if best is None or dfs_edge_lt(cand, best):
                         best = cand
                         best_states = []
                     if cand == best:
                         best_states.append(
-                            _State(
-                                state.nodes + (w,),
-                                state.used | {_edge_key(g_i, w)},
-                            )
+                            _State(state.nodes + (w,), state.used | {key})
                         )
             if best is not None:
                 break
@@ -368,7 +361,7 @@ _min_code_hits = 0
 _min_code_misses = 0
 
 
-def min_dfs_code(graph: Graph) -> DFSCode:
+def min_dfs_code(graph: Graph | DiGraph) -> DFSCode:
     """The canonical (minimum) DFS code of a connected labeled graph.
 
     Raises :class:`MiningError` for disconnected graphs.  An edgeless
@@ -377,7 +370,9 @@ def min_dfs_code(graph: Graph) -> DFSCode:
     as general-purpose canonical keys.
 
     Memoized on :meth:`Graph.structure_key` — equal keys mean identical
-    labeled graphs, hence identical canonical codes.  gSpan enumerates
+    labeled graphs, hence identical canonical codes.  A ``DiGraph``'s key
+    is tagged with its type, so a digraph and a ``Graph`` with the same
+    labels and ``(u, v, label)`` list never share a cached code.  gSpan enumerates
     the same candidate graph through many extension orders, so the
     canonicalization in the specializer's ``finalize`` step hits the
     cache heavily.
@@ -427,7 +422,7 @@ def clear_canonical_caches() -> None:
 
 
 def min_code_with_embeddings(
-    graph: Graph,
+    graph: Graph | DiGraph,
 ) -> tuple[DFSCode, list[tuple[int, ...]]]:
     """The minimum DFS code of ``graph`` plus every embedding realizing it.
 

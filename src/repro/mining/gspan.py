@@ -13,16 +13,23 @@ argues for the DFS strategy.
 
 Support is the number of distinct database graphs containing at least one
 embedding; patterns have at least one edge.
+
+The same miner mines a :class:`~repro.graphs.digraph.DiGraphDatabase`:
+graphs hand out DFS-code tails through their adjacency accessors
+(``incident``, ``links``, ``edge_orientations``), so directed codes carry
+their direction component with no branch here.  Patterns of a digraph
+database are weakly connected digraphs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import DFSCode, DFSEdge, dfs_edge_lt, is_min_code
 
@@ -43,13 +50,13 @@ def min_support_count(min_support: float, database_size: int) -> int:
     return max(1, math.ceil(min_support * database_size - 1e-9))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """One occurrence of a pattern: a mapping into a database graph.
 
     ``nodes[i]`` is the graph node that DFS-code vertex ``i`` maps to;
-    ``used`` holds the undirected graph-edge keys consumed so far (gSpan
-    never reuses an edge within one embedding).
+    ``used`` holds the graph-edge keys consumed so far (gSpan never
+    reuses an edge within one embedding).  A named tuple, because gSpan
+    builds one per extension of every embedding.
     """
 
     graph_id: int
@@ -62,7 +69,7 @@ class MinedPattern:
     """A frequent pattern as reported by the miner."""
 
     code: DFSCode
-    graph: Graph
+    graph: Graph | DiGraph
     support_count: int
     support_set: frozenset[int]
     embeddings: list[Embedding] = field(repr=False, default_factory=list)
@@ -83,7 +90,8 @@ ReportCallback = Callable[[MinedPattern], None]
 
 
 class GSpanMiner:
-    """Mines frequent connected subgraphs from a :class:`GraphDatabase`.
+    """Mines frequent connected subgraphs from a :class:`GraphDatabase`
+    (or weakly connected ones from a ``DiGraphDatabase``).
 
     Parameters
     ----------
@@ -179,25 +187,25 @@ class GSpanMiner:
     ) -> Iterable[tuple[DFSEdge, list[Embedding]]]:
         """Frequent one-edge seeds in ascending DFS order.
 
-        A one-edge code ``(0, 1, la, le, lb)`` is minimal iff
-        ``(la, le, lb) <= (lb, le, la)``, i.e. ``la <= lb``; both
-        orientations are embedded when labels are equal.
+        A one-edge code is minimal iff its label tuple is no larger than
+        the reverse orientation's (``(la, le, lb) <= (lb, le, la)``, i.e.
+        ``la <= lb``, for an undirected edge); both orientations are
+        embedded when the two codes are equal.
         """
         projections: dict[DFSEdge, list[Embedding]] = {}
         for graph in self.database:
             gid = graph.graph_id
-            for u, v, elabel in graph.edges():
-                lu, lv = graph.node_label(u), graph.node_label(v)
-                key = (u, v) if u < v else (v, u)
-                orientations = []
-                if lu <= lv:
-                    orientations.append((u, v, lu, lv))
-                if lv < lu or lu == lv:
-                    orientations.append((v, u, lv, lu))
-                for a, b, la, lb in orientations:
-                    edge: DFSEdge = (0, 1, la, elabel, lb)
-                    projections.setdefault(edge, []).append(
-                        Embedding(gid, (a, b), frozenset((key,)))
+            for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
+                uv = (0, 1, graph.node_label(u)) + tail_uv
+                vu = (0, 1, graph.node_label(v)) + tail_vu
+                used = frozenset((key,))
+                if uv[2:] <= vu[2:]:
+                    projections.setdefault(uv, []).append(
+                        Embedding(gid, (u, v), used)
+                    )
+                if vu[2:] <= uv[2:]:
+                    projections.setdefault(vu, []).append(
+                        Embedding(gid, (v, u), used)
                     )
         frequent = [
             (edge, embeddings)
@@ -206,9 +214,7 @@ class GSpanMiner:
         ]
         if self.prune_report is not None:
             for edge, embeddings in projections.items():
-                # Minimal orientation only (la <= lb); the mirrored
-                # orientation is the same non-minimal one-edge code.
-                if edge[2] <= edge[4] and self._support_count(embeddings) < self.min_count:
+                if self._support_count(embeddings) < self.min_count:
                     self.prune_report(
                         (edge,), frozenset(e.graph_id for e in embeddings)
                     )
@@ -272,40 +278,29 @@ class GSpanMiner:
         rm = rmpath[-1]
         vlabels = code.vertex_labels
         new_id = len(vlabels)
+        backward = [(j, (rm, j, vlabels[rm])) for j in rmpath[:-1]]
+        forward = [(i, (i, new_id, vlabels[i])) for i in rmpath]
         out: dict[DFSEdge, list[Embedding]] = {}
         for emb in embeddings:
             graph = self.database[emb.graph_id]
-            nodes = emb.nodes
-            mapped = set(nodes)
+            gid, nodes, used = emb.graph_id, emb.nodes, emb.used
             # Backward extensions: rightmost vertex to rightmost path.
             g_rm = nodes[rm]
-            for j in rmpath[:-1]:
-                g_j = nodes[j]
-                if not graph.has_edge(g_rm, g_j):
-                    continue
-                key = (g_rm, g_j) if g_rm < g_j else (g_j, g_rm)
-                if key in emb.used:
-                    continue
-                edge: DFSEdge = (
-                    rm,
-                    j,
-                    vlabels[rm],
-                    graph.edge_label(g_rm, g_j),
-                    vlabels[j],
-                )
-                out.setdefault(edge, []).append(
-                    Embedding(emb.graph_id, nodes, emb.used | {key})
-                )
+            for j, head in backward:
+                for key, tail in graph.links(g_rm, nodes[j]):
+                    if key in used:
+                        continue
+                    out.setdefault(head + tail, []).append(
+                        Embedding(gid, nodes, used | {key})
+                    )
             # Forward extensions from every rightmost-path vertex.
-            for i in rmpath:
-                g_i = nodes[i]
-                for w, elabel in graph.neighbor_items(g_i):
+            mapped = set(nodes)
+            for i, head in forward:
+                for w, key, tail in graph.incident(nodes[i]):
                     if w in mapped:
                         continue
-                    edge = (i, new_id, vlabels[i], elabel, graph.node_label(w))
-                    key = (g_i, w) if g_i < w else (w, g_i)
-                    out.setdefault(edge, []).append(
-                        Embedding(emb.graph_id, nodes + (w,), emb.used | {key})
+                    out.setdefault(head + tail, []).append(
+                        Embedding(gid, nodes + (w,), used | {key})
                     )
         return out
 

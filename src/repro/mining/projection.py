@@ -54,22 +54,19 @@ def project_code(
 
 def _project_initial(database: GraphDatabase, edge: DFSEdge) -> list[Embedding]:
     """Replay of :meth:`GSpanMiner._initial_projections` for one edge."""
-    i, j, li, le, lj = edge
+    i, j, li = edge[:3]
     if (i, j) != (0, 1):
         raise MiningError(f"DFS code must start with a (0, 1) edge, got ({i}, {j})")
+    tail = edge[3:]
     out: list[Embedding] = []
     for graph in database:
         gid = graph.graph_id
-        for u, v, elabel in graph.edges():
-            if elabel != le:
-                continue
-            lu, lv = graph.node_label(u), graph.node_label(v)
-            key = (u, v) if u < v else (v, u)
+        for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
             # Same orientation order as the miner: (u, v) first, then
-            # (v, u); both fire when the endpoint labels are equal.
-            if lu <= lv and (lu, lv) == (li, lj):
+            # (v, u); both fire when the two orientations' codes are equal.
+            if tail_uv == tail and graph.node_label(u) == li:
                 out.append(Embedding(gid, (u, v), frozenset((key,))))
-            if (lv < lu or lu == lv) and (lv, lu) == (li, lj):
+            if tail_vu == tail and graph.node_label(v) == li:
                 out.append(Embedding(gid, (v, u), frozenset((key,))))
     return out
 
@@ -81,7 +78,8 @@ def _project_extension(
     edge: DFSEdge,
 ) -> list[Embedding]:
     """Replay of :meth:`GSpanMiner._extensions` restricted to ``edge``."""
-    i, j, _li, le, lj = edge
+    i, j = edge[:2]
+    tail = edge[3:]
     vlabels = prefix.vertex_labels
     rmpath = prefix.rightmost_path
     out: list[Embedding] = []
@@ -90,13 +88,11 @@ def _project_extension(
             raise MiningError(f"invalid backward extension ({i}, {j})")
         for emb in embeddings:
             graph = database[emb.graph_id]
-            g_i, g_j = emb.nodes[i], emb.nodes[j]
-            if not graph.has_edge(g_i, g_j):
-                continue
-            key = (g_i, g_j) if g_i < g_j else (g_j, g_i)
-            if key in emb.used or graph.edge_label(g_i, g_j) != le:
-                continue
-            out.append(Embedding(emb.graph_id, emb.nodes, emb.used | {key}))
+            for key, link in graph.links(emb.nodes[i], emb.nodes[j]):
+                if link == tail and key not in emb.used:
+                    out.append(
+                        Embedding(emb.graph_id, emb.nodes, emb.used | {key})
+                    )
     else:  # forward: discover vertex j from rightmost-path vertex i
         if j != len(vlabels) or i not in rmpath:
             raise MiningError(f"invalid forward extension ({i}, {j})")
@@ -104,10 +100,9 @@ def _project_extension(
             graph = database[emb.graph_id]
             nodes = emb.nodes
             mapped = set(nodes)
-            g_i = nodes[i]
-            for w, elabel in graph.neighbor_items(g_i):
-                if w in mapped or elabel != le or graph.node_label(w) != lj:
-                    continue
-                key = (g_i, w) if g_i < w else (w, g_i)
-                out.append(Embedding(emb.graph_id, nodes + (w,), emb.used | {key}))
+            for w, key, link in graph.incident(nodes[i]):
+                if link == tail and w not in mapped:
+                    out.append(
+                        Embedding(emb.graph_id, nodes + (w,), emb.used | {key})
+                    )
     return out

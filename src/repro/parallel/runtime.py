@@ -61,6 +61,7 @@ from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import reject_directed
 from repro.graphs.io import parse_graph_database
 from repro.mining.dfs_code import DFSCode, DFSEdge
 from repro.mining.gspan import GSpanMiner, min_support_count
@@ -405,6 +406,8 @@ class ParallelTaxogram:
             raise MiningError(
                 f"workers must be at least 1, got {options.workers}"
             )
+        if options.workers > 1:
+            reject_directed(database, "workers > 1")
         if options.occurrence_index_backend not in ("memory", "disk"):
             raise MiningError(
                 "occurrence_index_backend must be 'memory' or 'disk', got "

@@ -9,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.directed.digraph import DiGraphDatabase
-from repro.directed.io import (
-    parse_digraph_database,
-    read_digraph_database,
-    serialize_digraph_database,
-    write_digraph_database,
-)
+from repro.datagen.regulatory import RegulatoryConfig, generate_regulatory_database
 from repro.exceptions import FormatError
+from repro.graphs.digraph import DiGraph, DiGraphDatabase
+from repro.graphs.io import (
+    parse_graph_database,
+    read_graph_database,
+    serialize_graph_database,
+    write_graph_database,
+)
+from repro.mining.dfs_code import min_dfs_code
 from repro.taxonomy.builders import taxonomy_from_parent_names
+from repro.taxonomy.go import go_like_taxonomy
 from repro.taxonomy.io import write_taxonomy
+
+
+def parse_digraph_database(text: str) -> DiGraphDatabase:
+    return parse_graph_database(text, directed=True)
+
 
 SAMPLE = """
 t # 0
@@ -62,9 +70,9 @@ class TestRoundTrip:
         db = DiGraphDatabase()
         db.new_graph(["a", "b", "c"], [(0, 1, "x"), (2, 1, "y"), (1, 0, "x")])
         path = tmp_path / "db.digraphs"
-        write_digraph_database(db, path)
-        loaded = read_digraph_database(path)
-        assert serialize_digraph_database(loaded) == serialize_digraph_database(db)
+        write_graph_database(db, path)
+        loaded = read_graph_database(path, directed=True)
+        assert serialize_graph_database(loaded) == serialize_graph_database(db)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -78,8 +86,8 @@ class TestRoundTrip:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v and not graph.has_arc(u, v):
                     graph.add_arc(u, v, db.edge_labels.intern(rng.choice("xy")))
-        text = serialize_digraph_database(db)
-        assert serialize_digraph_database(parse_digraph_database(text)) == text
+        text = serialize_graph_database(db)
+        assert serialize_graph_database(parse_digraph_database(text)) == text
 
 
 class TestDirectedCLI:
@@ -90,7 +98,7 @@ class TestDirectedCLI:
         db.new_graph(["kinase", "tf"], [(0, 1, "activates")])
         db_path = tmp_path / "db.digraphs"
         tax_path = tmp_path / "tax.txt"
-        write_digraph_database(db, db_path)
+        write_graph_database(db, db_path)
         write_taxonomy(tax, tax_path)
         code = main(
             ["mine", str(db_path), str(tax_path), "--directed",
@@ -99,7 +107,7 @@ class TestDirectedCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "taxogram-directed" in out
-        assert "kinase->tf" in out
+        assert "[0:tf, 1:kinase | 1->0:activates] sup=1.000" in out
 
     def test_directed_rejects_other_algorithms(self, tmp_path, capsys):
         tax = taxonomy_from_parent_names({"b": "a"})
@@ -108,10 +116,73 @@ class TestDirectedCLI:
         db = DiGraphDatabase(node_labels=tax.interner)
         db.new_graph(["b"], [])
         db_path = tmp_path / "d.txt"
-        write_digraph_database(db, db_path)
+        write_graph_database(db, db_path)
         code = main(
             ["mine", str(db_path), str(tax_path), "--directed",
              "--algorithm", "tacgm"]
         )
         assert code == 1
-        assert "only the taxogram algorithm" in capsys.readouterr().err
+        assert "TAcGM does not support directed" in capsys.readouterr().err
+
+
+class TestDirectedCLIOptions:
+    """``--directed`` only picks the reader: the mine flags work as for an
+    undirected database."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("regulatory")
+        taxonomy = go_like_taxonomy(concept_count=60, seed=2)
+        db = generate_regulatory_database(
+            taxonomy, RegulatoryConfig(network_count=12, seed=1)
+        )
+        write_graph_database(db, tmp / "d.graphs")
+        write_taxonomy(taxonomy, tmp / "t.tax")
+        return tmp / "d.graphs", tmp / "t.tax"
+
+    def _mine(self, files, capsys, *flags):
+        db_path, tax_path = files
+        code = main(
+            ["mine", str(db_path), str(tax_path), "--directed",
+             "--support", "0.25", "--max-edges", "2", "--limit", "0", *flags]
+        )
+        assert code == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_disk_index_matches_memory(self, files, capsys):
+        memory = self._mine(files, capsys)
+        disk = self._mine(files, capsys, "--disk-index")
+        assert len(memory) > 10
+        assert disk[1:] == memory[1:]  # line 1 is the timing summary
+
+    def test_baseline_matches_taxogram(self, files, capsys):
+        taxogram = self._mine(files, capsys)
+        baseline = self._mine(files, capsys, "--algorithm", "baseline")
+        assert taxogram[0].startswith("taxogram-directed:")
+        assert baseline[0].startswith("baseline-directed:")
+        # Automorphic patterns may print with different node orders.
+        assert _canonical(baseline[1:]) == _canonical(taxogram[1:])
+
+    def test_trace_shows_specialize_spans(self, files, capsys):
+        out = "\n".join(self._mine(files, capsys, "--trace"))
+        assert "== run report: taxogram-directed ==" in out
+        assert "specialize.class x" in out
+
+
+def _canonical(lines: list[str]) -> set:
+    """``(canonical code, support)`` of each printed pattern line
+    ``[0:A, 1:B | 1->0:label] sup=0.500``."""
+    names: dict[str, int] = {}
+    out = set()
+    for line in lines:
+        body, support = line.strip().split("] sup=")
+        nodes, arcs = body.lstrip("[").split(" | ")
+        graph = DiGraph()
+        for node in nodes.split(", "):
+            graph.add_node(names.setdefault(node.split(":", 1)[1], len(names)))
+        for arc in arcs.split(", "):
+            ends, label = arc.split(":")
+            source, target = ends.split("->")
+            graph.add_arc(int(source), int(target), names.setdefault(label, len(names)))
+        out.add((min_dfs_code(graph), support))
+    return out

@@ -71,7 +71,7 @@ class TestGraphConversion:
 
 class TestDiGraphConversion:
     def test_direction_preserved(self):
-        from repro.directed.digraph import DiGraphDatabase
+        from repro.graphs.digraph import DiGraphDatabase
         from repro.interop.nx import digraph_to_networkx
 
         db = DiGraphDatabase()
@@ -82,6 +82,19 @@ class TestDiGraphConversion:
         assert not nx_graph.has_edge(1, 0)
         assert nx_graph.edges[0, 1]["label"] == "activates"
         assert nx_graph.nodes[0]["label"] == "kinase"
+
+    def test_directed_pattern_keeps_direction(self):
+        from repro.graphs.digraph import DiGraphDatabase
+
+        tax = taxonomy_from_parent_names({"b": "a", "y": "x"})
+        db = DiGraphDatabase(node_labels=tax.interner)
+        db.new_graph(["b", "y"], [(0, 1)])
+        (pattern,) = mine(db, tax, min_support=1.0, max_edges=1).patterns
+        nx_pattern = pattern_to_networkx(pattern, tax.interner, db.edge_labels)
+        (source, target, _label), = pattern.graph.arcs()
+        assert nx_pattern.is_directed()
+        assert list(nx_pattern.edges) == [(source, target)]
+        assert nx_pattern.graph["support_count"] == 1
 
 
 class TestPatternAndTaxonomy:

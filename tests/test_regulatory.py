@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.taxogram import mine
 from repro.datagen.regulatory import RegulatoryConfig, generate_regulatory_database
-from repro.directed.taxogram import mine_directed
 from repro.exceptions import MiningError
 from repro.taxonomy.go import go_like_taxonomy
 
@@ -42,7 +42,7 @@ class TestGenerator:
         db = generate_regulatory_database(
             taxonomy, RegulatoryConfig(network_count=15, seed=3)
         )
-        result = mine_directed(db, taxonomy, min_support=0.25, max_edges=2)
+        result = mine(db, taxonomy, min_support=0.25, max_edges=2)
         # Planted motifs with shared concepts yield taxonomy-implied
         # directed patterns.
         assert len(result) > 0

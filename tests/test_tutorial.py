@@ -90,12 +90,12 @@ class TestTutorial:
 
     def test_step8_directed(self):
         taxonomy, _db = _setup()
-        from repro.directed import DiGraphDatabase, mine_directed
+        from repro.graphs.digraph import DiGraphDatabase
 
         ddb = DiGraphDatabase(node_labels=taxonomy.interner)
         ddb.new_graph(["carrier", "helicase"], [(0, 1, "activates")])
         ddb.new_graph(["transporter", "dna_helicase"], [(0, 1, "activates")])
-        directed = mine_directed(ddb, taxonomy, min_support=1.0)
+        directed = mine(ddb, taxonomy, min_support=1.0)
         assert len(directed) == 1
         pattern = directed.patterns[0]
         (source, target, _label), = pattern.graph.arcs()
