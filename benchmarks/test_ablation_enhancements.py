@@ -8,16 +8,24 @@ candidates enumerated).
 
 Shape expectations: every configuration returns the identical pattern
 set; the full configuration does the least enumeration work; the
-baseline does the most.
+baseline does the most.  Each configuration records a ``BENCH_ablation``
+point (its label is the config name) with the run's ``gspan.*``,
+``index.*`` and ``specialize.*`` counters for CI's bench-regression gate.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import pytest
 
-from benchmarks._common import dataset, print_header, print_row
+from benchmarks._common import (
+    dataset,
+    print_header,
+    print_row,
+    record_bench_point,
+)
 from repro.core.taxogram import Taxogram, TaxogramOptions
 
 SIGMA = 0.2
@@ -55,7 +63,12 @@ def test_ablation_point(benchmark, config_name):
     options = CONFIGS[config_name]
 
     def run():
-        return Taxogram(options).mine(database, taxonomy)
+        start = time.perf_counter()
+        result = Taxogram(options).mine(database, taxonomy)
+        record_bench_point(
+            "ablation", config_name, time.perf_counter() - start, result
+        )
+        return result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _results[config_name] = (result.total_seconds, result)

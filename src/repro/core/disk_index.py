@@ -39,7 +39,11 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.occurrence_index import OccurrenceStore
+from repro.core.occurrence_index import (
+    AncestorTable,
+    OccurrenceStore,
+    project_occurrences,
+)
 from repro.core.results import MiningCounters
 from repro.exceptions import MiningError
 from repro.mining.gspan import Embedding
@@ -181,13 +185,13 @@ class DiskOccurrenceIndex:
 
     # -- construction ---------------------------------------------------------
 
-    def insert(self, position: int, label: int, occurrence_bit: int) -> None:
-        """OR one occurrence bit into the (position, label) entry."""
+    def insert(self, position: int, label: int, bits: int) -> None:
+        """OR an occurrence bit-set into the (position, label) entry."""
         self._assert_writable()
         key = (position, label)
         with self._lock:
             self._covered[position].add(label)
-            self._resident[key] = self._resident.get(key, 0) | occurrence_bit
+            self._resident[key] = self._resident.get(key, 0) | bits
             overflow = len(self._resident) > self._max_resident
         if overflow:
             self._flush()
@@ -405,28 +409,20 @@ def build_disk_occurrence_index(
     counters: MiningCounters | None = None,
     directory: str | Path | None = None,
     max_resident_entries: int = _DEFAULT_RESIDENT,
+    ancestors: AncestorTable | None = None,
 ) -> tuple[OccurrenceStore, DiskOccurrenceIndex]:
     """Disk-backed drop-in for
     :func:`repro.core.occurrence_index.build_occurrence_index`."""
+    if ancestors is None:
+        ancestors = AncestorTable(taxonomy, allowed_labels)
     store = OccurrenceStore()
     index = DiskOccurrenceIndex(num_positions, directory, max_resident_entries)
-    updates = 0
-    ancestor_cache: dict[int, tuple[int, ...]] = {}
-    for emb in embeddings:
-        occ_bit = 1 << store.add(emb.graph_id, emb.nodes)
-        graph_originals = original_labels[emb.graph_id]
-        for position, node in enumerate(emb.nodes):
-            original = graph_originals[node]
-            ancestors = ancestor_cache.get(original)
-            if ancestors is None:
-                pool = taxonomy.ancestors_or_self(original)
-                if allowed_labels is not None:
-                    pool = pool & allowed_labels
-                ancestors = tuple(pool)
-                ancestor_cache[original] = ancestors
-            for label in ancestors:
-                index.insert(position, label, occ_bit)
-                updates += 1
+    projected, updates = project_occurrences(
+        store.add, embeddings, original_labels, ancestors
+    )
+    for position, labels, bits in projected:
+        for label in labels:
+            index.insert(position, label, bits)
     if counters is not None:
         counters.occurrence_index_updates += updates
         counters.oie_entries += index.covered_entry_count()

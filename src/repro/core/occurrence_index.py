@@ -22,7 +22,7 @@ isomorphism tests (Lemma 7).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.results import MiningCounters
 from repro.exceptions import MiningError
@@ -32,10 +32,12 @@ from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.bitset import BitSet
 
 __all__ = [
+    "AncestorTable",
     "OccurrenceStore",
     "OccurrenceIndex",
     "build_occurrence_index",
     "generalized_label_supports",
+    "project_occurrences",
 ]
 
 class OccurrenceStore:
@@ -147,6 +149,80 @@ class OccurrenceIndex:
         return [c for c in taxonomy.children_of(label) if c in entry]
 
 
+class AncestorTable(dict):
+    """``original label -> allowed ancestors-or-self``, filled on first use.
+
+    One table serves every class of a mine: the taxonomy and the allowed
+    labels (efficiency enhancement (b)) are fixed for the whole run, so
+    each label's projection target is computed once, not once per class.
+    """
+
+    __slots__ = ("taxonomy", "allowed_labels")
+
+    def __init__(
+        self, taxonomy: Taxonomy, allowed_labels: frozenset[int] | None = None
+    ) -> None:
+        super().__init__()
+        self.taxonomy = taxonomy
+        self.allowed_labels = allowed_labels
+
+    def __missing__(self, label: int) -> tuple[int, ...]:
+        pool = self.taxonomy.ancestors_or_self(label)
+        if self.allowed_labels is not None:
+            pool = pool & self.allowed_labels
+        ancestors = self[label] = tuple(pool)
+        return ancestors
+
+
+def project_occurrences(
+    register: Callable[[int, tuple[int, ...]], int],
+    embeddings: Iterable[Embedding],
+    original_labels: Sequence[Sequence[int]],
+    ancestors: Mapping[int, tuple[int, ...]],
+) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
+    """Register embeddings and group their taxonomy projection.
+
+    ``register(graph_id, nodes)`` returns each embedding's occurrence id.
+    The ids are grouped per (position, original label); each group's
+    bit-set is built once, to be OR-ed into every allowed ancestor of the
+    label.  Returns ``(position, ancestors, bits)`` per group, by
+    position and then in order of first appearance, and the paper's
+    per-occurrence update count (Lemma 5): ``len(ids) * len(ancestors)``
+    summed over the groups.
+    """
+    groups: list[dict[int, list[int]]] = []  # per position: original -> ids
+    for emb in embeddings:
+        nodes = emb.nodes
+        if not groups:
+            groups = [{} for _ in nodes]
+        occ_id = register(emb.graph_id, nodes)
+        graph_originals = original_labels[emb.graph_id]
+        for group, node in zip(groups, nodes):
+            original = graph_originals[node]
+            ids = group.get(original)
+            if ids is None:
+                group[original] = [occ_id]
+            else:
+                ids.append(occ_id)
+    projected: list[tuple[int, tuple[int, ...], int]] = []
+    updates = 0
+    for position, group in enumerate(groups):
+        for original, ids in group.items():
+            labels = ancestors[original]
+            updates += len(ids) * len(labels)
+            if not labels:
+                continue
+            if len(ids) == 1:
+                bits = 1 << ids[0]
+            else:
+                buffer = bytearray((ids[-1] >> 3) + 1)
+                for occ_id in ids:
+                    buffer[occ_id >> 3] |= 1 << (occ_id & 7)
+                bits = int.from_bytes(buffer, "little")
+            projected.append((position, labels, bits))
+    return projected, updates
+
+
 def build_occurrence_index(
     num_positions: int,
     embeddings: Iterable[Embedding],
@@ -154,6 +230,7 @@ def build_occurrence_index(
     taxonomy: Taxonomy,
     allowed_labels: frozenset[int] | None = None,
     counters: MiningCounters | None = None,
+    ancestors: AncestorTable | None = None,
 ) -> tuple[OccurrenceStore, OccurrenceIndex]:
     """Register embeddings and project them onto the taxonomy.
 
@@ -162,28 +239,21 @@ def build_occurrence_index(
     paper's index-construction updates (Lemma 5 counts these).  With
     ``allowed_labels`` set (efficiency enhancement (b)), labels outside
     the set are skipped: they cannot reach the support threshold, so no
-    pattern will ever need their occurrence sets.
+    pattern will ever need their occurrence sets.  A mine passes one
+    ``ancestors`` table for all its classes; without it the taxonomy and
+    ``allowed_labels`` build a private one.
     """
+    if ancestors is None:
+        ancestors = AncestorTable(taxonomy, allowed_labels)
     store = OccurrenceStore()
     entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
-    updates = 0
-    ancestor_cache: dict[int, tuple[int, ...]] = {}
-    for emb in embeddings:
-        occ_bit = 1 << store.add(emb.graph_id, emb.nodes)
-        graph_originals = original_labels[emb.graph_id]
-        for position, node in enumerate(emb.nodes):
-            original = graph_originals[node]
-            ancestors = ancestor_cache.get(original)
-            if ancestors is None:
-                pool = taxonomy.ancestors_or_self(original)
-                if allowed_labels is not None:
-                    pool = pool & allowed_labels
-                ancestors = tuple(pool)
-                ancestor_cache[original] = ancestors
-            entry = entries[position]
-            for label in ancestors:
-                entry[label] = entry.get(label, 0) | occ_bit
-                updates += 1
+    projected, updates = project_occurrences(
+        store.add, embeddings, original_labels, ancestors
+    )
+    for position, labels, bits in projected:
+        entry = entries[position]
+        for label in labels:
+            entry[label] = entry.get(label, 0) | bits
     if counters is not None:
         counters.occurrence_index_updates += updates
         counters.oie_entries += sum(len(entry) for entry in entries)

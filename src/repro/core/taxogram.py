@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.disk_index import build_disk_occurrence_index
 from repro.core.occurrence_index import (
+    AncestorTable,
     build_occurrence_index,
     generalized_label_supports,
 )
@@ -167,6 +168,7 @@ class Taxogram:
                     if count >= min_count
                 )
         stage_seconds["relabel"] = prepare.elapsed
+        ancestors = AncestorTable(relabeled.taxonomy, allowed)
 
         specializer_options = SpecializerOptions(
             descendant_pruning=options.enhancement_descendant_pruning,
@@ -195,6 +197,7 @@ class Taxogram:
                         counters,
                         directory=options.disk_index_directory,
                         max_resident_entries=options.disk_max_resident_entries,
+                        ancestors=ancestors,
                     )
                 else:
                     store, occurrence_index = build_occurrence_index(
@@ -204,6 +207,7 @@ class Taxogram:
                         relabeled.taxonomy,
                         allowed,
                         counters,
+                        ancestors=ancestors,
                     )
                 try:
                     patterns.extend(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.occurrence_index import build_occurrence_index
+from repro.core.occurrence_index import AncestorTable, build_occurrence_index
 from repro.core.relabel import relabel_database
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
@@ -46,7 +46,13 @@ from repro.graphs.digraph import reject_directed
 from repro.incremental.delta import OccurrenceColumns
 from repro.incremental.store import PatternStore, stored_patterns
 from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
-from repro.mining.gspan import Embedding, GSpanMiner, MinedPattern, min_support_count
+from repro.mining.gspan import (
+    Embedding,
+    GSpanMiner,
+    MinedPattern,
+    extension_graph_ids,
+    min_support_count,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.taxonomy.taxonomy import Taxonomy
@@ -114,6 +120,7 @@ def _mine_sequential(
         ),
     )
     border: dict[_Code, BitSet] = {}
+    ancestors = AncestorTable(relabeled.taxonomy)
 
     def capture(code: _Code, gids: frozenset[int]) -> None:
         if gids:
@@ -137,6 +144,7 @@ def _mine_sequential(
                 relabeled.taxonomy,
                 None,
                 counters,
+                ancestors=ancestors,
             )
             class_patterns = specialize_class(
                 class_id=counters.pattern_classes - 1,
@@ -339,8 +347,8 @@ def _driver_border(
         if max_edges is not None and len(code) >= max_edges:
             continue
         embeddings = _rebuild_embeddings(code, merged.occurrences)
-        for edge, child_embeddings in miner._extensions(code, embeddings).items():
-            gids = {e.graph_id for e in child_embeddings}
+        for edge, records in miner._extensions(code, embeddings).items():
+            gids = extension_graph_ids(records)
             if len(gids) >= min_count:
                 continue
             child = code.extended(edge)

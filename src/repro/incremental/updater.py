@@ -43,7 +43,11 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from pathlib import Path
 
-from repro.core.occurrence_index import build_occurrence_index
+from repro.core.occurrence_index import (
+    AncestorTable,
+    build_occurrence_index,
+    project_occurrences,
+)
 from repro.core.relabel import repair_taxonomy
 from repro.core.results import (
     MiningCounters,
@@ -62,7 +66,12 @@ from repro.mining.dfs_code import (
     graph_from_code,
     is_min_code,
 )
-from repro.mining.gspan import GSpanMiner, MinedPattern, min_support_count
+from repro.mining.gspan import (
+    GSpanMiner,
+    MinedPattern,
+    extension_graph_ids,
+    min_support_count,
+)
 from repro.mining.projection import project_code
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
@@ -190,14 +199,7 @@ class IncrementalTaxogram:
                     graph.relabel_node(v, most_general[graph.node_label(v)])
         stage_seconds["relabel"] = watch.elapsed
 
-        ancestor_cache: dict[int, tuple[int, ...]] = {}
-
-        def ancestors_of(original: int) -> tuple[int, ...]:
-            ancestors = ancestor_cache.get(original)
-            if ancestors is None:
-                ancestors = tuple(working.ancestors_or_self(original))
-                ancestor_cache[original] = ancestors
-            return ancestors
+        ancestors = AncestorTable(working)
 
         survivors: list[StoredClass] = []
         demoted: list[tuple[_Code, BitSet]] = []
@@ -250,7 +252,7 @@ class IncrementalTaxogram:
                         embeddings,
                         base,
                         adds_originals,
-                        ancestors_of,
+                        ancestors,
                         counters,
                         metrics,
                     )
@@ -411,6 +413,7 @@ class IncrementalTaxogram:
                         working,
                         None,
                         counters,
+                        ancestors=ancestors,
                     )
                     class_patterns = specialize_class(
                         class_id=class_id,
@@ -479,7 +482,7 @@ class IncrementalTaxogram:
         embeddings,
         base: int,
         adds_originals: list[list[int]],
-        ancestors_of,
+        ancestors: AncestorTable,
         counters: MiningCounters,
         metrics: MetricsRegistry,
     ) -> None:
@@ -495,15 +498,16 @@ class IncrementalTaxogram:
         try:
             if cleared:
                 index.clear_bits(cleared)
-            for emb in embeddings:
-                occ_bit = 1 << stored.columns.append(
-                    base + emb.graph_id, emb.nodes
-                )
-                graph_originals = adds_originals[emb.graph_id]
-                for position, node in enumerate(emb.nodes):
-                    for label in ancestors_of(graph_originals[node]):
-                        index.insert(position, label, occ_bit)
-                        counters.occurrence_index_updates += 1
+            projected, updates = project_occurrences(
+                lambda gid, nodes: stored.columns.append(base + gid, nodes),
+                embeddings,
+                adds_originals,
+                ancestors,
+            )
+            for position, labels, bits in projected:
+                for label in labels:
+                    index.insert(position, label, bits)
+            counters.occurrence_index_updates += updates
             if stored.columns.dead_fraction > opts.compact_dead_fraction:
                 remap = stored.columns.compaction_map()
                 index.remap_bits(remap)
@@ -533,7 +537,7 @@ class IncrementalTaxogram:
         ``n_added < min_count`` guard keeps it infrequent.
         """
         parent = DFSCode(code)
-        for edge, child_embeddings in scan_miner._extensions(
+        for edge, records in scan_miner._extensions(
             parent, add_embeddings
         ).items():
             child = parent.extended(edge)
@@ -542,7 +546,7 @@ class IncrementalTaxogram:
             if not is_min_code(child):
                 continue
             adds_border[child.edges] = BitSet(
-                base + emb.graph_id for emb in child_embeddings
+                base + gid for gid in extension_graph_ids(records)
             )
 
     @staticmethod

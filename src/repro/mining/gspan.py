@@ -36,7 +36,15 @@ from repro.mining.dfs_code import DFSCode, DFSEdge, dfs_edge_lt, is_min_code
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import MiningCounters
 
-__all__ = ["Embedding", "MinedPattern", "GSpanMiner", "min_support_count"]
+__all__ = [
+    "Embedding",
+    "Extension",
+    "MinedPattern",
+    "GSpanMiner",
+    "child_embeddings",
+    "extension_graph_ids",
+    "min_support_count",
+]
 
 
 def min_support_count(min_support: float, database_size: int) -> int:
@@ -151,6 +159,8 @@ class GSpanMiner:
         self.keep_embeddings = keep_embeddings
         self.counters = counters
         self.prune_report = prune_report
+        # graph id -> per-node incident lists, built on first touch.
+        self._incident: dict[int, list[list[tuple]]] = {}
 
     # -- public API -------------------------------------------------------------
 
@@ -249,64 +259,93 @@ class GSpanMiner:
         extensions = self._extensions(code, embeddings)
         counters = self.counters
         for edge in sorted(extensions, key=_DfsEdgeKey):
-            child_embeddings = extensions[edge]
+            records = extensions[edge]
             if counters is not None:
                 counters.gspan_candidates_generated += 1
-            if self._support_count(child_embeddings) < self.min_count:
+            graph_ids = extension_graph_ids(records)
+            if len(graph_ids) < self.min_count:
                 if counters is not None:
                     counters.gspan_candidates_pruned_infrequent += 1
                 if self.prune_report is not None:
                     fringe = code.extended(edge)
                     if is_min_code(fringe):
-                        self.prune_report(
-                            fringe.edges,
-                            frozenset(e.graph_id for e in child_embeddings),
-                        )
+                        self.prune_report(fringe.edges, graph_ids)
                 continue
             child = code.extended(edge)
             if not is_min_code(child):
                 if counters is not None:
                     counters.gspan_candidates_pruned_nonminimal += 1
                 continue
-            self._grow(child, child_embeddings, deliver)
+            self._grow(child, child_embeddings(records), deliver)
 
     def _extensions(
         self, code: DFSCode, embeddings: list[Embedding]
-    ) -> dict[DFSEdge, list[Embedding]]:
-        """All rightmost-path one-edge extensions, grouped by DFS edge."""
+    ) -> dict[DFSEdge, list[Extension]]:
+        """All rightmost-path one-edge extensions, grouped by DFS edge.
+
+        Each is a raw :data:`Extension` record; :func:`child_embeddings`
+        turns the records of a kept candidate into embeddings, so a
+        discarded candidate costs no ``Embedding`` or ``used`` set.
+        """
         rmpath = code.rightmost_path
         rm = rmpath[-1]
         vlabels = code.vertex_labels
         new_id = len(vlabels)
         backward = [(j, (rm, j, vlabels[rm])) for j in rmpath[:-1]]
         forward = [(i, (i, new_id, vlabels[i])) for i in rmpath]
-        out: dict[DFSEdge, list[Embedding]] = {}
+        database = self.database
+        adjacency = self._incident
+        out: dict[DFSEdge, list[Extension]] = {}
         for emb in embeddings:
-            graph = self.database[emb.graph_id]
-            gid, nodes, used = emb.graph_id, emb.nodes, emb.used
+            gid, nodes, used = emb
+            graph = database[gid]
+            incident = adjacency.get(gid)
+            if incident is None:
+                incident = adjacency[gid] = [
+                    graph.incident(v) for v in graph.nodes()
+                ]
             # Backward extensions: rightmost vertex to rightmost path.
             g_rm = nodes[rm]
             for j, head in backward:
                 for key, tail in graph.links(g_rm, nodes[j]):
-                    if key in used:
-                        continue
-                    out.setdefault(head + tail, []).append(
-                        Embedding(gid, nodes, used | {key})
-                    )
+                    if key not in used:
+                        record = (emb, None, key)
+                        out.setdefault(head + tail, []).append(record)
             # Forward extensions from every rightmost-path vertex.
-            mapped = set(nodes)
             for i, head in forward:
-                for w, key, tail in graph.incident(nodes[i]):
-                    if w in mapped:
-                        continue
-                    out.setdefault(head + tail, []).append(
-                        Embedding(gid, nodes + (w,), used | {key})
-                    )
+                for w, key, tail in incident[nodes[i]]:
+                    if w not in nodes:
+                        record = (emb, w, key)
+                        out.setdefault(head + tail, []).append(record)
         return out
 
     @staticmethod
     def _support_count(embeddings: list[Embedding]) -> int:
         return len({e.graph_id for e in embeddings})
+
+
+Extension = tuple[Embedding, "int | None", tuple[int, int]]
+"""A raw extension record: ``(parent embedding, new node, edge key)``.
+
+The new node is the graph node a forward edge discovers, ``None`` for a
+backward edge; the edge key joins the parent's ``used`` set."""
+
+
+def extension_graph_ids(records: list[Extension]) -> frozenset[int]:
+    """The support set of a candidate: its parent embeddings' graphs."""
+    return frozenset([record[0][0] for record in records])
+
+
+def child_embeddings(records: list[Extension]) -> list[Embedding]:
+    """The embeddings of a candidate, in the order gSpan generated them."""
+    return [
+        Embedding(
+            emb.graph_id,
+            emb.nodes if w is None else emb.nodes + (w,),
+            emb.used | {key},
+        )
+        for emb, w, key in records
+    ]
 
 
 class _DfsEdgeKey:

@@ -51,6 +51,7 @@ from typing import Sequence
 
 from repro.core.disk_index import DiskOccurrenceIndex
 from repro.core.occurrence_index import (
+    AncestorTable,
     OccurrenceIndex,
     OccurrenceStore,
     build_occurrence_index,
@@ -150,6 +151,15 @@ class _WorkerRuntime:
         )
         self.most_general = dict(config.most_general)
         self._shard_cache: dict[int, _ShardData] = {}
+        self._ancestors: AncestorTable | None = None
+
+    def ancestor_table(self, allowed: frozenset[int] | None) -> AncestorTable:
+        """One :class:`AncestorTable` for every class a mine's phases
+        build (``allowed`` is the same for all of them)."""
+        table = self._ancestors
+        if table is None or table.allowed_labels != allowed:
+            table = self._ancestors = AncestorTable(self.taxonomy, allowed)
+        return table
 
     def shard_data(self, shard_id: int) -> _ShardData:
         cached = self._shard_cache.get(shard_id)
@@ -191,21 +201,21 @@ def _runtime() -> _WorkerRuntime:
 
 
 def _build_fragment(
-    runtime: _WorkerRuntime,
     data: _ShardData,
     shard_id: int,
     code: _Code,
     embeddings,
-    allowed: frozenset[int] | None,
+    ancestors: AncestorTable,
 ) -> ClassFragment:
     counters = MiningCounters()
     store, index = build_occurrence_index(
         DFSCode(code).num_vertices,
         embeddings,
         data.original_labels,
-        runtime.taxonomy,
-        allowed,
+        ancestors.taxonomy,
+        ancestors.allowed_labels,
         counters,
+        ancestors=ancestors,
     )
     return ClassFragment(
         shard_id=shard_id,
@@ -238,10 +248,11 @@ def _phase_mine(
             min_count=runtime.config.local_min_count,
             counters=counters,
         )
+        ancestors = runtime.ancestor_table(allowed)
         fragments = tuple(
             _build_fragment(
-                runtime, data, shard_id, pattern.code.edges,
-                pattern.embeddings, allowed,
+                data, shard_id, pattern.code.edges, pattern.embeddings,
+                ancestors,
             )
             for pattern in miner.mine()
         )
@@ -267,12 +278,11 @@ def _phase_project(
     fragments: list[ClassFragment] = []
     with clock:
         data = runtime.shard_data(shard_id)
+        ancestors = runtime.ancestor_table(allowed)
         for code in missing:
             embeddings = project_code(data.dmg, code)
             fragments.append(
-                _build_fragment(
-                    runtime, data, shard_id, code, embeddings, allowed
-                )
+                _build_fragment(data, shard_id, code, embeddings, ancestors)
             )
     stats = _PhaseStats(
         clock.wall_seconds, clock.cpu_seconds, clock.peak_rss_kb

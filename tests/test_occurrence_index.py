@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from repro.core.occurrence_index import (
+    AncestorTable,
     OccurrenceStore,
     build_occurrence_index,
     generalized_label_supports,
 )
+from repro.core.relabel import relabel_database
 from repro.core.results import MiningCounters
 from repro.graphs.database import GraphDatabase
-from repro.mining.gspan import Embedding
+from repro.mining.gspan import Embedding, GSpanMiner
 from repro.taxonomy.builders import taxonomy_from_parent_names
+from repro.util.interner import LabelInterner
+from tests.conftest import make_random_database, make_random_taxonomy
 
 
 class TestOccurrenceStore:
@@ -118,6 +126,78 @@ class TestBuildOccurrenceIndex:
         assert index.is_covered(0, b)
         assert not index.is_covered(0, c)
         assert index.num_positions == 1
+
+
+def _reference_index(num_positions, embeddings, originals, taxonomy, allowed):
+    """The per-occurrence projection loop: one OR per occurrence, position
+    and allowed ancestor, each counted as one Lemma 5 update."""
+    store = OccurrenceStore()
+    entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
+    updates = 0
+    for emb in embeddings:
+        occ_bit = 1 << store.add(emb.graph_id, emb.nodes)
+        for position, node in enumerate(emb.nodes):
+            pool = taxonomy.ancestors_or_self(originals[emb.graph_id][node])
+            if allowed is not None:
+                pool = pool & allowed
+            for label in tuple(pool):
+                entries[position][label] = (
+                    entries[position].get(label, 0) | occ_bit
+                )
+                updates += 1
+    return store, entries, updates
+
+
+class TestGroupedProjection:
+    @pytest.mark.parametrize(
+        "filtered", [False, True], ids=["all", "allowed"]
+    )
+    @pytest.mark.parametrize(
+        "shared_table", [False, True], ids=["own", "shared"]
+    )
+    def test_matches_per_occurrence_reference(self, filtered, shared_table):
+        classes = largest = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            raw_taxonomy = make_random_taxonomy(
+                rng, LabelInterner(), rng.randint(4, 8), dag=True
+            )
+            db = make_random_database(rng, raw_taxonomy, rng.randint(6, 10))
+            # Mine most-general classes as Step 2 does, so a class has
+            # many occurrences per original label.
+            relabeled = relabel_database(db, raw_taxonomy)
+            taxonomy, originals = relabeled.taxonomy, relabeled.original_labels
+            labels = sorted(taxonomy.labels())
+            allowed = (
+                frozenset(rng.sample(labels, len(labels) // 2))
+                if filtered
+                else None
+            )
+            table = AncestorTable(taxonomy, allowed) if shared_table else None
+            miner = GSpanMiner(
+                relabeled.dmg, min_support=0.3, max_edges=3,
+                keep_embeddings=True,
+            )
+            for pattern in miner.mine():
+                classes += 1
+                largest = max(largest, len(pattern.embeddings))
+                positions = pattern.code.num_vertices
+                counters = MiningCounters()
+                store, index = build_occurrence_index(
+                    positions, pattern.embeddings, originals, taxonomy,
+                    allowed, counters, ancestors=table,
+                )
+                ref_store, ref_entries, ref_updates = _reference_index(
+                    positions, pattern.embeddings, originals, taxonomy, allowed
+                )
+                assert store.occurrences == ref_store.occurrences
+                assert list(index.entries) == ref_entries
+                for entry, ref_entry in zip(index.entries, ref_entries):
+                    assert list(entry) == list(ref_entry)  # same label order
+                assert counters.occurrence_index_updates == ref_updates
+                assert counters.oie_entries == sum(map(len, ref_entries))
+        assert classes > 0, "no seed produced patterns; test exercised nothing"
+        assert largest > 16, "no class spans several bytes of occurrence ids"
 
 
 class TestGeneralizedLabelSupports:

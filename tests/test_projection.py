@@ -14,10 +14,48 @@ import pytest
 
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraphDatabase
+from repro.mining.dfs_code import DFSCode, is_min_code
 from repro.mining.gspan import GSpanMiner
 from repro.mining.projection import project_code
 from repro.util.interner import LabelInterner
 from tests.conftest import make_random_database, make_random_taxonomy
+
+
+def _random_digraph_database(
+    rng: random.Random, n_graphs: int
+) -> DiGraphDatabase:
+    """Random digraphs over three node and two arc labels; about a third
+    of the arcs get an antiparallel partner, so ``links`` returns two."""
+    db = DiGraphDatabase()
+    for _ in range(n_graphs):
+        n = rng.randint(2, 5)
+        labels = [rng.choice("abc") for _ in range(n)]
+        arcs: list[tuple[int, int, str]] = []
+        present: set[tuple[int, int]] = set()
+        for _ in range(rng.randint(1, 6)):
+            u, v = rng.sample(range(n), 2)
+            pairs = [(u, v)]
+            if rng.random() < 0.35:
+                pairs.append((v, u))
+            for arc in pairs:
+                if arc not in present:
+                    present.add(arc)
+                    arcs.append((*arc, rng.choice("xy")))
+        db.new_graph(labels, arcs)
+    return db
+
+
+def _random_undirected_database(seed: int) -> GraphDatabase:
+    rng = random.Random(seed)
+    taxonomy = make_random_taxonomy(rng, LabelInterner(), rng.randint(3, 6))
+    return make_random_database(rng, taxonomy, rng.randint(2, 5))
+
+
+def _has_antiparallel_pair(db: DiGraphDatabase) -> bool:
+    return any(
+        graph.has_arc(v, u) for graph in db for u, v, _label in graph.arcs()
+    )
 
 
 def _two_graph_db() -> GraphDatabase:
@@ -38,10 +76,7 @@ class TestProjectCode:
     def test_matches_miner_on_random_databases(self):
         total = 0
         for seed in range(8):
-            rng = random.Random(seed)
-            interner = LabelInterner()
-            taxonomy = make_random_taxonomy(rng, interner, rng.randint(3, 6))
-            db = make_random_database(rng, taxonomy, rng.randint(2, 5))
+            db = _random_undirected_database(seed)
             miner = GSpanMiner(
                 db, min_support=0.4, max_edges=3, keep_embeddings=True
             )
@@ -49,6 +84,51 @@ class TestProjectCode:
                 total += 1
                 assert project_code(db, pattern.code) == pattern.embeddings
         assert total > 0, "no seed produced patterns; test exercised nothing"
+
+    def test_matches_miner_on_random_digraph_databases(self):
+        total = 0
+        antiparallel = False
+        for seed in range(8):
+            db = _random_digraph_database(random.Random(seed), 5)
+            antiparallel |= _has_antiparallel_pair(db)
+            miner = GSpanMiner(
+                db, min_support=0.4, max_edges=3, keep_embeddings=True
+            )
+            for pattern in miner.mine():
+                total += 1
+                assert project_code(db, pattern.code) == pattern.embeddings
+        assert antiparallel, "no seed produced an antiparallel arc pair"
+        assert total > 0, "no seed produced patterns; test exercised nothing"
+
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["graph", "digraph"]
+    )
+    def test_prune_report_fringe_is_minimal_infrequent_projection(
+        self, directed
+    ):
+        total = 0
+        for seed in range(8):
+            db = (
+                _random_digraph_database(random.Random(seed), 5)
+                if directed
+                else _random_undirected_database(seed)
+            )
+            fringe: list[tuple] = []
+            miner = GSpanMiner(
+                db,
+                min_support=0.4,
+                max_edges=3,
+                prune_report=lambda code, gids: fringe.append((code, gids)),
+            )
+            miner.mine()
+            for code, gids in fringe:
+                total += 1
+                assert is_min_code(DFSCode(code))
+                assert len(gids) < miner.min_count
+                assert gids == {
+                    e.graph_id for e in project_code(db, code)
+                }
+        assert total > 0, "no seed pruned a candidate; test exercised nothing"
 
     def test_infrequent_code_still_projects(self):
         # A code frequent in one "shard" but absent elsewhere must replay
