@@ -18,6 +18,12 @@ baseline algorithm does not utilize efficiency enhancements"; use
 Classes stream through Step 3 one at a time (gSpan's DFS order), so peak
 memory holds a single occurrence index — the paper's Lemma 4 bound.
 
+This module is the one driver: :func:`prepare_mine` (option checks and
+Step 1), :func:`mine_classes` (Steps 2–3 in-process) and
+:func:`build_result` serve the parallel runtime too, and a pattern-store
+build is a :meth:`Taxogram.mine` run with a class sink attached
+(:mod:`repro.incremental.pipeline`).
+
 The paper notes (§4.1) that Taxogram "can handle both directed and
 undirected graphs" but was held back by gSpan.  Here gSpan, the
 canonical codes and VF2 take a :class:`~repro.graphs.digraph.DiGraphDatabase`
@@ -29,6 +35,7 @@ stores stay undirected and refuse one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
 from repro.core.disk_index import build_disk_occurrence_index
 from repro.core.occurrence_index import (
@@ -36,10 +43,10 @@ from repro.core.occurrence_index import (
     build_occurrence_index,
     generalized_label_supports,
 )
-from repro.exceptions import MiningError
-from repro.core.relabel import relabel_database
+from repro.core.relabel import RelabeledDatabase, relabel_database
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
+from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.digraph import DiGraphDatabase
 from repro.mining.gspan import GSpanMiner, MinedPattern, min_support_count
@@ -124,18 +131,24 @@ class Taxogram:
         database: GraphDatabase,
         taxonomy: Taxonomy,
         tracer: Tracer | None = None,
+        *,
+        class_sink: ClassSink | None = None,
+        prune_report: PruneReport | None = None,
     ) -> TaxogramResult:
         """Mine the complete, minimal frequent pattern set of ``database``.
 
         ``tracer`` opts into phase spans (see :mod:`repro.observability`);
         ``None`` mines with the zero-overhead disabled tracer.  Either
         way the result carries a :class:`RunReport` of the work counters.
+
+        ``class_sink`` and ``prune_report`` are the store build's hooks
+        (:mod:`repro.incremental.pipeline`): the sink receives every
+        class's ``(code edges, occurrences, index, patterns)`` after
+        Step 3, in class-id order; ``prune_report`` receives gSpan's
+        negative border (see :class:`~repro.mining.gspan.GSpanMiner`).
         """
         options = self.options
-        if options.workers < 1:
-            raise MiningError(
-                f"workers must be at least 1, got {options.workers}"
-            )
+        check_options(options)
         if options.store_out is not None:
             from repro.incremental.pipeline import mine_to_store
 
@@ -143,118 +156,202 @@ class Taxogram:
         if options.workers > 1:
             from repro.parallel.runtime import ParallelTaxogram
 
-            return ParallelTaxogram(options).mine(database, taxonomy, tracer)
+            return ParallelTaxogram(options).mine(
+                database,
+                taxonomy,
+                tracer,
+                class_sink=class_sink,
+                prune_report=prune_report,
+            )
         if tracer is None:
             tracer = NOOP_TRACER
-        counters = MiningCounters()
-        stage_seconds: dict[str, float] = {}
+        setup = prepare_mine(database, taxonomy, options, tracer)
+        return mine_classes(
+            database, options, setup, tracer, class_sink, prune_report
+        )
 
-        prepare = Stopwatch()
-        with prepare, tracer.span("relabel"):
-            if options.enhancement_taxonomy_contraction:
-                taxonomy = _contract_taxonomy(
-                    taxonomy, database.distinct_node_labels()
-                )
-            relabeled = relabel_database(
-                database, taxonomy, options.artificial_root_name
+
+ClassSink = Callable[
+    [tuple, Sequence[tuple[int, tuple[int, ...]]], Any, list[TaxonomyPattern]],
+    None,
+]
+PruneReport = Callable[[tuple, frozenset[int]], None]
+
+
+@dataclass
+class MineSetup:
+    """Step 1 and the run-wide state both runtimes mine from."""
+
+    relabeled: RelabeledDatabase
+    min_count: int
+    # Enhancement (b): labels whose generalized support reaches
+    # ``min_count``; None keeps every label in the occurrence indices.
+    allowed: frozenset[int] | None
+    specializer: SpecializerOptions
+    stage_seconds: dict[str, float]
+
+
+def check_options(options: TaxogramOptions) -> None:
+    """Reject option values no runtime can mine with."""
+    if options.workers < 1:
+        raise MiningError(f"workers must be at least 1, got {options.workers}")
+    if options.occurrence_index_backend not in ("memory", "disk"):
+        raise MiningError(
+            "occurrence_index_backend must be 'memory' or 'disk', got "
+            f"{options.occurrence_index_backend!r}"
+        )
+
+
+def prepare_mine(
+    database: GraphDatabase,
+    taxonomy: Taxonomy,
+    options: TaxogramOptions,
+    tracer: Tracer,
+) -> MineSetup:
+    """Step 1 plus what it decides: enhancement (d)'s contraction, the
+    relabeled database, the support threshold and enhancement (b)'s
+    label filter, timed as the ``relabel`` stage."""
+    prepare = Stopwatch()
+    with prepare, tracer.span("relabel"):
+        if options.enhancement_taxonomy_contraction:
+            taxonomy = _contract_taxonomy(
+                taxonomy, database.distinct_node_labels()
             )
-            min_count = min_support_count(options.min_support, len(database))
-            allowed: frozenset[int] | None = None
-            if options.enhancement_frequent_label_filter:
-                supports = generalized_label_supports(database, relabeled.taxonomy)
-                allowed = frozenset(
-                    label
-                    for label, count in supports.items()
-                    if count >= min_count
-                )
-        stage_seconds["relabel"] = prepare.elapsed
-        ancestors = AncestorTable(relabeled.taxonomy, allowed)
-
-        specializer_options = SpecializerOptions(
+        relabeled = relabel_database(
+            database, taxonomy, options.artificial_root_name
+        )
+        min_count = min_support_count(options.min_support, len(database))
+        allowed: frozenset[int] | None = None
+        if options.enhancement_frequent_label_filter:
+            supports = generalized_label_supports(database, relabeled.taxonomy)
+            allowed = frozenset(
+                label for label, count in supports.items() if count >= min_count
+            )
+    return MineSetup(
+        relabeled=relabeled,
+        min_count=min_count,
+        allowed=allowed,
+        specializer=SpecializerOptions(
             descendant_pruning=options.enhancement_descendant_pruning,
             occurrence_collapse=options.enhancement_occurrence_collapse,
-        )
-        patterns: list[TaxonomyPattern] = []
-        specialize = Stopwatch()
+        ),
+        stage_seconds={"relabel": prepare.elapsed},
+    )
 
-        if options.occurrence_index_backend not in ("memory", "disk"):
-            raise MiningError(
-                "occurrence_index_backend must be 'memory' or 'disk', got "
-                f"{options.occurrence_index_backend!r}"
-            )
 
-        def on_class(mined: MinedPattern) -> None:
-            with specialize, tracer.span("specialize.class"):
-                counters.pattern_classes += 1
-                counters.embedding_extensions += len(mined.embeddings)
-                if options.occurrence_index_backend == "disk":
-                    store, occurrence_index = build_disk_occurrence_index(
-                        mined.code.num_vertices,
-                        mined.embeddings,
-                        relabeled.original_labels,
-                        relabeled.taxonomy,
-                        allowed,
-                        counters,
-                        directory=options.disk_index_directory,
-                        max_resident_entries=options.disk_max_resident_entries,
-                        ancestors=ancestors,
+def mine_classes(
+    database: GraphDatabase,
+    options: TaxogramOptions,
+    setup: MineSetup,
+    tracer: Tracer,
+    class_sink: ClassSink | None = None,
+    prune_report: PruneReport | None = None,
+) -> TaxogramResult:
+    """Steps 2 and 3 in one process: classes stream from gSpan through
+    the occurrence-index build and the specializer one at a time."""
+    relabeled = setup.relabeled
+    stage_seconds = setup.stage_seconds
+    counters = MiningCounters()
+    ancestors = AncestorTable(relabeled.taxonomy, setup.allowed)
+    patterns: list[TaxonomyPattern] = []
+    specialize = Stopwatch()
+
+    def on_class(mined: MinedPattern) -> None:
+        with specialize, tracer.span("specialize.class"):
+            counters.pattern_classes += 1
+            counters.embedding_extensions += len(mined.embeddings)
+            if options.occurrence_index_backend == "disk":
+                store, occurrence_index = build_disk_occurrence_index(
+                    mined.code.num_vertices,
+                    mined.embeddings,
+                    relabeled.original_labels,
+                    relabeled.taxonomy,
+                    setup.allowed,
+                    counters,
+                    directory=options.disk_index_directory,
+                    max_resident_entries=options.disk_max_resident_entries,
+                    ancestors=ancestors,
+                )
+            else:
+                store, occurrence_index = build_occurrence_index(
+                    mined.code.num_vertices,
+                    mined.embeddings,
+                    relabeled.original_labels,
+                    relabeled.taxonomy,
+                    setup.allowed,
+                    counters,
+                    ancestors=ancestors,
+                )
+            try:
+                class_patterns = specialize_class(
+                    class_id=counters.pattern_classes - 1,
+                    structure=mined.graph,
+                    store=store,
+                    index=occurrence_index,
+                    taxonomy=relabeled.taxonomy,
+                    min_count=setup.min_count,
+                    database_size=len(database),
+                    options=setup.specializer,
+                    counters=counters,
+                )
+                patterns.extend(class_patterns)
+                if class_sink is not None:
+                    class_sink(
+                        mined.code.edges,
+                        store.occurrences,
+                        occurrence_index,
+                        class_patterns,
                     )
-                else:
-                    store, occurrence_index = build_occurrence_index(
-                        mined.code.num_vertices,
-                        mined.embeddings,
-                        relabeled.original_labels,
-                        relabeled.taxonomy,
-                        allowed,
-                        counters,
-                        ancestors=ancestors,
-                    )
-                try:
-                    patterns.extend(
-                        specialize_class(
-                            class_id=counters.pattern_classes - 1,
-                            structure=mined.graph,
-                            store=store,
-                            index=occurrence_index,
-                            taxonomy=relabeled.taxonomy,
-                            min_count=min_count,
-                            database_size=len(database),
-                            options=specializer_options,
-                            counters=counters,
-                        )
-                    )
-                finally:
-                    close = getattr(occurrence_index, "close", None)
-                    if close is not None:
-                        close()
+            finally:
+                close = getattr(occurrence_index, "close", None)
+                if close is not None:
+                    close()
 
-        total = Stopwatch()
-        with total, tracer.span("gspan.extend"):
-            miner = GSpanMiner(
-                relabeled.dmg,
-                min_support=options.min_support,
-                max_edges=options.max_edges,
-                keep_embeddings=False,
-                counters=counters,
-            )
-            miner.mine(report=on_class)
-        stage_seconds["mine_classes"] = max(0.0, total.elapsed - specialize.elapsed)
-        stage_seconds["specialize"] = specialize.elapsed
-
-        algorithm = "taxogram" if _any_enhancement(options) else "baseline"
-        if isinstance(database, DiGraphDatabase):
-            algorithm += "-directed"
-        return TaxogramResult(
-            patterns=patterns,
-            database_size=len(database),
-            min_support=options.min_support,
-            algorithm=algorithm,
+    total = Stopwatch()
+    with total, tracer.span("gspan.extend"):
+        miner = GSpanMiner(
+            relabeled.dmg,
+            max_edges=options.max_edges,
+            keep_embeddings=False,
+            min_count=setup.min_count,
             counters=counters,
-            stage_seconds=stage_seconds,
-            report=_build_report(
-                algorithm, counters, stage_seconds, tracer, database
-            ),
+            prune_report=prune_report,
         )
+        miner.mine(report=on_class)
+    stage_seconds["mine_classes"] = max(0.0, total.elapsed - specialize.elapsed)
+    stage_seconds["specialize"] = specialize.elapsed
+    return build_result(database, options, patterns, counters, setup, tracer)
+
+
+def build_result(
+    database: GraphDatabase,
+    options: TaxogramOptions,
+    patterns: list[TaxonomyPattern],
+    counters: MiningCounters,
+    setup: MineSetup,
+    tracer: Tracer,
+    metrics=None,
+    worker_seconds: dict[str, float] | None = None,
+) -> TaxogramResult:
+    """Assemble a run's :class:`TaxogramResult` and its report."""
+    algorithm = algorithm_label(options, database)
+    return TaxogramResult(
+        patterns=patterns,
+        database_size=len(database),
+        min_support=options.min_support,
+        algorithm=algorithm,
+        counters=counters,
+        stage_seconds=setup.stage_seconds,
+        worker_seconds=worker_seconds or {},
+        report=_build_report(
+            algorithm,
+            counters,
+            setup.stage_seconds,
+            tracer,
+            database,
+            metrics=metrics,
+        ),
+    )
 
 
 def _build_report(
@@ -277,6 +374,21 @@ def _build_report(
     if tracer.enabled:
         report.gauges.update(database.stats().as_gauges())
     return report
+
+
+def algorithm_label(options: TaxogramOptions, database: GraphDatabase) -> str:
+    """``taxogram`` with any enhancement on, else ``baseline``; directed
+    databases add ``-directed``."""
+    enhanced = (
+        options.enhancement_descendant_pruning
+        or options.enhancement_frequent_label_filter
+        or options.enhancement_occurrence_collapse
+        or options.enhancement_taxonomy_contraction
+    )
+    algorithm = "taxogram" if enhanced else "baseline"
+    if isinstance(database, DiGraphDatabase):
+        algorithm += "-directed"
+    return algorithm
 
 
 def mine(
@@ -304,15 +416,6 @@ def mine_baseline(
     """The paper's baseline approach: Taxogram without enhancements."""
     options = TaxogramOptions.baseline(min_support=min_support, max_edges=max_edges)
     return Taxogram(options).mine(database, taxonomy)
-
-
-def _any_enhancement(options: TaxogramOptions) -> bool:
-    return (
-        options.enhancement_descendant_pruning
-        or options.enhancement_frequent_label_filter
-        or options.enhancement_occurrence_collapse
-        or options.enhancement_taxonomy_contraction
-    )
 
 
 def _contract_taxonomy(taxonomy: Taxonomy, observed: set[int]) -> Taxonomy:

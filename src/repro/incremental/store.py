@@ -340,18 +340,35 @@ class PatternStore:
     def oie_path(self, stored: StoredClass) -> Path:
         return self.directory / _OIE_DIR / stored.oie_name
 
-    def create_index(
-        self, stored: StoredClass, max_resident_entries: int = 4096
-    ) -> DiskOccurrenceIndex:
-        """A fresh (empty) persisted OIE for a newly added class."""
+    def add_mined_class(
+        self,
+        code: _Code,
+        occurrences,
+        index,
+        patterns: list[TaxonomyPattern],
+        max_resident_entries: int = 4096,
+    ) -> StoredClass:
+        """Register a freshly mined class with its Step-3 ``patterns`` and
+        persist its occurrence index (anything with ``covered(position)``)
+        as the class's OIE."""
+        stored = self.add_class(code, OccurrenceColumns(occurrences))
+        stored.patterns = stored_patterns(patterns)
         path = self.oie_path(stored)
         path.mkdir(parents=True, exist_ok=True)
-        return DiskOccurrenceIndex(
+        disk = DiskOccurrenceIndex(
             stored.num_positions,
             directory=path,
             max_resident_entries=max_resident_entries,
             codec=self.compression,
         )
+        try:
+            for position in range(disk.num_positions):
+                for label, bits in index.covered(position).items():
+                    disk.insert(position, label, bits)
+            disk.finish()
+        finally:
+            disk.close()
+        return stored
 
     def load_index(
         self,
@@ -390,9 +407,6 @@ class PatternStore:
         files on disk may disagree with the manifest.
         """
         (self.directory / _UPDATE_MARKER).touch()
-
-    def update_in_progress(self) -> bool:
-        return (self.directory / _UPDATE_MARKER).exists()
 
     # -- fingerprint ------------------------------------------------------------------
 

@@ -57,7 +57,7 @@ from repro.core.results import (
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError, TaxonomyError
 from repro.graphs.database import GraphDatabase
-from repro.incremental.delta import DatabaseDelta, OccurrenceColumns
+from repro.incremental.delta import DatabaseDelta
 from repro.incremental.store import PatternStore, StoredClass, stored_patterns
 from repro.mining.dfs_code import (
     DFSCode,
@@ -427,21 +427,15 @@ class IncrementalTaxogram:
                         counters=counters,
                     )
                     patterns.extend(class_patterns)
-                    stored = store.add_class(
-                        code, OccurrenceColumns(mem_store.occurrences)
+                    final_classes.append(
+                        store.add_mined_class(
+                            code,
+                            mem_store.occurrences,
+                            mem_index,
+                            class_patterns,
+                            opts.disk_max_resident_entries,
+                        )
                     )
-                    stored.patterns = stored_patterns(class_patterns)
-                    disk = store.create_index(
-                        stored, opts.disk_max_resident_entries
-                    )
-                    try:
-                        for position in range(disk.num_positions):
-                            for label, bits in mem_index.covered(position).items():
-                                disk.insert(position, label, bits)
-                        disk.finish()
-                    finally:
-                        disk.close()
-                    final_classes.append(stored)
             counters.pattern_classes = len(entries)
         stage_seconds["specialize"] = watch.elapsed
 

@@ -8,7 +8,6 @@ containing graphs.  Exponential — strictly for small test inputs.
 from __future__ import annotations
 
 from repro.graphs.database import GraphDatabase
-from repro.graphs.graph import Graph
 from repro.graphs.subgraphs import connected_edge_subgraphs
 from repro.mining.dfs_code import DFSCode, min_dfs_code
 from repro.mining.gspan import min_support_count
@@ -41,12 +40,4 @@ def brute_force_frequent_subgraphs(
         code: frozenset(gids)
         for code, gids in supports.items()
         if len(gids) >= min_count
-    }
-
-
-def pattern_universe(graph: Graph, max_edges: int) -> set[DFSCode]:
-    """Canonical codes of all connected subgraphs of one graph (test helper)."""
-    return {
-        min_dfs_code(subgraph)
-        for subgraph, _nodes in connected_edge_subgraphs(graph, max_edges)
     }

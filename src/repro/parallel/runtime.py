@@ -4,8 +4,10 @@
 result-for-result (patterns, supports, counters) while spreading the
 expensive middle of the pipeline over worker processes:
 
-1. **Prepare** (driver) — taxonomy contraction, Step-1 relabeling and
-   threshold computation, exactly as the sequential pipeline.
+1. **Prepare** (driver) — :func:`~repro.core.taxogram.prepare_mine`,
+   the sequential pipeline's own step: option checks, taxonomy
+   contraction, Step-1 relabeling, the threshold and the frequent-label
+   filter.
 2. **Shard** (driver) — split the database into contiguous slices
    (:mod:`repro.parallel.sharding`) and build the worker configuration:
    interner name tables, the working taxonomy's parent map and the
@@ -16,7 +18,7 @@ expensive middle of the pipeline over worker processes:
    (:func:`~repro.parallel.sharding.local_min_count`) and builds the
    occurrence-index fragment for every locally frequent code straight
    from the miner's own embedding lists (the global frequent-label
-   filter is precomputed by the driver, which owns the whole database).
+   filter comes from the prepare step, which sees the whole database).
 4. **Project** (workers) — the driver unions the candidate codes and
    ships each shard only the candidates it is *missing* (frequent in
    some other shard but not locally); those few are replayed with
@@ -35,7 +37,8 @@ support threshold too low to shard safely (the shard count is capped so
 the relaxed local threshold never collapses to 1 — that would mean
 exhaustive per-shard enumeration), or a process pool that fails to
 start (or breaks mid-run) falls back to the in-process sequential
-pipeline (the pool failures with a :class:`RuntimeWarning`).
+pipeline (the pool failures with a :class:`RuntimeWarning`), reusing the
+prepared Step-1 state.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -55,17 +58,25 @@ from repro.core.occurrence_index import (
     OccurrenceIndex,
     OccurrenceStore,
     build_occurrence_index,
-    generalized_label_supports,
 )
-from repro.core.relabel import relabel_database
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
+from repro.core.taxogram import (
+    ClassSink,
+    MineSetup,
+    PruneReport,
+    TaxogramOptions,
+    build_result,
+    check_options,
+    mine_classes,
+    prepare_mine,
+)
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.digraph import reject_directed
 from repro.graphs.io import parse_graph_database
-from repro.mining.dfs_code import DFSCode, DFSEdge
-from repro.mining.gspan import GSpanMiner, min_support_count
+from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
+from repro.mining.gspan import Embedding, GSpanMiner, extension_graph_ids
 from repro.mining.projection import project_code
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, PhaseClock, Tracer
@@ -386,73 +397,54 @@ class ParallelTaxogram:
     reached through ``Taxogram`` with ``TaxogramOptions(workers=N)``
     rather than instantiated directly.
 
-    ``class_sink`` (optional) receives the merged class list — the
-    driver-side :class:`~repro.parallel.merge.MergedClass` objects in
-    sequential class order — right after the merge phase.  The
-    incremental store pipeline uses it to persist occurrence state
-    without a second mining pass.  The sink is *not* invoked when the
-    run degrades to the sequential pipeline; callers detect that via
-    ``result.worker_seconds`` being empty.
+    :meth:`mine` takes the same store-build hooks as
+    :meth:`Taxogram.mine <repro.core.taxogram.Taxogram.mine>`.
+    ``class_sink`` receives every merged class's ``(code edges,
+    occurrences, index, patterns)`` after Step 3, in sequential class-id
+    order.  ``prune_report`` receives the negative border, rebuilt on
+    the driver from the merged classes (:func:`_report_border`) because
+    no single shard sees the global candidate stream.  A run that
+    degrades to the sequential pipeline hands both hooks to it, so every
+    caller sees the same calls at any worker count and mines once.
     """
 
-    def __init__(self, options=None, class_sink=None) -> None:
-        from repro.core.taxogram import TaxogramOptions
-
+    def __init__(self, options: TaxogramOptions | None = None) -> None:
         self.options = options if options is not None else TaxogramOptions()
-        self.class_sink = class_sink
 
     def mine(
         self,
         database: GraphDatabase,
         taxonomy: Taxonomy,
         tracer: Tracer | None = None,
+        *,
+        class_sink: ClassSink | None = None,
+        prune_report: PruneReport | None = None,
     ) -> TaxogramResult:
-        from repro.core.taxogram import _contract_taxonomy
-
         options = self.options
         if tracer is None:
             tracer = NOOP_TRACER
-        if options.workers < 1:
-            raise MiningError(
-                f"workers must be at least 1, got {options.workers}"
-            )
+        check_options(options)
         if options.workers > 1:
             reject_directed(database, "workers > 1")
-        if options.occurrence_index_backend not in ("memory", "disk"):
-            raise MiningError(
-                "occurrence_index_backend must be 'memory' or 'disk', got "
-                f"{options.occurrence_index_backend!r}"
-            )
-        if min(options.workers, len(database)) <= 1:
-            return self._sequential(database, taxonomy, tracer)
+        setup = prepare_mine(database, taxonomy, options, tracer)
 
-        counters = MiningCounters()
-        stage_seconds: dict[str, float] = {}
-        worker_seconds: dict[str, float] = {}
-
-        prepare = Stopwatch()
-        with prepare, tracer.span("relabel"):
-            working = taxonomy
-            if options.enhancement_taxonomy_contraction:
-                working = _contract_taxonomy(
-                    working, database.distinct_node_labels()
-                )
-            relabeled = relabel_database(
-                database, working, options.artificial_root_name
+        def sequential() -> TaxogramResult:
+            return mine_classes(
+                database, options, setup, tracer, class_sink, prune_report
             )
-            min_count = min_support_count(options.min_support, len(database))
-        stage_seconds["relabel"] = prepare.elapsed
 
         # Cap the shard count so the relaxed local threshold stays >= 2:
         # at num_shards >= min_count the pigeonhole bound ceil(c/n)
         # collapses to 1 and every shard would exhaustively enumerate
         # its subgraphs — arbitrarily worse than mining sequentially.
         num_shards = min(
-            options.workers, len(database), max(1, min_count - 1)
+            options.workers, len(database), max(1, setup.min_count - 1)
         )
         if num_shards <= 1:
-            return self._sequential(database, taxonomy, tracer)
+            return sequential()
 
+        relabeled = setup.relabeled
+        stage_seconds = setup.stage_seconds
         shard_watch = Stopwatch()
         with shard_watch:
             manifest = shard_database(database, num_shards)
@@ -464,14 +456,11 @@ class ParallelTaxogram:
                 ),
                 most_general=tuple(relabeled.most_general.items()),
                 shards=manifest.shards,
-                local_min_count=local_min_count(min_count, num_shards),
-                global_min_count=min_count,
+                local_min_count=local_min_count(setup.min_count, num_shards),
+                global_min_count=setup.min_count,
                 database_size=len(database),
                 max_edges=options.max_edges,
-                specializer=SpecializerOptions(
-                    descendant_pruning=options.enhancement_descendant_pruning,
-                    occurrence_collapse=options.enhancement_occurrence_collapse,
-                ),
+                specializer=setup.specializer,
                 backend=options.occurrence_index_backend,
                 disk_index_directory=options.disk_index_directory,
                 disk_max_resident_entries=options.disk_max_resident_entries,
@@ -491,19 +480,21 @@ class ParallelTaxogram:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return self._sequential(database, taxonomy, tracer)
+            return sequential()
 
+        counters = MiningCounters()
+        metrics = MetricsRegistry()
+        metrics.add("parallel.shards", num_shards)
+        worker_seconds: dict[str, float] = {}
         try:
             with pool:
-                return self._run_phases(
+                kept, patterns = self._run_phases(
                     pool,
-                    database,
-                    relabeled,
                     manifest,
                     num_shards,
-                    min_count,
+                    setup,
                     counters,
-                    stage_seconds,
+                    metrics,
                     worker_seconds,
                     tracer,
                 )
@@ -513,54 +504,60 @@ class ParallelTaxogram:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return self._sequential(database, taxonomy, tracer)
+            return sequential()
+
+        if class_sink is not None:
+            by_class: dict[int, list[TaxonomyPattern]] = {}
+            for pattern in patterns:
+                by_class.setdefault(pattern.class_id, []).append(pattern)
+            for class_id, merged in enumerate(kept):
+                class_sink(
+                    merged.code,
+                    merged.occurrences,
+                    OccurrenceIndex(merged.entries),
+                    by_class.get(class_id, []),
+                )
+        if prune_report is not None:
+            _report_border(
+                relabeled.dmg,
+                kept,
+                setup.min_count,
+                options.max_edges,
+                prune_report,
+            )
+
+        return build_result(
+            database,
+            options,
+            patterns,
+            counters,
+            setup,
+            tracer,
+            metrics=metrics,
+            worker_seconds=worker_seconds,
+        )
 
     # -- internals --------------------------------------------------------------
-
-    def _sequential(
-        self,
-        database: GraphDatabase,
-        taxonomy: Taxonomy,
-        tracer: Tracer | None = None,
-    ):
-        from repro.core.taxogram import Taxogram
-
-        return Taxogram(replace(self.options, workers=1)).mine(
-            database, taxonomy, tracer
-        )
 
     def _run_phases(
         self,
         pool: ProcessPoolExecutor,
-        database: GraphDatabase,
-        relabeled,
         manifest,
         num_shards: int,
-        min_count: int,
+        setup: MineSetup,
         counters: MiningCounters,
-        stage_seconds: dict[str, float],
+        metrics: MetricsRegistry,
         worker_seconds: dict[str, float],
         tracer: Tracer,
-    ) -> TaxogramResult:
-        options = self.options
-        metrics = MetricsRegistry()
-        metrics.add("parallel.shards", num_shards)
+    ) -> tuple[list[MergedClass], list[TaxonomyPattern]]:
+        """Phases 3–6 on the pool: the kept classes in sequential class
+        order and their Step-3 patterns."""
+        stage_seconds = setup.stage_seconds
+        allowed = setup.allowed
+        min_count = setup.min_count
 
         mine_watch = Stopwatch()
         with mine_watch, tracer.span("gspan.extend"):
-            # The label filter depends only on the (whole) original
-            # database, not on mining — computing it up front lets the
-            # mine phase build filtered fragments in a single pass.
-            allowed: frozenset[int] | None = None
-            if options.enhancement_frequent_label_filter:
-                supports = generalized_label_supports(
-                    database, relabeled.taxonomy
-                )
-                allowed = frozenset(
-                    label
-                    for label, count in supports.items()
-                    if count >= min_count
-                )
             shard_results = list(
                 pool.map(_phase_mine, range(num_shards), repeat(allowed))
             )
@@ -638,9 +635,6 @@ class ParallelTaxogram:
             metrics.add("parallel.classes_kept", len(kept))
         stage_seconds["merge"] = merge_watch.elapsed
 
-        if self.class_sink is not None:
-            self.class_sink(kept)
-
         specialize_watch = Stopwatch()
         patterns: list[TaxonomyPattern] = []
         with specialize_watch, tracer.span("specialize.class"):
@@ -663,27 +657,61 @@ class ParallelTaxogram:
                     stats.peak_rss_kb,
                 )
         stage_seconds["specialize"] = specialize_watch.elapsed
+        return kept, patterns
 
-        from repro.core.taxogram import _any_enhancement, _build_report
 
-        algorithm = "taxogram" if _any_enhancement(options) else "baseline"
-        return TaxogramResult(
-            patterns=patterns,
-            database_size=len(database),
-            min_support=options.min_support,
-            algorithm=algorithm,
-            counters=counters,
-            stage_seconds=stage_seconds,
-            worker_seconds=worker_seconds,
-            report=_build_report(
-                algorithm,
-                counters,
-                stage_seconds,
-                tracer,
-                database,
-                metrics=metrics,
-            ),
+def _report_border(
+    dmg: GraphDatabase,
+    kept: Sequence[MergedClass],
+    min_count: int,
+    max_edges: int | None,
+    prune_report: PruneReport,
+) -> None:
+    """Report the negative border, reconstructed from the merged classes.
+
+    Sequential gSpan explores exactly the frequent minimal codes — the
+    kept classes — so its pruned-infrequent candidate stream is (a) the
+    infrequent minimal one-edge codes and (b) the infrequent minimal
+    rightmost-path children of kept classes.  Both are enumerable on the
+    driver: class embeddings rebuild from the merged occurrence columns
+    (``used`` is the embedding's pattern-edge image, which the code
+    prescribes).
+    """
+    initial: dict[DFSEdge, set[int]] = {}
+    for graph in dmg:
+        for u, v, elabel in graph.edges():
+            lu, lv = graph.node_label(u), graph.node_label(v)
+            la, lb = (lu, lv) if lu <= lv else (lv, lu)
+            initial.setdefault((0, 1, la, elabel, lb), set()).add(graph.graph_id)
+    for edge, gids in initial.items():
+        if len(gids) < min_count:
+            prune_report((edge,), frozenset(gids))
+
+    miner = GSpanMiner(dmg, min_count=min_count, max_edges=max_edges)
+    for merged in kept:
+        code = DFSCode(merged.code)
+        if max_edges is not None and len(code) >= max_edges:
+            continue
+        embeddings = _rebuild_embeddings(code, merged.occurrences)
+        for edge, records in miner._extensions(code, embeddings).items():
+            gids = extension_graph_ids(records)
+            if len(gids) >= min_count:
+                continue
+            child = code.extended(edge)
+            if is_min_code(child):
+                prune_report(child.edges, gids)
+
+
+def _rebuild_embeddings(code: DFSCode, occurrences) -> list[Embedding]:
+    edge_indices = [(i, j) for i, j, _li, _le, _lj in code.edges]
+    out: list[Embedding] = []
+    for gid, nodes in occurrences:
+        used = frozenset(
+            (nodes[i], nodes[j]) if nodes[i] < nodes[j] else (nodes[j], nodes[i])
+            for i, j in edge_indices
         )
+        out.append(Embedding(gid, tuple(nodes), used))
+    return out
 
 
 def _pool_context():

@@ -440,16 +440,29 @@ class StoreReader:
                 pattern.to_pattern(stored.code, class_id, database_size)
                 for pattern in stored.patterns
             ]
-        rows = self._class_rows(state, stored)
+        return self._specialize(
+            state, stored, graph_from_code(stored.code), min_count
+        )
+
+    def _specialize(
+        self,
+        state: _ReaderState,
+        stored: StoredClass,
+        structure: Graph,
+        min_count: int,
+    ) -> list[TaxonomyPattern]:
+        """Run Step 3 over one class's occurrence rows from ``structure``
+        (the class code's graph, or a query relabeled into its
+        position space), unsorted."""
         counters = MiningCounters()
         patterns = specialize_class(
-            class_id=class_id,
-            structure=graph_from_code(stored.code),
+            class_id=state.class_ids[stored.code],
+            structure=structure,
             store=stored.columns,
-            index=rows,
+            index=self._class_rows(state, stored),
             taxonomy=state.working,
             min_count=min_count,
-            database_size=database_size,
+            database_size=len(state.store.database),
             options=SpecializerOptions(),
             counters=counters,
         )
@@ -921,23 +934,7 @@ class StoreReader:
         structure = graph_from_code(stored.code)
         for position in range(stored.num_positions):
             structure.relabel_node(position, labels[iso[position]])
-        rows = self._class_rows(state, stored)
-        counters = MiningCounters()
-        patterns = specialize_class(
-            class_id=state.class_ids[stored.code],
-            structure=structure,
-            store=stored.columns,
-            index=rows,
-            taxonomy=state.working,
-            min_count=min_count,
-            database_size=database_size,
-            options=SpecializerOptions(),
-            counters=counters,
-        )
-        self.metrics.add(
-            "serving.bitset_intersections", counters.bitset_intersections
-        )
-        self.metrics.add("serving.bitset_queries", 1)
+        patterns = self._specialize(state, stored, structure, min_count)
         patterns.sort(
             key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
         )

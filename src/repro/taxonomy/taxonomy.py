@@ -154,9 +154,6 @@ class Taxonomy:
         self._desc_cache[label] = result
         return result
 
-    def strict_descendants(self, label: int) -> frozenset[int]:
-        return self.descendants_or_self(label) - {label}
-
     def is_ancestor_or_self(self, general: int, specific: int) -> bool:
         """True iff ``general`` generalizes ``specific`` (or equals it)."""
         return general in self.ancestors_or_self(specific)

@@ -163,6 +163,61 @@ class TestDatabaseDelta:
         assert parsed.node_labels is taxonomy.interner
 
 
+class TestStoreBuildOptions:
+    """A store build labels and validates its options like a plain mine,
+    at every worker count."""
+
+    @staticmethod
+    def _case():
+        rng = random.Random(11)
+        taxonomy = make_random_taxonomy(rng, LabelInterner(), 6)
+        # 8 graphs at sigma 0.5: min_count 4 keeps two shards.
+        return make_random_database(rng, taxonomy, 8), taxonomy
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_algorithm_follows_caller_options(self, tmp_path, workers):
+        db, taxonomy = self._case()
+        # (a) and (c) off, (b) and (d) on: the store build forces (b)
+        # and (d) off, yet the run is still the caller's "taxogram".
+        for name, options in {
+            "taxogram": TaxogramOptions(
+                min_support=0.5,
+                max_edges=2,
+                enhancement_descendant_pruning=False,
+                enhancement_occurrence_collapse=False,
+                workers=workers,
+            ),
+            "baseline": replace(
+                TaxogramOptions.baseline(min_support=0.5, max_edges=2),
+                workers=workers,
+            ),
+        }.items():
+            plain = Taxogram(options).mine(db, taxonomy)
+            stored = Taxogram(
+                replace(options, store_out=str(tmp_path / name))
+            ).mine(db, taxonomy)
+            assert plain.algorithm == name
+            assert stored.algorithm == name
+            assert stored.report.algorithm == name
+            assert bool(stored.worker_seconds) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_index_backend_rejected(self, tmp_path, workers):
+        db, taxonomy = self._case()
+        options = TaxogramOptions(
+            min_support=0.5,
+            max_edges=2,
+            workers=workers,
+            occurrence_index_backend="tape",
+            store_out=str(tmp_path / "store"),
+        )
+        with pytest.raises(MiningError, match="occurrence_index_backend"):
+            Taxogram(options).mine(db, taxonomy)
+        with pytest.raises(MiningError, match="occurrence_index_backend"):
+            mine_to_store(db, taxonomy, options)
+        assert not (tmp_path / "store").exists()
+
+
 class TestPatternStoreRoundTrip:
     def test_mine_to_store_matches_plain_mine(self, tmp_path):
         taxonomy, db, _store_dir, result = _store_case(

@@ -10,6 +10,7 @@ baseline (no-enhancements) configuration.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -49,6 +50,17 @@ def _assert_identical(sequential, parallel):
     assert b.overgeneralized_eliminated == a.overgeneralized_eliminated
     assert parallel.algorithm == sequential.algorithm
     assert parallel.database_size == sequential.database_size
+
+
+def _explode_pool(monkeypatch) -> None:
+    """Make every process-pool start fail with ``OSError``."""
+    import repro.parallel.runtime as runtime_module
+
+    class _ExplodingPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no processes for you")
+
+    monkeypatch.setattr(runtime_module, "ProcessPoolExecutor", _ExplodingPool)
 
 
 def _run_pair(database, taxonomy, workers, **option_overrides):
@@ -228,16 +240,72 @@ class TestDegradation:
                 TaxogramOptions(min_support=0.5, workers=-2)
             ).mine(database, taxonomy)
 
-    def test_broken_pool_falls_back(self, monkeypatch):
-        import repro.parallel.runtime as runtime_module
+    @staticmethod
+    def _count_driver_mines(monkeypatch) -> list:
+        """Record every ``GSpanMiner.mine`` call made in this process."""
+        from repro.mining.gspan import GSpanMiner
 
-        class _ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes for you")
+        calls: list = []
+        original = GSpanMiner.mine
 
-        monkeypatch.setattr(
-            runtime_module, "ProcessPoolExecutor", _ExplodingPool
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GSpanMiner, "mine", counting)
+        return calls
+
+    @staticmethod
+    def _store_state(store_dir):
+        from repro.incremental.store import PatternStore
+
+        store = PatternStore.open(store_dir)
+        return (
+            [c.code for c in store.classes],
+            [c.columns.to_rows() for c in store.classes],
+            [c.patterns for c in store.classes],
+            [store.load_index(c).dump_rows() for c in store.classes],
+            {code: sorted(gids) for code, gids in store.border.items()},
         )
+
+    def _degraded_store_build(
+        self, tmp_path, monkeypatch, database, taxonomy, min_support
+    ):
+        options = TaxogramOptions(
+            min_support=min_support,
+            max_edges=3,
+            store_out=str(tmp_path / "w1"),
+        )
+        sequential = Taxogram(options).mine(database, taxonomy)
+        calls = self._count_driver_mines(monkeypatch)
+        degraded = Taxogram(
+            replace(options, workers=2, store_out=str(tmp_path / "w2"))
+        ).mine(database, taxonomy)
+        assert len(calls) == 1
+        assert degraded.worker_seconds == {}
+        assert degraded.pattern_codes() == sequential.pattern_codes()
+        assert self._store_state(tmp_path / "w2") == self._store_state(
+            tmp_path / "w1"
+        )
+
+    def test_capped_store_build_mines_once(self, tmp_path, monkeypatch):
+        # min_count 2 caps the shard count at 1: the store build runs
+        # the sequential pipeline, once, with the store hooks attached.
+        database, taxonomy = _dataset(0)
+        self._degraded_store_build(
+            tmp_path, monkeypatch, database, taxonomy, 2 / len(database)
+        )
+
+    def test_pool_failure_store_build_mines_once(self, tmp_path, monkeypatch):
+        _explode_pool(monkeypatch)
+        database, taxonomy = _dataset(0)
+        with pytest.warns(RuntimeWarning, match="sequentially"):
+            self._degraded_store_build(
+                tmp_path, monkeypatch, database, taxonomy, 1.0
+            )
+
+    def test_broken_pool_falls_back(self, monkeypatch):
+        _explode_pool(monkeypatch)
         # min_support=1.0 keeps min_count == |D|, well above the shard
         # cap, so the run genuinely reaches pool creation.
         database, taxonomy = _dataset(0)
