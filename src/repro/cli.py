@@ -45,6 +45,7 @@ from repro.exceptions import ReproError
 from repro.graphs.io import read_graph_database, write_graph_database
 from repro.observability import RunReport, Tracer
 from repro.taxonomy.io import read_taxonomy, write_taxonomy
+from repro.util.bitset import BitSet
 from repro.util.stats import DatabaseStats
 
 __all__ = ["main", "build_parser"]
@@ -980,7 +981,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         elif args.op == "graphs":
             match = answer.value
-            gids = ", ".join(str(g) for g in sorted(match.graph_ids))
+            gids = ", ".join(map(str, BitSet.from_bits(match.support_mask)))
             print(
                 f"support = {match.support_count}/{database_size} "
                 f"via {match.path} [store version {answer.store_version}]"
@@ -1038,7 +1039,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         )
     else:  # fuzzy_contains
         match = answer.value
-        gids = ", ".join(str(g) for g in sorted(match.graph_ids))
+        gids = ", ".join(map(str, BitSet.from_bits(match.support_mask)))
         print(
             f"support = {match.support_count}/{database_size} "
             f"via {match.path} [store version {answer.store_version}]"

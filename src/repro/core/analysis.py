@@ -143,13 +143,13 @@ def closed_patterns(
     """
     working, _mg = repair_taxonomy(taxonomy)
     matcher = GeneralizedMatcher(working)
-    by_support: dict[frozenset[int], list[TaxonomyPattern]] = {}
+    by_support: dict[int, list[TaxonomyPattern]] = {}
     for pattern in result:
-        by_support.setdefault(pattern.support_set, []).append(pattern)
+        by_support.setdefault(pattern.support_mask, []).append(pattern)
     closed: list[TaxonomyPattern] = []
     for pattern in result:
         absorbed = False
-        for other in by_support[pattern.support_set]:
+        for other in by_support[pattern.support_mask]:
             if other.num_edges <= pattern.num_edges:
                 continue
             if find_embedding(pattern.graph, other.graph, matcher) is not None:

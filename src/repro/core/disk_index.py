@@ -48,6 +48,7 @@ from repro.core.results import MiningCounters
 from repro.exceptions import MiningError
 from repro.mining.gspan import Embedding
 from repro.taxonomy.taxonomy import Taxonomy
+from repro.util.bitset import squeeze
 from repro.util.compression import decode_container, encode_container
 
 __all__ = ["DiskOccurrenceIndex", "build_disk_occurrence_index"]
@@ -267,14 +268,12 @@ class DiskOccurrenceIndex:
             self._lru.clear()
         return len(dead)
 
-    def remap_bits(self, id_map: dict[int, int]) -> None:
-        """Rewrite every entry's bit-set through ``id_map`` (compaction).
+    def remap_bits(self, keep: int) -> None:
+        """Keep the occurrence ids in the mask ``keep``, renumbered densely
+        in order (compaction): every entry becomes ``squeeze(bits, keep)``.
 
-        Occurrence ids absent from ``id_map`` are dropped; rows left empty
-        are deleted like in :meth:`clear_bits`.
+        Rows left empty are deleted like in :meth:`clear_bits`.
         """
-        from repro.util.bitset import BitSet
-
         self._assert_writable()
         self._flush()
         cursor = self._connection.cursor()
@@ -283,8 +282,7 @@ class DiskOccurrenceIndex:
         for position, label, blob in cursor.execute(
             "SELECT position, label, bits FROM entries"
         ).fetchall():
-            bits = BitSet.from_bits(self._dec(blob))
-            remapped = bits.compact(id_map).bits
+            remapped = squeeze(self._dec(blob), keep)
             if remapped == 0:
                 dead.append((position, label))
             else:

@@ -15,13 +15,14 @@ structure itself is recovered on demand through
 :meth:`OccurrenceIndex.covered_children`, which walks taxonomy children
 restricted to covered labels.
 
-Occurrence sets are raw Python ints (see :mod:`repro.util.bitset` for the
-user-facing wrapper); AND + the run-carry count keeps Step 3 free of
-isomorphism tests (Lemma 7).
+Occurrence sets and the support masks derived from them are raw Python
+ints (see :mod:`repro.util.bitset`); AND + the run-carry count keeps
+Step 3 free of isomorphism tests (Lemma 7).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.results import MiningCounters
@@ -29,7 +30,7 @@ from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.mining.gspan import Embedding
 from repro.taxonomy.taxonomy import Taxonomy
-from repro.util.bitset import BitSet
+from repro.util.bitset import BitSet, bit_flags
 
 __all__ = [
     "AncestorTable",
@@ -54,7 +55,7 @@ class OccurrenceStore:
         # occurrence id -> (graph id, mapped nodes); ids are dense.
         self.occurrences: list[tuple[int, tuple[int, ...]] | None] = []
         self._graph_ids = 0  # bit-set of the graph ids that own a run
-        self._runs: tuple[int, int] | None = None  # see _run_masks
+        self._runs: tuple[int, int, list] | None = None  # see _run_masks
 
     def add(self, graph_id: int, nodes: tuple[int, ...]) -> int:
         occurrences = self.occurrences
@@ -73,19 +74,22 @@ class OccurrenceStore:
     @property
     def all_bits(self) -> int:
         """Mask of every live occurrence: the union of the runs."""
-        inner, last = self._runs or self._run_masks()
+        inner, last, _owners = self._runs or self._run_masks()
         return inner | last
 
-    def _run_masks(self) -> tuple[int, int]:
-        """Cache ``(inner, last)``: each run's top bit is in ``last``, its
-        other bits in ``inner``; tombstones are in neither."""
+    def _run_masks(self) -> tuple[int, int, list[int | None]]:
+        """Cache ``(inner, last, owners)``: each run's top bit is in
+        ``last``, its other bits in ``inner``; tombstones are in neither.
+        ``owners[occ_id]`` is the occurrence's graph id (``None`` for a
+        tombstone)."""
         gids = [column and column[0] for column in self.occurrences]
         inner, last = [], []
         for gid, after in zip(gids, [*gids[1:], None]):
             inner.append("01"[gid is not None and gid == after])
             last.append("01"[gid is not None and gid != after])
-        self._runs = tuple(
-            int("".join(reversed(d)) or "0", 2) for d in (inner, last)
+        self._runs = (
+            *(int("".join(reversed(d)) or "0", 2) for d in (inner, last)),
+            gids,
         )
         return self._runs
 
@@ -96,14 +100,18 @@ class OccurrenceStore:
         bit of the run is in ``bits``, and stops there (the top bit is 0
         in both operands); OR-ing ``bits`` back covers a set top bit.
         """
-        inner, last = self._runs or self._run_masks()
+        inner, last, _owners = self._runs or self._run_masks()
         return ((((bits & inner) + inner) | bits) & last).bit_count()
 
-    def support_set(self, bits: int) -> frozenset[int]:
-        """Owners of the run top bits :meth:`support_count` counts."""
-        inner, last = self._runs or self._run_masks()
-        hits = BitSet.from_bits((((bits & inner) + inner) | bits) & last)
-        return frozenset(self.occurrences[occ_id][0] for occ_id in hits)
+    def support_mask(self, bits: int) -> int:
+        """Graph-id mask of the run top bits :meth:`support_count` counts.
+
+        Each hit is the top bit of a distinct graph's run, so summing the
+        owners' bits is their union; ``compress`` picks them in C.
+        """
+        inner, last, owners = self._runs or self._run_masks()
+        hits = (((bits & inner) + inner) | bits) & last
+        return sum(map((1).__lshift__, compress(owners, bit_flags(hits))))
 
     def occurrence_ids(self, bits: int) -> list[str]:
         """Render set members as the paper's ``graph#.occurrence#`` ids."""

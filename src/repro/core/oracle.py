@@ -21,6 +21,7 @@ from repro.isomorphism.vf2 import is_generalized_isomorphic
 from repro.mining.dfs_code import DFSCode, min_dfs_code
 from repro.mining.gspan import min_support_count
 from repro.taxonomy.taxonomy import ARTIFICIAL_ROOT_NAME, Taxonomy
+from repro.util.bitset import BitSet
 
 __all__ = ["mine_with_oracle"]
 
@@ -86,7 +87,7 @@ def mine_with_oracle(
             graph=graphs_by_code[code],
             support_count=len(gids),
             support=len(gids) / len(database),
-            support_set=gids,
+            support_mask=BitSet(gids).bits,
             class_id=-1,
         )
         for code, gids in frequent.items()

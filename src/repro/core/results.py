@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import DFSCode
+from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,17 +23,29 @@ class TaxonomyPattern:
 
     ``graph`` carries the actual (possibly specialized) node labels;
     ``code`` is its canonical minimum DFS code, usable as a dictionary
-    key for cross-algorithm comparisons.  ``class_id`` groups patterns of
-    the same pattern class (same structure, labels related through the
-    taxonomy); miners that do not track classes use ``-1``.
+    key for cross-algorithm comparisons.  ``support_mask`` has bit ``g``
+    set iff graph ``g`` contains the pattern; ``support_set`` is the same
+    set as a frozenset, built on each read.  ``class_id`` groups patterns
+    of the same pattern class (same structure, labels related through
+    the taxonomy); miners that do not track classes use ``-1``.
+
+    For a class whose structure has interchangeable positions, the node
+    order of ``graph`` follows the working taxonomy: a store build (which
+    turns taxonomy contraction off) and a plain mine can list the same
+    pattern with its nodes in a different order.  Compare patterns by
+    ``code``, which is canonical.
     """
 
     code: DFSCode
     graph: Graph | DiGraph
     support_count: int
     support: float
-    support_set: frozenset[int]
+    support_mask: int
     class_id: int = -1
+
+    @property
+    def support_set(self) -> frozenset[int]:
+        return frozenset(BitSet.from_bits(self.support_mask))
 
     @property
     def num_nodes(self) -> int:

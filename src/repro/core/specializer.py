@@ -106,7 +106,7 @@ def specialize_class(
             graph=pattern_graph,
             support_count=support_count,
             support=support_count / database_size,
-            support_set=store.support_set(bits),
+            support_mask=store.support_mask(bits),
             class_id=class_id,
         )
 

@@ -40,6 +40,7 @@ from repro.isomorphism.vf2 import find_embedding, is_generalized_isomorphic
 from repro.mining.dfs_code import DFSCode, min_dfs_code
 from repro.mining.gspan import min_support_count
 from repro.taxonomy.taxonomy import ARTIFICIAL_ROOT_NAME, Taxonomy
+from repro.util.bitset import BitSet
 from repro.util.timing import Stopwatch
 
 __all__ = ["TAcGMOptions", "TAcGM"]
@@ -70,7 +71,7 @@ class TAcGMOptions:
 class _Candidate:
     graph: Graph
     code: DFSCode
-    support_set: frozenset[int]
+    support_mask: int
 
 
 class TAcGM:
@@ -112,7 +113,8 @@ class TAcGM:
             def charge(candidate: _Candidate) -> None:
                 charge_cells(
                     _graph_cells(candidate.graph)
-                    + options.support_cell_weight * len(candidate.support_set)
+                    + options.support_cell_weight
+                    * candidate.support_mask.bit_count()
                 )
 
             level = self._level_one(database, working, min_count, counters)
@@ -139,15 +141,15 @@ class TAcGM:
                 candidates = self._extend(level, frequent_edges, charge_cells)
                 level = {}
                 for code, (graph, bound) in candidates.items():
-                    support_set = self._support(
+                    support_mask = self._support(
                         graph, database, bound, matcher, min_count, counters
                     )
-                    if len(support_set) < min_count:
+                    if support_mask.bit_count() < min_count:
                         charge_cells(-_graph_cells(graph))  # candidate freed
                         continue
-                    candidate = _Candidate(graph, code, frozenset(support_set))
+                    candidate = _Candidate(graph, code, support_mask)
                     charge_cells(
-                        options.support_cell_weight * len(candidate.support_set)
+                        options.support_cell_weight * support_mask.bit_count()
                     )
                     level[code] = candidate
                 all_frequent.update(level)
@@ -189,7 +191,7 @@ class TAcGM:
             graph = Graph.from_edges([la, lb], [(0, 1, elabel)])
             code = min_dfs_code(graph)
             counters.candidates_enumerated += 1
-            out[code] = _Candidate(graph, code, frozenset(gids))
+            out[code] = _Candidate(graph, code, BitSet(gids).bits)
         return out
 
     def _extend(
@@ -197,20 +199,20 @@ class TAcGM:
         level: dict[DFSCode, _Candidate],
         frequent_edges: set[tuple[int, int, int]],
         charge_cells,
-    ) -> dict[DFSCode, tuple[Graph, frozenset[int]]]:
+    ) -> dict[DFSCode, tuple[Graph, int]]:
         """All one-edge extensions of the current level, canonically deduped.
 
         Candidate edges are restricted to ``frequent_edges`` (oriented
         ``(l_from, l_edge, l_to)`` triples of frequent 1-edge patterns) —
         a sound anti-monotone filter, since a frequent extended pattern's
         new edge is one of its own frequent subpatterns.  Each candidate
-        carries its parent's support set as an upper bound (AcGM-style
+        carries its parent's support mask as an upper bound (AcGM-style
         support-set propagation): a supergraph pattern can only occur in
         graphs its parent occurs in.
         """
-        out: dict[DFSCode, tuple[Graph, frozenset[int]]] = {}
+        out: dict[DFSCode, tuple[Graph, int]] = {}
 
-        def register(graph: Graph, bound: frozenset[int]) -> None:
+        def register(graph: Graph, bound: int) -> None:
             code = min_dfs_code(graph)
             if code not in out:
                 out[code] = (graph, bound)
@@ -236,39 +238,39 @@ class TAcGM:
                             continue
                         extended = base.copy()
                         extended.add_edge(u, v, elabel)
-                        register(extended, candidate.support_set)
+                        register(extended, candidate.support_mask)
                 # External extension: attach a new labeled node.
                 for elabel, to_label in by_from.get(lu, ()):
                     extended = base.copy()
                     w = extended.add_node(to_label)
                     extended.add_edge(u, w, elabel)
-                    register(extended, candidate.support_set)
+                    register(extended, candidate.support_mask)
         return out
 
     def _support(
         self,
         pattern: Graph,
         database: GraphDatabase,
-        bound: frozenset[int],
+        bound: int,
         matcher: GeneralizedMatcher,
         min_count: int,
         counters: MiningCounters,
-    ) -> set[int]:
+    ) -> int:
         """Independent generalized isomorphism test per candidate graph —
         the bottom-up approach's cost center.  ``bound`` (the parent's
-        support set) limits which graphs can possibly contain the
-        candidate."""
+        support mask) limits which graphs can possibly contain the
+        candidate; returns the candidate's support mask."""
         counters.candidates_enumerated += 1
-        support: set[int] = set()
-        candidates = sorted(bound)
-        remaining = len(candidates)
-        for graph_id in candidates:
+        support = found = 0
+        remaining = bound.bit_count()
+        for graph_id in BitSet.from_bits(bound):
             graph = database[graph_id]
             counters.isomorphism_tests += 1
             if find_embedding(pattern, graph, matcher) is not None:
-                support.add(graph_id)
+                support |= 1 << graph_id
+                found += 1
             remaining -= 1
-            if len(support) + remaining < min_count:
+            if found + remaining < min_count:
                 break  # cannot reach the threshold anymore
         return support
 
@@ -296,7 +298,7 @@ class TAcGM:
                     for specific in group:
                         if general is specific:
                             continue
-                        if general.support_set != specific.support_set:
+                        if general.support_mask != specific.support_mask:
                             continue
                         counters.isomorphism_tests += 1
                         if is_generalized_isomorphic(
@@ -312,9 +314,9 @@ class TAcGM:
                 TaxonomyPattern(
                     code=candidate.code,
                     graph=candidate.graph,
-                    support_count=len(candidate.support_set),
-                    support=len(candidate.support_set) / database_size,
-                    support_set=candidate.support_set,
+                    support_count=candidate.support_mask.bit_count(),
+                    support=candidate.support_mask.bit_count() / database_size,
+                    support_mask=candidate.support_mask,
                     class_id=-1,
                 )
             )

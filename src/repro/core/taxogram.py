@@ -175,7 +175,7 @@ ClassSink = Callable[
     [tuple, Sequence[tuple[int, tuple[int, ...]]], Any, list[TaxonomyPattern]],
     None,
 ]
-PruneReport = Callable[[tuple, frozenset[int]], None]
+PruneReport = Callable[[tuple, int], None]
 
 
 @dataclass

@@ -12,19 +12,19 @@ occurrence ids — and therefore every persisted OIE bit-set — stable);
 a compaction pass renumbers the survivors densely once the dead fraction
 crosses a threshold.  It subclasses ``OccurrenceStore``, so
 :func:`repro.core.specializer.specialize_class` runs the same
-``all_bits`` / ``support_count`` / ``support_set`` kernels on it.
+``all_bits`` / ``support_count`` / ``support_mask`` kernels on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.core.occurrence_index import OccurrenceStore
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
-from repro.util.bitset import BitSet
+from repro.util.bitset import BitSet, squeeze
 from repro.util.interner import LabelInterner
 
 __all__ = ["DatabaseDelta", "OccurrenceColumns"]
@@ -146,34 +146,29 @@ class OccurrenceColumns(OccurrenceStore):
         self._runs = None
         return cleared
 
-    def remap_graphs(self, id_map: Mapping[int, int]) -> None:
-        """Renumber live columns' graph ids (after removals shift ids down).
+    def remap_graphs(self, keep: int) -> None:
+        """Renumber live columns' graph ids after the graphs outside the
+        mask ``keep`` were removed and later ids shifted down.
 
-        Every live graph id must be present in ``id_map`` — clear removed
-        graphs first with :meth:`clear_graphs`.
+        Every live graph id must be in ``keep`` — clear removed graphs
+        first with :meth:`clear_graphs`.
         """
-        graph_ids = BitSet.from_bits(self._graph_ids)
-        self._graph_ids = graph_ids.compact(id_map).bits
+        self._graph_ids = squeeze(self._graph_ids, keep)
+        renumbered: dict[int, int] = {}
         for occ_id, column in enumerate(self.occurrences):
             if column is not None:
-                self.occurrences[occ_id] = (id_map[column[0]], column[1])
+                gid = column[0]
+                new = renumbered.get(gid)
+                if new is None:
+                    new = renumbered[gid] = (keep & ((1 << gid) - 1)).bit_count()
+                self.occurrences[occ_id] = (new, column[1])
+        self._runs = None
 
-    def compaction_map(self) -> dict[int, int]:
-        """Dense renumbering of live columns (old occurrence id -> new)."""
-        out: dict[int, int] = {}
-        for occ_id, column in enumerate(self.occurrences):
-            if column is not None:
-                out[occ_id] = len(out)
-        return out
-
-    def compact(self, id_map: Mapping[int, int]) -> None:
-        """Drop dead columns, renumbering live ones through ``id_map``.
-
-        ``id_map`` is :meth:`compaction_map` (shared with the disk index
-        so both sides renumber identically).
-        """
-        survivors = [c for c in self.occurrences if c is not None]
-        self.occurrences = survivors
+    def compact(self) -> None:
+        """Drop dead columns; live ones keep their order, so occurrence
+        ``i`` becomes the ``i``-th set bit of the old :attr:`all_bits`
+        (the OIE side renumbers with ``squeeze(bits, all_bits)``)."""
+        self.occurrences = [c for c in self.occurrences if c is not None]
         self._runs = None
 
     # -- persistence ---------------------------------------------------------------

@@ -14,7 +14,7 @@ run's hooks hand it:
   instead of specializing every class again;
 - ``prune_report`` delivers the search's *negative border* — every
   minimal candidate code gSpan generated and pruned as infrequent, with
-  its exact supporting graph set.  The border is what lets
+  its exact support mask.  The border is what lets
   :class:`repro.incremental.updater.IncrementalTaxogram` re-seed growth
   after a delta instead of remining from scratch.
 
@@ -51,7 +51,6 @@ from repro.mining.dfs_code import DFSEdge
 from repro.observability.report import RunReport
 from repro.observability.trace import Tracer
 from repro.taxonomy.taxonomy import Taxonomy
-from repro.util.bitset import BitSet, kernel_counters, kernel_delta
 from repro.util.compression import normalize_codec
 
 __all__ = ["mine_to_store"]
@@ -70,7 +69,6 @@ def mine_to_store(
         raise MiningError("mine_to_store requires options.store_out")
     reject_directed(database, "store_out")
     check_options(options)
-    kernel_before = kernel_counters()
     store = PatternStore.initialize(
         options.store_out,
         database,
@@ -82,7 +80,7 @@ def mine_to_store(
             getattr(options, "store_compression", None)
         ),
     )
-    border: dict[_Code, BitSet] = {}
+    border: dict[_Code, int] = {}
 
     def persist(code: _Code, occurrences, index, patterns) -> None:
         store.add_mined_class(
@@ -93,9 +91,9 @@ def mine_to_store(
             options.disk_max_resident_entries,
         )
 
-    def capture(code: _Code, gids: frozenset[int]) -> None:
-        if gids:
-            border[code] = BitSet(gids)
+    def capture(code: _Code, mask: int) -> None:
+        if mask:
+            border[code] = mask
 
     forced = replace(
         options,
@@ -113,24 +111,15 @@ def mine_to_store(
     result.algorithm = result.report.algorithm = algorithm_label(
         options, database
     )
-    _record_store_metrics(result.report, store, kernel_before)
+    _record_store_metrics(result.report, store)
     return result, store
 
 
-def _record_store_metrics(
-    report: RunReport, store: PatternStore, kernel_before: dict[str, int]
-) -> None:
-    """Surface store size, bit-set kernel work and compression ratio.
-
-    Kernel counters are process-cumulative, so only the delta since the
-    build started is attributed (driver-side only: parallel workers are
-    separate processes); the compression gauge is the store-wide
-    stored/raw ratio from the manifest block (absent on raw stores).
-    """
+def _record_store_metrics(report: RunReport, store: PatternStore) -> None:
+    """Surface store size and compression ratio: the store-wide
+    stored/raw ratio from the manifest block (absent on raw stores)."""
     report.gauges["store.classes"] = float(len(store.classes))
     report.gauges["store.border_size"] = float(len(store.border))
-    for name, value in kernel_delta(kernel_before).items():
-        report.counters[name] = report.counters.get(name, 0) + value
     stats = store.compression_stats
     raw = sum(s["raw"] for s in stats.values())
     stored_bytes = sum(s["stored"] for s in stats.values())

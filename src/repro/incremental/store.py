@@ -9,6 +9,7 @@ Layout (``format_version`` 1)::
       classes.json       per class: DFS code, occurrence columns, OIE name,
                          and the class's Step-3 pattern set
       border.json        negative border: DFS code -> supporting graph ids
+                         (a graph-id mask in memory)
       oie/class_<k>/occurrence_index.sqlite3   per-class persisted OIE
 
 Label ids are only meaningful relative to an interner, so ``labels.json``
@@ -33,8 +34,8 @@ class's Step-3 output at the store's own threshold, so a version's
 pattern set is computed once, by whichever writer committed it, and the
 reader loads it instead of running Step 3 again.  Each pattern holds
 its position labels (node ``p`` of ``graph_from_code(class code)``),
-its canonical code edges, its support count and its support set as a
-hex graph-id mask.  The list is sorted by code edges rather than kept
+its canonical code edges, its support count and its support mask (the
+``support_mask`` int every pattern carries) in hex.  The list is sorted by code edges rather than kept
 in Step-3 emission order, which the parallel runtime does not return,
 so the sequential and parallel store builds write the same list.
 ``support`` and ``class_id`` are derived on load.  The key is absent on
@@ -145,14 +146,14 @@ class StoredPattern(NamedTuple):
     """One persisted Step-3 pattern of a class.
 
     ``labels[p]`` is the label of node ``p`` of the class structure
-    ``graph_from_code(class code)``; ``graph_mask`` has bit ``g`` set
+    ``graph_from_code(class code)``; ``support_mask`` has bit ``g`` set
     iff graph ``g`` supports the pattern.
     """
 
     labels: tuple[int, ...]
     code: _Code
     support_count: int
-    graph_mask: int
+    support_mask: int
 
     @classmethod
     def of(cls, pattern: TaxonomyPattern) -> "StoredPattern":
@@ -161,7 +162,7 @@ class StoredPattern(NamedTuple):
             labels=tuple(graph.node_label(p) for p in range(graph.num_nodes)),
             code=pattern.code.edges,
             support_count=pattern.support_count,
-            graph_mask=BitSet(pattern.support_set).bits,
+            support_mask=pattern.support_mask,
         )
 
     def to_pattern(
@@ -177,24 +178,16 @@ class StoredPattern(NamedTuple):
             graph=graph,
             support_count=self.support_count,
             support=self.support_count / database_size,
-            support_set=frozenset(BitSet.from_bits(self.graph_mask)),
+            support_mask=self.support_mask,
             class_id=class_id,
         )
-
-    def without_graphs(self, removed_desc: list[int]) -> "StoredPattern":
-        """Renumber the support set after the graphs ``removed_desc``
-        (sorted descending) were deleted and later ids shifted down."""
-        mask = self.graph_mask
-        for gid in removed_desc:
-            mask = (mask & ((1 << gid) - 1)) | ((mask >> (gid + 1)) << gid)
-        return self._replace(graph_mask=mask)
 
     def to_doc(self) -> dict:
         return {
             "labels": list(self.labels),
             "code": [list(edge) for edge in self.code],
             "count": self.support_count,
-            "graphs": format(self.graph_mask, "x"),
+            "graphs": format(self.support_mask, "x"),
         }
 
     @classmethod
@@ -203,7 +196,7 @@ class StoredPattern(NamedTuple):
             labels=tuple(int(label) for label in doc["labels"]),
             code=tuple(tuple(int(x) for x in edge) for edge in doc["code"]),
             support_count=int(doc["count"]),
-            graph_mask=int(doc["graphs"], 16),
+            support_mask=int(doc["graphs"], 16),
         )
 
 
@@ -266,7 +259,8 @@ class PatternStore:
         # name -> {"raw": n, "stored": n} sizes from the last save/open.
         self.compression_stats: dict[str, dict[str, int]] = {}
         self.classes: list[StoredClass] = []
-        self.border: dict[_Code, BitSet] = {}
+        # Negative border: DFS code -> support mask.
+        self.border: dict[_Code, int] = {}
         self.store_version = 0
         # Application state committed atomically with the manifest: the
         # streaming applier stores its applied WAL offset here so that
@@ -473,8 +467,8 @@ class PatternStore:
         classes_doc = {"classes": [_class_doc(s) for s in self.classes]}
         border_doc = {
             "border": [
-                [[list(edge) for edge in code], sorted(gids)]
-                for code, gids in sorted(self.border.items())
+                [[list(edge) for edge in code], list(BitSet.from_bits(mask))]
+                for code, mask in sorted(self.border.items())
             ]
         }
         files = {
@@ -640,7 +634,7 @@ class PatternStore:
 
         for code_doc, gids in json.loads(texts[_BORDER])["border"]:
             code = tuple(tuple(int(x) for x in edge) for edge in code_doc)
-            store.border[code] = BitSet(int(g) for g in gids)
+            store.border[code] = BitSet(int(g) for g in gids).bits
         return store
 
 

@@ -75,7 +75,7 @@ from repro.mining.gspan import (
 from repro.mining.projection import project_code
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
-from repro.util.bitset import BitSet
+from repro.util.bitset import BitSet, squeeze
 from repro.util.timing import Stopwatch
 
 __all__ = ["IncrementalOptions", "IncrementalTaxogram"]
@@ -177,10 +177,9 @@ class IncrementalTaxogram:
             working, most_general = repair_taxonomy(
                 store.taxonomy, store.artificial_root_name
             )
-            id_map: dict[int, int] = {}
-            for old_gid in range(old_size):
-                if old_gid not in removed_set:
-                    id_map[old_gid] = len(id_map)
+            # Surviving pre-delta ids; squeeze(mask, keep) renumbers a
+            # graph-id mask past the removals.
+            keep = ((1 << old_size) - 1) & ~BitSet(removed_set).bits
             base = old_size - n_removed  # first id of the added graphs
             updated_db = GraphDatabase(
                 store.database.node_labels, store.database.edge_labels
@@ -202,8 +201,8 @@ class IncrementalTaxogram:
         ancestors = AncestorTable(working)
 
         survivors: list[StoredClass] = []
-        demoted: list[tuple[_Code, BitSet]] = []
-        adds_border: dict[_Code, BitSet] = {}
+        demoted: list[tuple[_Code, int]] = []
+        adds_border: dict[_Code, int] = {}
         class_codes = {stored.code for stored in store.classes}
         scan_miner = (
             GSpanMiner(adds_dmg, min_count=min_count_new, max_edges=store.max_edges)
@@ -234,7 +233,7 @@ class IncrementalTaxogram:
                         metrics.add(
                             "incremental.columns_cleared", cleared.bit_count()
                         )
-                    stored.columns.remap_graphs(id_map)
+                    stored.columns.remap_graphs(keep)
                 embeddings = (
                     project_code(adds_dmg, stored.code) if n_added else []
                 )
@@ -280,41 +279,42 @@ class IncrementalTaxogram:
                     survivors.append(stored)
                 else:
                     metrics.add("incremental.demotions", 1)
-                    gids = stored.columns.support_set(stored.columns.all_bits)
-                    demoted.append((stored.code, BitSet(gids)))
+                    mask = stored.columns.support_mask(stored.columns.all_bits)
+                    demoted.append((stored.code, mask))
                     store.drop_class(stored)
         stage_seconds["maintain_classes"] = watch.elapsed
 
-        promotions: list[tuple[_Code, BitSet]] = []
-        new_border: dict[_Code, BitSet] = {}
+        promotions: list[tuple[_Code, int]] = []
+        new_border: dict[_Code, int] = {}
         discovered: dict[_Code, MinedPattern] = {}
         surviving_codes = {stored.code for stored in survivors}
         new_originals: list[list[int]] = []
 
         watch = Stopwatch()
         with watch, tracer.span("incremental.border"):
-            for code, gids in store.border.items():
-                g = gids.compact(id_map) if removed_set else gids.copy()
+            for code, mask in store.border.items():
+                if removed_set:
+                    mask = squeeze(mask, keep)
                 if n_added:
                     embeddings = project_code(adds_dmg, code)
                     metrics.add(
                         "incremental.embeddings_replayed", len(embeddings)
                     )
                     for emb in embeddings:
-                        g.add(base + emb.graph_id)
-                if len(g) >= min_count_new:
-                    promotions.append((code, g))
-                elif g:
-                    new_border[code] = g
-            for code, gids in demoted:
-                if gids:
-                    new_border[code] = gids
+                        mask |= 1 << (base + emb.graph_id)
+                if mask.bit_count() >= min_count_new:
+                    promotions.append((code, mask))
+                elif mask:
+                    new_border[code] = mask
+            for code, mask in demoted:
+                if mask:
+                    new_border[code] = mask
             if n_added:
                 self._scan_new_initial_edges(
                     adds_dmg, base, class_codes, store.border, adds_border
                 )
-            for code, gids in adds_border.items():
-                new_border.setdefault(code, gids)
+            for code, mask in adds_border.items():
+                new_border.setdefault(code, mask)
 
             if promotions:
                 new_dmg = updated_db.copy()
@@ -323,9 +323,9 @@ class IncrementalTaxogram:
                     for v in graph.nodes():
                         graph.relabel_node(v, most_general[graph.node_label(v)])
 
-                def capture(code: _Code, gids: frozenset[int]) -> None:
-                    if gids and code not in new_border:
-                        new_border[code] = BitSet(gids)
+                def capture(code: _Code, mask: int) -> None:
+                    if mask and code not in new_border:
+                        new_border[code] = mask
 
                 def deliver(pattern: MinedPattern) -> None:
                     code = pattern.code.edges
@@ -344,7 +344,7 @@ class IncrementalTaxogram:
                 )
                 # Prefix seeds sort first, so a seed that is a descendant
                 # of an earlier one is already discovered and skipped.
-                for code, _gids in sorted(
+                for code, _mask in sorted(
                     promotions, key=lambda item: _CODE_KEY(item[0])
                 ):
                     if code in discovered:
@@ -365,7 +365,6 @@ class IncrementalTaxogram:
             ]
             entries.extend(discovered.items())
             entries.sort(key=lambda item: _CODE_KEY(item[0]))
-            removed_desc = sorted(removed_set, reverse=True)
             for class_id, (code, payload) in enumerate(entries):
                 if isinstance(payload, StoredClass):
                     stored = payload
@@ -373,9 +372,13 @@ class IncrementalTaxogram:
                         # Same columns, OIE rows, taxonomy and threshold:
                         # Step 3 would emit the same patterns, up to the
                         # graph-id shift and the class id.
-                        if removed_desc:
+                        if removed_set:
                             stored.patterns = [
-                                pattern.without_graphs(removed_desc)
+                                pattern._replace(
+                                    support_mask=squeeze(
+                                        pattern.support_mask, keep
+                                    )
+                                )
                                 for pattern in stored.patterns
                             ]
                         patterns.extend(
@@ -503,9 +506,8 @@ class IncrementalTaxogram:
                     index.insert(position, label, bits)
             counters.occurrence_index_updates += updates
             if stored.columns.dead_fraction > opts.compact_dead_fraction:
-                remap = stored.columns.compaction_map()
-                index.remap_bits(remap)
-                stored.columns.compact(remap)
+                index.remap_bits(stored.columns.all_bits)
+                stored.columns.compact()
                 metrics.add("incremental.compactions", 1)
             index.finish()
         finally:
@@ -518,8 +520,8 @@ class IncrementalTaxogram:
         add_embeddings,
         base: int,
         class_codes: set[_Code],
-        old_border: dict[_Code, BitSet],
-        adds_border: dict[_Code, BitSet],
+        old_border: dict[_Code, int],
+        adds_border: dict[_Code, int],
     ) -> None:
         """Border entries whose first embeddings live in added graphs.
 
@@ -539,8 +541,8 @@ class IncrementalTaxogram:
                 continue
             if not is_min_code(child):
                 continue
-            adds_border[child.edges] = BitSet(
-                base + gid for gid in extension_graph_ids(records)
+            adds_border[child.edges] = (
+                BitSet(extension_graph_ids(records)).bits << base
             )
 
     @staticmethod
@@ -548,8 +550,8 @@ class IncrementalTaxogram:
         adds_dmg: GraphDatabase,
         base: int,
         class_codes: set[_Code],
-        old_border: dict[_Code, BitSet],
-        adds_border: dict[_Code, BitSet],
+        old_border: dict[_Code, int],
+        adds_border: dict[_Code, int],
     ) -> None:
         """Minimal one-edge codes introduced by the added graphs.
 
@@ -569,7 +571,7 @@ class IncrementalTaxogram:
             code: _Code = (edge,)
             if code in class_codes or code in old_border:
                 continue
-            adds_border.setdefault(code, BitSet(gids))
+            adds_border.setdefault(code, BitSet(gids).bits)
 
     def _full_remine(
         self, delta: DatabaseDelta, adds_db: GraphDatabase, tracer: Tracer

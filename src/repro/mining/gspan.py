@@ -32,6 +32,7 @@ from repro.graphs.database import GraphDatabase
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import DFSCode, DFSEdge, dfs_edge_lt, is_min_code
+from repro.util.bitset import BitSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import MiningCounters
@@ -74,13 +75,21 @@ class Embedding(NamedTuple):
 
 @dataclass
 class MinedPattern:
-    """A frequent pattern as reported by the miner."""
+    """A frequent pattern as reported by the miner.
+
+    ``support_mask`` has bit ``g`` set iff graph ``g`` holds an
+    embedding; ``support_set`` is the same set as a frozenset.
+    """
 
     code: DFSCode
     graph: Graph | DiGraph
     support_count: int
-    support_set: frozenset[int]
+    support_mask: int
     embeddings: list[Embedding] = field(repr=False, default_factory=list)
+
+    @property
+    def support_set(self) -> frozenset[int]:
+        return frozenset(BitSet.from_bits(self.support_mask))
 
     def support(self, database_size: int) -> float:
         return self.support_count / database_size
@@ -124,7 +133,7 @@ class GSpanMiner:
         ``..._pruned_infrequent`` / ``..._pruned_nonminimal``).  ``None``
         (the default) skips all counting.
     prune_report:
-        Optional callback ``(code_edges, support_set)`` invoked for every
+        Optional callback ``(code_edges, support_mask)`` invoked for every
         *minimal* candidate pruned as infrequent — the search's negative
         border.  :mod:`repro.incremental` persists this fringe so a later
         database delta can re-seed growth from exactly the codes a fresh
@@ -141,7 +150,7 @@ class GSpanMiner:
         keep_embeddings: bool = False,
         min_count: int | None = None,
         counters: "MiningCounters | None" = None,
-        prune_report: "Callable[[tuple[DFSEdge, ...], frozenset[int]], None] | None" = None,
+        prune_report: "Callable[[tuple[DFSEdge, ...], int], None] | None" = None,
     ) -> None:
         if len(database) == 0:
             raise MiningError("cannot mine an empty database")
@@ -181,7 +190,7 @@ class GSpanMiner:
                     code=pattern.code,
                     graph=pattern.graph,
                     support_count=pattern.support_count,
-                    support_set=pattern.support_set,
+                    support_mask=pattern.support_mask,
                     embeddings=[],
                 )
             results.append(pattern)
@@ -200,39 +209,36 @@ class GSpanMiner:
         A one-edge code is minimal iff its label tuple is no larger than
         the reverse orientation's (``(la, le, lb) <= (lb, le, la)``, i.e.
         ``la <= lb``, for an undirected edge); both orientations are
-        embedded when the two codes are equal.
+        embedded when the two codes are equal.  Seeds are grouped as
+        ``(graph id, u, v, edge key)`` records first, so a pruned seed
+        costs no ``Embedding``.
         """
-        projections: dict[DFSEdge, list[Embedding]] = {}
+        seeds: dict[DFSEdge, list[tuple[int, int, int, tuple]]] = {}
         for graph in self.database:
             gid = graph.graph_id
             for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
                 uv = (0, 1, graph.node_label(u)) + tail_uv
                 vu = (0, 1, graph.node_label(v)) + tail_vu
-                used = frozenset((key,))
                 if uv[2:] <= vu[2:]:
-                    projections.setdefault(uv, []).append(
-                        Embedding(gid, (u, v), used)
-                    )
+                    seeds.setdefault(uv, []).append((gid, u, v, key))
                 if vu[2:] <= uv[2:]:
-                    projections.setdefault(vu, []).append(
-                        Embedding(gid, (v, u), used)
-                    )
-        frequent = [
-            (edge, embeddings)
-            for edge, embeddings in projections.items()
-            if self._support_count(embeddings) >= self.min_count
-        ]
-        if self.prune_report is not None:
-            for edge, embeddings in projections.items():
-                if self._support_count(embeddings) < self.min_count:
-                    self.prune_report(
-                        (edge,), frozenset(e.graph_id for e in embeddings)
-                    )
+                    seeds.setdefault(vu, []).append((gid, v, u, key))
+        frequent: list[tuple[DFSEdge, list[Embedding]]] = []
+        for edge, records in seeds.items():
+            graph_ids = {record[0] for record in records}
+            if len(graph_ids) >= self.min_count:
+                embeddings = [
+                    Embedding(gid, (u, v), frozenset((key,)))
+                    for gid, u, v, key in records
+                ]
+                frequent.append((edge, embeddings))
+            elif self.prune_report is not None:
+                self.prune_report((edge,), BitSet(graph_ids).bits)
         counters = self.counters
         if counters is not None:
-            counters.gspan_candidates_generated += len(projections)
+            counters.gspan_candidates_generated += len(seeds)
             counters.gspan_candidates_pruned_infrequent += (
-                len(projections) - len(frequent)
+                len(seeds) - len(frequent)
             )
         frequent.sort(key=lambda item: item[0][2:])
         return frequent
@@ -243,13 +249,13 @@ class GSpanMiner:
         embeddings: list[Embedding],
         deliver: Callable[[MinedPattern], None],
     ) -> None:
-        support_set = frozenset(e.graph_id for e in embeddings)
+        support_mask = BitSet([e.graph_id for e in embeddings]).bits
         deliver(
             MinedPattern(
                 code=code,
                 graph=code.to_graph(),
-                support_count=len(support_set),
-                support_set=support_set,
+                support_count=support_mask.bit_count(),
+                support_mask=support_mask,
                 embeddings=embeddings,
             )
         )
@@ -269,7 +275,7 @@ class GSpanMiner:
                 if self.prune_report is not None:
                     fringe = code.extended(edge)
                     if is_min_code(fringe):
-                        self.prune_report(fringe.edges, graph_ids)
+                        self.prune_report(fringe.edges, BitSet(graph_ids).bits)
                 continue
             child = code.extended(edge)
             if not is_min_code(child):
@@ -318,10 +324,6 @@ class GSpanMiner:
                         record = (emb, w, key)
                         out.setdefault(head + tail, []).append(record)
         return out
-
-    @staticmethod
-    def _support_count(embeddings: list[Embedding]) -> int:
-        return len({e.graph_id for e in embeddings})
 
 
 Extension = tuple[Embedding, "int | None", tuple[int, int]]

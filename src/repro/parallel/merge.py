@@ -73,15 +73,15 @@ class MergedClass:
     """One candidate class in global id space, ready for Step 3.
 
     ``occurrences`` carry global graph ids; ``entries`` global
-    occurrence bits.  ``support_set`` is the exact global support
-    (distinct graphs), used to drop locally-frequent-only candidates.
+    occurrence bits.  ``support_mask`` is the exact global support
+    (a graph-id mask), used to drop locally-frequent-only candidates.
     """
 
     code: tuple[DFSEdge, ...]
     occurrences: tuple[tuple[int, tuple[int, ...]], ...]
     entries: tuple[dict[int, int], ...]
     index_updates: int
-    support_set: frozenset[int]
+    support_mask: int
 
     @property
     def embedding_count(self) -> int:
@@ -89,7 +89,7 @@ class MergedClass:
 
     @property
     def support_count(self) -> int:
-        return len(self.support_set)
+        return self.support_mask.bit_count()
 
 
 def merge_label_supports(
@@ -106,14 +106,14 @@ def merge_label_supports(
 def merge_support_sets(
     per_shard: Sequence[Iterable[int]],
     shard_starts: Sequence[int],
-) -> BitSet:
+) -> int:
     """Re-base per-shard graph-id sets onto the global id space and OR.
 
     ``per_shard[s]`` holds shard ``s``'s local ids of the graphs
     containing some pattern; ``shard_starts[s]`` is the global id of the
     shard's first graph.  Because shards are disjoint contiguous ranges,
-    the shifted OR is exact: the result's popcount is the pattern's
-    global support.  This is the same shift-and-OR re-basing
+    the shifted OR is exact: the result is the pattern's global support
+    mask, and its popcount the global support.  This is the same shift-and-OR re-basing
     :func:`merge_class_fragments` applies to occurrence bits; the
     replication query router uses it to merge per-shard ``graphs``
     answers into one global support set.
@@ -123,9 +123,9 @@ def merge_support_sets(
             f"got {len(per_shard)} shard answers for "
             f"{len(shard_starts)} shard offsets"
         )
-    merged = BitSet()
+    merged = 0
     for gids, start in zip(per_shard, shard_starts):
-        merged.union_update(BitSet(gids).offset(start))
+        merged |= BitSet(gids).bits << start
     return merged
 
 
@@ -163,7 +163,7 @@ def merge_class_fragments(
     num_positions = len(fragments[0].entries)
     merged_entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
     occurrences: list[tuple[int, tuple[int, ...]]] = []
-    support: set[int] = set()
+    support = 0
     updates = 0
     offset = 0  # occurrences merged so far == this shard's bit shift
     for expected_shard, fragment in enumerate(fragments):
@@ -179,7 +179,7 @@ def merge_class_fragments(
         start = shard_starts[fragment.shard_id]
         for local_gid, nodes in fragment.occurrences:
             occurrences.append((local_gid + start, nodes))
-            support.add(local_gid + start)
+        support |= BitSet([gid for gid, _ in fragment.occurrences]).bits << start
         for position, entry in enumerate(fragment.entries):
             target = merged_entries[position]
             for label, bits in entry.items():
@@ -191,5 +191,5 @@ def merge_class_fragments(
         occurrences=tuple(occurrences),
         entries=tuple(merged_entries),
         index_updates=updates,
-        support_set=frozenset(support),
+        support_mask=support,
     )

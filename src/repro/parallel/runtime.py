@@ -88,6 +88,7 @@ from repro.parallel.merge import (
 )
 from repro.parallel.sharding import Shard, local_min_count, shard_database
 from repro.taxonomy.taxonomy import Taxonomy
+from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 from repro.util.timing import Stopwatch
 
@@ -685,7 +686,7 @@ def _report_border(
             initial.setdefault((0, 1, la, elabel, lb), set()).add(graph.graph_id)
     for edge, gids in initial.items():
         if len(gids) < min_count:
-            prune_report((edge,), frozenset(gids))
+            prune_report((edge,), BitSet(gids).bits)
 
     miner = GSpanMiner(dmg, min_count=min_count, max_edges=max_edges)
     for merged in kept:
@@ -699,7 +700,7 @@ def _report_border(
                 continue
             child = code.extended(edge)
             if is_min_code(child):
-                prune_report(child.edges, gids)
+                prune_report(child.edges, BitSet(gids).bits)
 
 
 def _rebuild_embeddings(code: DFSCode, occurrences) -> list[Embedding]:

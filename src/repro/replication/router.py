@@ -99,6 +99,7 @@ from repro.serving.endpoints import (
     value_payload,
 )
 from repro.serving.reader import StoreReader
+from repro.util.bitset import BitSet
 
 __all__ = [
     "HTTPReplica",
@@ -873,11 +874,11 @@ class QueryRouter:
                 starts,
             )
             if op == "support":
-                value = len(merged)
+                value = merged.bit_count()
             else:
                 value = {
-                    "support": len(merged),
-                    "graph_ids": sorted(merged),
+                    "support": merged.bit_count(),
+                    "graph_ids": list(BitSet.from_bits(merged)),
                     # Cross-shard occurrence ids live in different class-
                     # local spaces; exact occurrence merging is the
                     # parallel miner's job, not the router's.

@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 from repro.exceptions import ReproError
 from repro.incremental.delta import DatabaseDelta
 from repro.observability.metrics import MetricsRegistry
+from repro.util.bitset import BitSet, kernel_counters
 
 __all__ = [
     "ENDPOINT_KINDS",
@@ -215,7 +216,7 @@ def value_payload(reader, op: str, value) -> object:
         assert isinstance(value, MatchResult)
         return {
             "support": value.support_count,
-            "graph_ids": sorted(value.graph_ids),
+            "graph_ids": list(BitSet.from_bits(value.support_mask)),
             "occurrences": (
                 None
                 if value.occurrences is None
@@ -262,8 +263,6 @@ def serving_routes(
         return 200, payload, {}
 
     def handle_metrics(request: HTTPRequest) -> HTTPResult:
-        from repro.util.bitset import kernel_counters
-
         merged = MetricsRegistry.from_dict(reader.metrics.as_dict())
         if metrics is not None:
             merged.merge(MetricsRegistry.from_dict(metrics.as_dict()))

@@ -65,6 +65,7 @@ from repro.observability.metrics import LockingMetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.serving.cache import VersionedResultCache, query_key
 from repro.similarity.engine import ScoredGraph, SimilarityEngine
+from repro.util.bitset import BitSet
 
 __all__ = [
     "DEFAULT_SIMILAR_THRESHOLD",
@@ -93,16 +94,21 @@ DEFAULT_SIMILAR_THRESHOLD = 0.5
 class MatchResult:
     """Exact match set of one query pattern.
 
-    ``occurrences`` lists ``(graph_id, node_tuple)`` pairs — the
-    occurrence ids of the pattern inside its class — and is ``None``
-    when the answer came from a border entry or a VF2 fallback, where no
-    occurrence index exists.
+    ``support_mask`` has bit ``g`` set iff graph ``g`` matches;
+    ``graph_ids`` is the same set as a frozenset.  ``occurrences`` lists
+    ``(graph_id, node_tuple)`` pairs — the occurrence ids of the pattern
+    inside its class — and is ``None`` when the answer came from a
+    border entry or a VF2 fallback, where no occurrence index exists.
     """
 
     support_count: int
-    graph_ids: frozenset[int]
+    support_mask: int
     occurrences: tuple[tuple[int, tuple[int, ...]], ...] | None
     path: str
+
+    @property
+    def graph_ids(self) -> frozenset[int]:
+        return frozenset(BitSet.from_bits(self.support_mask))
 
 
 @dataclass(frozen=True)
@@ -746,7 +752,7 @@ class StoreReader:
             gids = engine.fuzzy_match(pattern, threshold, semantics)
             value = MatchResult(
                 support_count=len(gids),
-                graph_ids=gids,
+                support_mask=BitSet(gids).bits,
                 occurrences=None,
                 path=f"similarity:{semantics}",
             )
@@ -782,16 +788,16 @@ class StoreReader:
             # the node labels (still zero isomorphism tests).
             label = labels[0]
             working = state.working
-            gids = frozenset(
+            mask = BitSet(
                 graph.graph_id
                 for graph in state.store.database
                 if any(
                     working.matches(label, node_label)
                     for node_label in set(graph.node_labels())
                 )
-            )
+            ).bits
             self.metrics.add("serving.label_scans", 1)
-            return MatchResult(len(gids), gids, None, "label-scan")
+            return MatchResult(mask.bit_count(), mask, None, "label-scan")
         code, isos = self._generalized(state, pattern, labels)
         stored = state.classes.get(code.edges)
         if stored is not None:
@@ -809,46 +815,50 @@ class StoreReader:
                 total |= bits
             self.metrics.add("serving.bitset_intersections", intersections)
             self.metrics.add("serving.bitset_queries", 1)
-            gids = columns.support_set(total)
+            mask = columns.support_mask(total)
             occurrences = tuple(
                 (entry[0], entry[1])
                 for occ_id, entry in enumerate(columns)
                 if entry is not None and (total >> occ_id) & 1
             )
-            return MatchResult(len(gids), gids, occurrences, "bitset")
-        border_gids = state.border.get(code.edges)
-        if border_gids is not None:
+            return MatchResult(mask.bit_count(), mask, occurrences, "bitset")
+        border_mask = state.border.get(code.edges)
+        if border_mask is not None:
             generalized_is_query = all(
                 state.most_general[label] == label for label in labels
             )
             if generalized_is_query:
                 # The stored border entry *is* the exact (sub-threshold)
                 # support set of this structure's most-general pattern.
-                gids = frozenset(border_gids)
                 self.metrics.add("serving.border_hits", 1)
                 self.metrics.add("serving.bitset_queries", 1)
-                return MatchResult(len(gids), gids, None, "border")
-            gids = self._vf2_scan(state, pattern, sorted(border_gids))
-            return MatchResult(len(gids), gids, None, "vf2-border")
-        gids = self._vf2_scan(
+                return MatchResult(
+                    border_mask.bit_count(), border_mask, None, "border"
+                )
+            mask = self._vf2_scan(
+                state, pattern, BitSet.from_bits(border_mask)
+            )
+            return MatchResult(mask.bit_count(), mask, None, "vf2-border")
+        mask = self._vf2_scan(
             state, pattern, range(len(state.store.database))
         )
-        return MatchResult(len(gids), gids, None, "vf2")
+        return MatchResult(mask.bit_count(), mask, None, "vf2")
 
-    def _vf2_scan(self, state, pattern, candidates) -> frozenset[int]:
+    def _vf2_scan(self, state, pattern, candidates) -> int:
+        """Support mask of ``pattern`` over the ``candidates`` graph ids."""
         database = state.store.database
         working = state.working
-        gids = set()
+        mask = 0
         tests = 0
         for gid in candidates:
             tests += 1
             if is_generalized_subgraph_isomorphic(
                 pattern, database[gid], working
             ):
-                gids.add(gid)
+                mask |= 1 << gid
         self.metrics.add("serving.vf2_tests", tests)
         self.metrics.add("serving.vf2_fallbacks", 1)
-        return frozenset(gids)
+        return mask
 
     def _compute_contains(self, state: _ReaderState, pattern: Graph) -> bool:
         labels = self._validated_labels(state, pattern)

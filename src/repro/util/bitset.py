@@ -2,24 +2,28 @@
 
 The Taxogram occurrence indices (paper §3, Step 2) store occurrence-id
 sets as bit vectors so that computing the occurrence set of a specialized
-pattern is a single bitwise AND (Lemma 7).  The Step-3 hot path works on
-raw Python ints directly; :class:`BitSet` is the set-shaped wrapper over
-one such int used by the negative border, the parallel merge and the
-similarity prefilter.
+pattern is a single bitwise AND (Lemma 7).  Occurrence sets and support
+sets (graph-id masks) are raw Python ints everywhere they are stored;
+:func:`squeeze` renumbers such a mask after ids are dropped, and
+:class:`BitSet` is the set-shaped wrapper over one int used by the
+similarity prefilter and to list a mask's members.
 
 All binary operations return new instances; in-place mutation is limited
-to the ``*_update`` / ``add`` / ``discard`` / ``clear_bit`` family.
+to ``add`` / ``discard`` / ``union_update``.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BitSet",
+    "bit_flags",
     "kernel_counters",
     "kernel_delta",
     "reset_kernel_counters",
+    "squeeze",
 ]
 
 
@@ -42,7 +46,6 @@ class _KernelCounters:
         "differences",
         "popcounts",
         "jaccards",
-        "offsets",
     )
 
     def __init__(self) -> None:
@@ -77,6 +80,35 @@ def reset_kernel_counters() -> None:
 
 
 # ---------------------------------------------------------------------------
+# Mask kernels
+# ---------------------------------------------------------------------------
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: 1 if set, else 0.
+
+    A selector for :func:`itertools.compress`, so picking the entries of
+    a sequence at a mask's set positions runs in C.
+    """
+    return format(mask, "b").encode()[::-1].translate(_TO_FLAGS)
+
+
+def squeeze(mask: int, keep: int) -> int:
+    """The bits of ``mask`` at the set positions of ``keep``, packed down
+    in order.
+
+    Renumbers an id mask after the ids outside ``keep`` were dropped and
+    the survivors shifted down: bit ``i`` of the result is the bit of
+    ``mask`` at the ``i``-th set position of ``keep``.
+    """
+    digits = format(mask & keep, "b").encode()[::-1]
+    kept = bytes(compress(digits, bit_flags(keep)))
+    return int(kept[::-1] or b"0", 2)
+
+
+# ---------------------------------------------------------------------------
 # The bit-set
 # ---------------------------------------------------------------------------
 
@@ -91,12 +123,10 @@ class BitSet:
     __slots__ = ("_bits",)
 
     def __init__(self, ids: Iterable[int] = ()) -> None:
-        bits = 0
-        for i in ids:
-            if i < 0:
-                raise ValueError(f"BitSet ids must be non-negative, got {i}")
-            bits |= 1 << i
-        self._bits = bits
+        ids = set(ids)
+        if ids and min(ids) < 0:
+            raise ValueError(f"BitSet ids must be non-negative, got {min(ids)}")
+        self._bits = sum(map((1).__lshift__, ids))
 
     # -- construction helpers -------------------------------------------------
 
@@ -169,22 +199,6 @@ class BitSet:
         _KERNEL.unions += 1
         self._bits |= other._bits
 
-    def clear_bit(self, i: int) -> bool:
-        """Remove ``i`` from the set; return whether it was present.
-
-        The incremental updater uses the return value to count how many
-        occurrence columns a removal actually cleared.
-        """
-        if i < 0 or (self._bits >> i) & 1 == 0:
-            return False
-        self._bits ^= 1 << i
-        return True
-
-    def difference_update(self, other: "BitSet") -> None:
-        """In-place difference: remove every member of ``other``."""
-        _KERNEL.differences += 1
-        self._bits &= ~other._bits
-
     # -- set algebra -----------------------------------------------------------
 
     def __and__(self, other: "BitSet") -> "BitSet":
@@ -238,43 +252,5 @@ class BitSet:
             return 1.0
         return (self._bits & other._bits).bit_count() / union
 
-    def issubset(self, other: "BitSet") -> bool:
-        return self._bits & ~other._bits == 0
-
-    def issuperset(self, other: "BitSet") -> bool:
-        return other.issubset(self)
-
-    def offset(self, k: int) -> "BitSet":
-        """A new set with every member shifted up by ``k``.
-
-        Re-bases a shard-local id set onto a global id space (the query
-        router ORs offset per-shard support sets together).
-        """
-        if k < 0:
-            raise ValueError(f"offset must be non-negative, got {k}")
-        _KERNEL.offsets += 1
-        return BitSet.from_bits(self._bits << k)
-
-    def compact(self, id_map: Mapping[int, int]) -> "BitSet":
-        """A new set with every member renumbered through ``id_map``.
-
-        Members absent from ``id_map`` are dropped — this is how
-        compaction discards dead occurrence/graph ids while densifying
-        the survivors.
-        """
-        out = BitSet()
-        for i in self:
-            j = id_map.get(i)
-            if j is None:
-                continue
-            if j < 0:
-                raise ValueError(f"compact ids must be non-negative, got {j}")
-            out._bits |= 1 << j
-        return out
-
     def copy(self) -> "BitSet":
         return BitSet.from_bits(self._bits)
-
-    def to_set(self) -> set[int]:
-        """Materialize as a plain Python set (mostly for tests/debugging)."""
-        return set(self)

@@ -1,17 +1,17 @@
 """Unit and property tests for :mod:`repro.util.bitset`.
 
-The property suite uses Python ``set`` as the oracle.  Ids and offsets
-reach past 2**16 so masks spanning many machine words (and sets whose
+The property suite uses Python ``set`` as the oracle.  Ids reach past
+2**16 so masks spanning many machine words (and sets whose
 members sit far apart) are covered, not just single-word masks.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.util.bitset import BitSet
+from repro.util.bitset import BitSet, squeeze
 
 _WIDE = 1 << 16
 
@@ -21,10 +21,6 @@ ids = st.one_of(
     st.integers(min_value=0, max_value=4 * _WIDE),
 )
 id_sets = st.sets(ids, max_size=40)
-offsets = st.one_of(
-    st.integers(min_value=0, max_value=64),
-    st.integers(min_value=_WIDE - 8, max_value=2 * _WIDE + 3),
-)
 
 
 class TestConstruction:
@@ -44,15 +40,15 @@ class TestConstruction:
             BitSet([-1])
 
     def test_from_bits(self):
-        assert BitSet.from_bits(0b1011).to_set() == {0, 1, 3}
+        assert set(BitSet.from_bits(0b1011)) == {0, 1, 3}
 
     def test_from_bits_negative_rejected(self):
         with pytest.raises(ValueError):
             BitSet.from_bits(-1)
 
     def test_full(self):
-        assert BitSet.full(4).to_set() == {0, 1, 2, 3}
-        assert BitSet.full(0).to_set() == set()
+        assert set(BitSet.full(4)) == {0, 1, 2, 3}
+        assert set(BitSet.full(0)) == set()
 
     def test_full_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -78,7 +74,7 @@ class TestMembershipAndMutation:
         bs = BitSet([1])
         bs.discard(9)
         bs.discard(-3)
-        assert bs.to_set() == {1}
+        assert set(bs) == {1}
 
     def test_add_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -87,37 +83,31 @@ class TestMembershipAndMutation:
     def test_union_update(self):
         bs = BitSet([1, 2])
         bs.union_update(BitSet([2, 5]))
-        assert bs.to_set() == {1, 2, 5}
+        assert set(bs) == {1, 2, 5}
 
     def test_union_update_leaves_other_unchanged(self):
         other = BitSet([3])
         BitSet([1]).union_update(other)
-        assert other.to_set() == {3}
+        assert set(other) == {3}
 
     def test_union_update_with_empty_is_noop(self):
         bs = BitSet([4])
         bs.union_update(BitSet())
-        assert bs.to_set() == {4}
+        assert set(bs) == {4}
 
 
 class TestAlgebra:
     def test_and(self):
-        assert (BitSet([1, 2, 3]) & BitSet([2, 3, 4])).to_set() == {2, 3}
+        assert set(BitSet([1, 2, 3]) & BitSet([2, 3, 4])) == {2, 3}
 
     def test_or(self):
-        assert (BitSet([1]) | BitSet([2])).to_set() == {1, 2}
+        assert set(BitSet([1]) | BitSet([2])) == {1, 2}
 
     def test_xor(self):
-        assert (BitSet([1, 2]) ^ BitSet([2, 3])).to_set() == {1, 3}
+        assert set(BitSet([1, 2]) ^ BitSet([2, 3])) == {1, 3}
 
     def test_sub(self):
-        assert (BitSet([1, 2, 3]) - BitSet([2])).to_set() == {1, 3}
-
-    def test_subset_superset(self):
-        small, big = BitSet([1, 2]), BitSet([1, 2, 3])
-        assert small.issubset(big)
-        assert big.issuperset(small)
-        assert not big.issubset(small)
+        assert set(BitSet([1, 2, 3]) - BitSet([2])) == {1, 3}
 
     def test_disjoint(self):
         assert BitSet([1]).isdisjoint(BitSet([2]))
@@ -132,88 +122,30 @@ class TestAlgebra:
         original = BitSet([1])
         copy = original.copy()
         copy.add(2)
-        assert original.to_set() == {1}
+        assert set(original) == {1}
 
     def test_repr_lists_members(self):
         assert repr(BitSet([2, 0])) == "BitSet({0, 2})"
-
-    def test_offset(self):
-        assert BitSet([0, 2]).offset(3).to_set() == {3, 5}
-
-    def test_offset_zero_is_copy(self):
-        original = BitSet([1, 4])
-        shifted = original.offset(0)
-        assert shifted == original
-        shifted.add(9)
-        assert original.to_set() == {1, 4}
-
-    def test_offset_negative_rejected(self):
-        with pytest.raises(ValueError):
-            BitSet([1]).offset(-1)
-
-
-class TestIncrementalMaintenance:
-    def test_clear_bit_present(self):
-        bs = BitSet([1, 5])
-        assert bs.clear_bit(5) is True
-        assert bs.to_set() == {1}
-
-    def test_clear_bit_absent(self):
-        bs = BitSet([1])
-        assert bs.clear_bit(3) is False
-        assert bs.clear_bit(-2) is False
-        assert bs.to_set() == {1}
-
-    def test_difference_update(self):
-        bs = BitSet([1, 2, 3])
-        bs.difference_update(BitSet([2, 9]))
-        assert bs.to_set() == {1, 3}
-
-    def test_difference_update_leaves_other_unchanged(self):
-        other = BitSet([1, 2])
-        BitSet([2]).difference_update(other)
-        assert other.to_set() == {1, 2}
-
-    def test_compact_renumbers(self):
-        bs = BitSet([0, 2, 5])
-        assert bs.compact({0: 0, 2: 1, 5: 2}).to_set() == {0, 1, 2}
-
-    def test_compact_drops_unmapped(self):
-        assert BitSet([0, 1, 2]).compact({1: 0}).to_set() == {0}
-
-    def test_compact_returns_new_instance(self):
-        original = BitSet([3])
-        compacted = original.compact({3: 0})
-        compacted.add(7)
-        assert original.to_set() == {3}
-
-    def test_compact_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            BitSet([1]).compact({1: -1})
 
 
 class TestHypothesis:
     @given(id_sets, id_sets)
     def test_and_matches_set_intersection(self, a, b):
-        assert (BitSet(a) & BitSet(b)).to_set() == a & b
+        assert set(BitSet(a) & BitSet(b)) == a & b
 
     @given(id_sets, id_sets)
     def test_or_matches_set_union(self, a, b):
-        assert (BitSet(a) | BitSet(b)).to_set() == a | b
+        assert set(BitSet(a) | BitSet(b)) == a | b
 
     @given(id_sets, id_sets)
     def test_difference_matches_set_difference(self, a, b):
-        assert (BitSet(a) - BitSet(b)).to_set() == a - b
+        assert set(BitSet(a) - BitSet(b)) == a - b
 
     @given(id_sets)
     def test_roundtrip_and_len(self, a):
         bs = BitSet(a)
-        assert bs.to_set() == a
+        assert set(bs) == a
         assert len(bs) == len(a)
-
-    @given(id_sets, id_sets)
-    def test_subset_consistent(self, a, b):
-        assert BitSet(a).issubset(BitSet(b)) == (a <= b)
 
     @given(id_sets)
     def test_iteration_sorted_ascending(self, a):
@@ -223,43 +155,20 @@ class TestHypothesis:
     def test_union_update_matches_set_union(self, a, b):
         bs = BitSet(a)
         bs.union_update(BitSet(b))
-        assert bs.to_set() == a | b
-
-    @given(id_sets, offsets)
-    def test_offset_shifts_every_member(self, a, k):
-        assert BitSet(a).offset(k).to_set() == {i + k for i in a}
-
-    @given(id_sets, id_sets, offsets)
-    def test_offset_distributes_over_union(self, a, b, k):
-        # The merge layer relies on shift-then-OR == OR-then-shift.
-        left = BitSet(a).offset(k) | BitSet(b).offset(k)
-        right = (BitSet(a) | BitSet(b)).offset(k)
-        assert left == right
-
-    @given(id_sets, ids)
-    def test_clear_bit_matches_set_discard(self, a, i):
-        bs = BitSet(a)
-        assert bs.clear_bit(i) == (i in a)
-        assert bs.to_set() == a - {i}
+        assert set(bs) == a | b
 
     @given(id_sets, id_sets)
-    def test_difference_update_matches_set_difference(self, a, b):
-        bs = BitSet(a)
-        bs.difference_update(BitSet(b))
-        assert bs.to_set() == a - b
-
-    @given(id_sets, id_sets)
-    def test_compact_matches_mapped_survivors(self, a, survivors):
-        # A dense renumbering of the survivor set, exactly as the
-        # occurrence-column compaction builds it.
+    @example(a={0, 3, 300}, survivors=set())
+    @example(a={0, 3, 300}, survivors=set(range(301)))
+    @example(a=set(), survivors={1, 4})
+    def test_squeeze_matches_mapped_survivors(self, a, survivors):
+        # A dense renumbering of the survivor set, exactly as removals and
+        # occurrence-column compaction build it; the examples pin an
+        # empty and a full ``keep``.
         id_map = {i: n for n, i in enumerate(sorted(survivors))}
         expected = {id_map[i] for i in a & survivors}
-        assert BitSet(a).compact(id_map).to_set() == expected
-
-    @given(id_sets)
-    def test_compact_identity_map_roundtrips(self, a):
-        identity = {i: i for i in a}
-        assert BitSet(a).compact(identity).to_set() == a
+        squeezed = squeeze(BitSet(a).bits, BitSet(survivors).bits)
+        assert set(BitSet.from_bits(squeezed)) == expected
 
     @given(id_sets, id_sets)
     def test_overlap_matches_intersection_size(self, a, b):
@@ -282,19 +191,18 @@ class TestHypothesis:
 
     @given(id_sets, id_sets)
     def test_xor_matches_set_symmetric_difference(self, a, b):
-        assert (BitSet(a) ^ BitSet(b)).to_set() == a ^ b
+        assert set(BitSet(a) ^ BitSet(b)) == a ^ b
 
     @given(id_sets, id_sets)
     def test_named_aliases_match_set_methods(self, a, b):
-        assert BitSet(a).intersection(BitSet(b)).to_set() == a & b
-        assert BitSet(a).union(BitSet(b)).to_set() == a | b
-        assert BitSet(a).difference(BitSet(b)).to_set() == a - b
+        assert set(BitSet(a).intersection(BitSet(b))) == a & b
+        assert set(BitSet(a).union(BitSet(b))) == a | b
+        assert set(BitSet(a).difference(BitSet(b))) == a - b
 
     @given(id_sets, id_sets)
     def test_intersection_count_matches_set_intersection(self, a, b):
         assert BitSet(a).intersection_count(BitSet(b)) == len(a & b)
         assert BitSet(a).isdisjoint(BitSet(b)) == a.isdisjoint(b)
-        assert BitSet(a).issuperset(BitSet(b)) == (a >= b)
 
     @given(id_sets, id_sets)
     def test_equality_and_hash_follow_set_equality(self, a, b):
@@ -306,9 +214,9 @@ class TestHypothesis:
     def test_add_discard_match_set(self, a, i):
         bs = BitSet(a)
         bs.add(i)
-        assert bs.to_set() == a | {i}
+        assert set(bs) == a | {i}
         bs.discard(i)
-        assert bs.to_set() == a - {i}
+        assert set(bs) == a - {i}
 
     @given(id_sets, ids)
     def test_copy_is_independent(self, a, i):
@@ -316,7 +224,7 @@ class TestHypothesis:
         dup = bs.copy()
         dup.add(i)
         dup.discard(min(a, default=0))
-        assert bs.to_set() == a
+        assert set(bs) == a
 
     # Sets of up to ~200k members; slow under coverage tracing.
     @settings(deadline=None)
@@ -324,12 +232,12 @@ class TestHypothesis:
     def test_full_is_range(self, n):
         full = BitSet.full(n)
         assert len(full) == n
-        assert full.to_set() == set(range(n))
+        assert set(full) == set(range(n))
 
     @given(id_sets)
     def test_from_bits_matches_mask(self, a):
         mask = sum(1 << i for i in a)
-        assert BitSet.from_bits(mask).to_set() == a
+        assert set(BitSet.from_bits(mask)) == a
         assert BitSet(a).bits == mask
 
     @given(id_sets, ids)

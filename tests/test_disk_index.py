@@ -155,7 +155,7 @@ class TestIncrementalMaintenance:
             index.insert(0, 1, 0b1010)  # occurrences 1 and 3
             index.insert(0, 2, 0b0010)  # occurrence 1 only
             index.finish()
-            index.remap_bits({1: 0, 3: 1})  # occurrence 1 -> 0, 3 -> 1
+            index.remap_bits(0b1010)  # occurrence 1 -> 0, 3 -> 1
             assert index.bits(0, 1) == 0b11
             assert index.bits(0, 2) == 0b01
 
@@ -164,7 +164,7 @@ class TestIncrementalMaintenance:
             index.insert(0, 1, 0b100)
             index.insert(0, 2, 0b011)
             index.finish()
-            index.remap_bits({0: 0, 1: 1})  # occurrence 2 dropped
+            index.remap_bits(0b011)  # occurrence 2 dropped
             assert not index.is_covered(0, 1)
             assert len(index.dump_rows()) == 1
             assert index.bits(0, 2) == 0b011
@@ -297,7 +297,7 @@ class TestThreading:
             with pytest.raises(MiningError, match="read-only"):
                 index.clear_bits(0b1)
             with pytest.raises(MiningError, match="read-only"):
-                index.remap_bits({0: 0})
+                index.remap_bits(0b1)
 
     def test_read_only_requires_existing_rows(self, tmp_path):
         with pytest.raises(MiningError, match="read-only"):

@@ -31,6 +31,7 @@ from repro.incremental import (
 from repro.incremental.store import FORMAT_VERSION, taxonomy_fingerprint
 from repro.serving import StoreReader
 from repro.taxonomy.builders import taxonomy_from_parent_names
+from repro.util.bitset import BitSet, squeeze
 from repro.util.interner import LabelInterner
 from tests.conftest import (
     make_random_database,
@@ -79,8 +80,8 @@ class TestOccurrenceColumns:
         assert cols.support_count(0b111) == 2
         assert cols.support_count(0b011) == 1
         assert cols.support_count(0) == 0
-        assert cols.support_set(0b100) == frozenset({2})
-        assert cols.support_set(0b111) == frozenset({0, 2})
+        assert cols.support_mask(0b100) == 0b100  # graph 2
+        assert cols.support_mask(0b111) == 0b101  # graphs 0 and 2
 
     def test_clear_graphs_tombstones_columns(self):
         cols = OccurrenceColumns([(0, (0, 1)), (0, (1, 0)), (1, (0, 1))])
@@ -89,7 +90,7 @@ class TestOccurrenceColumns:
         assert cols.all_bits == 0b100
         assert cols.live_count == 1
         assert cols.dead_fraction == pytest.approx(2 / 3)
-        assert cols.support_set(cols.all_bits) == frozenset({1})
+        assert cols.support_mask(cols.all_bits) == 0b10  # graph 1
 
     def test_clear_graphs_unknown_graph_is_noop(self):
         cols = OccurrenceColumns([(0, (0, 1))])
@@ -99,20 +100,21 @@ class TestOccurrenceColumns:
     def test_remap_graphs_renumbers_live_columns(self):
         cols = OccurrenceColumns([(0, (0, 1)), (2, (0, 1))])
         cols.clear_graphs([0])
-        cols.remap_graphs({2: 1})
-        assert cols.support_set(cols.all_bits) == frozenset({1})
+        cols.remap_graphs(0b110)  # graph 0 removed: 1 -> 0, 2 -> 1
+        assert cols.support_mask(cols.all_bits) == 0b10  # graph 1
         assert list(cols) == [None, (1, (0, 1))]
 
     def test_compaction_map_and_compact(self):
         cols = OccurrenceColumns([(0, (0, 1)), (1, (0, 1)), (2, (1, 0))])
         cols.clear_graphs([1])
-        id_map = cols.compaction_map()
-        assert id_map == {0: 0, 2: 1}
-        cols.compact(id_map)
+        live = cols.all_bits
+        assert live == 0b101
+        assert squeeze(live, live) == 0b11  # occurrence 0 -> 0, 2 -> 1
+        cols.compact()
         assert len(cols) == 2
         assert cols.dead_fraction == 0.0
         assert cols.all_bits == 0b11
-        assert cols.support_set(0b11) == frozenset({0, 2})
+        assert cols.support_mask(0b11) == 0b101  # graphs 0 and 2
 
     def test_rows_roundtrip_preserves_tombstones(self):
         cols = OccurrenceColumns([(0, (0, 1)), (1, (1, 0))])
@@ -251,9 +253,7 @@ class TestPatternStoreRoundTrip:
         assert [c.columns.to_rows() for c in reopened.classes] == [
             c.columns.to_rows() for c in store.classes
         ]
-        assert {
-            code: sorted(gids) for code, gids in reopened.border.items()
-        } == {code: sorted(gids) for code, gids in store.border.items()}
+        assert reopened.border == store.border
 
     def test_border_holds_infrequent_edges(self, tmp_path):
         # y appears once in four graphs at sigma 0.5: minimal infrequent,
@@ -262,7 +262,9 @@ class TestPatternStoreRoundTrip:
             tmp_path, ["x", "x", "x", "y"], 0.5
         )
         store = PatternStore.open(store_dir)
-        border_gids = [sorted(gids) for gids in store.border.values()]
+        border_gids = [
+            list(BitSet.from_bits(mask)) for mask in store.border.values()
+        ]
         assert [3] in border_gids
 
     def test_report_carries_store_gauges(self, tmp_path):
@@ -524,9 +526,7 @@ class TestParallelStoreBuild:
         assert [c.columns.to_rows() for c in par_store.classes] == [
             c.columns.to_rows() for c in seq_store.classes
         ]
-        assert {
-            code: sorted(gids) for code, gids in par_store.border.items()
-        } == {code: sorted(gids) for code, gids in seq_store.border.items()}
+        assert par_store.border == seq_store.border
 
     def test_parallel_store_accepts_deltas(self, tmp_path):
         taxonomy = _flat_taxonomy()

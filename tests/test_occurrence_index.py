@@ -44,8 +44,8 @@ class TestOccurrenceStore:
         store = OccurrenceStore()
         store.add(4, (1,))
         store.add(9, (1,))
-        assert store.support_set(0b01) == frozenset({4})
-        assert store.support_set(0b11) == frozenset({4, 9})
+        assert store.support_mask(0b01) == 1 << 4
+        assert store.support_mask(0b11) == 1 << 4 | 1 << 9
 
     def test_occurrence_ids_paper_notation(self):
         store = OccurrenceStore()

@@ -265,7 +265,7 @@ class TestDegradation:
             [c.columns.to_rows() for c in store.classes],
             [c.patterns for c in store.classes],
             [store.load_index(c).dump_rows() for c in store.classes],
-            {code: sorted(gids) for code, gids in store.border.items()},
+            store.border,
         )
 
     def _degraded_store_build(

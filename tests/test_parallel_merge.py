@@ -29,6 +29,7 @@ from repro.parallel.merge import (
     union_candidate_codes,
 )
 from repro.parallel.sharding import shard_database
+from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 from tests.conftest import make_random_database, make_random_taxonomy
 
@@ -105,7 +106,7 @@ class TestMergeClassFragments:
                 assert merged.occurrences == tuple(store.occurrences)
                 assert merged.entries == index.entries
                 assert merged.index_updates == counters.occurrence_index_updates
-                assert merged.support_set == pattern.support_set
+                assert merged.support_mask == pattern.support_mask
                 assert merged.support_count == pattern.support_count
                 assert merged.embedding_count == len(pattern.embeddings)
 
@@ -197,8 +198,8 @@ class TestMergeSupportSets:
             for local in locals_
         )
         merged = merge_support_sets(per_shard, starts)
-        assert sorted(merged) == expected
-        assert len(merged) == len(expected)  # disjoint shards: no overlap
+        assert list(BitSet.from_bits(merged)) == expected
+        assert merged.bit_count() == len(expected)  # disjoint: no overlap
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -217,15 +218,14 @@ class TestMergeSupportSets:
         split = rng.randint(1, shards - 1)
         left = merge_support_sets(per_shard[:split], starts[:split])
         right = merge_support_sets(per_shard[split:], starts[split:])
-        left.union_update(right)
-        assert sorted(left) == sorted(whole)
+        assert left | right == whole
 
     @given(shards=st.integers(min_value=1, max_value=5))
     def test_empty_shards_contribute_nothing(self, shards):
         starts = [i * 10 for i in range(shards)]
         merged = merge_support_sets([[] for _ in range(shards)], starts)
-        assert len(merged) == 0
-        assert sorted(merged) == []
+        assert merged.bit_count() == 0
+        assert list(BitSet.from_bits(merged)) == []
 
     @given(
         gids=st.lists(
@@ -234,8 +234,8 @@ class TestMergeSupportSets:
     )
     def test_single_shard_is_identity(self, gids):
         merged = merge_support_sets([gids], [0])
-        assert sorted(merged) == sorted(gids)
-        assert len(merged) == len(gids)
+        assert list(BitSet.from_bits(merged)) == sorted(gids)
+        assert merged.bit_count() == len(gids)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(MiningError, match="shard answers"):

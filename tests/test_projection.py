@@ -18,6 +18,7 @@ from repro.graphs.digraph import DiGraphDatabase
 from repro.mining.dfs_code import DFSCode, is_min_code
 from repro.mining.gspan import GSpanMiner
 from repro.mining.projection import project_code
+from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 from tests.conftest import make_random_database, make_random_taxonomy
 
@@ -118,14 +119,14 @@ class TestProjectCode:
                 db,
                 min_support=0.4,
                 max_edges=3,
-                prune_report=lambda code, gids: fringe.append((code, gids)),
+                prune_report=lambda code, mask: fringe.append((code, mask)),
             )
             miner.mine()
-            for code, gids in fringe:
+            for code, mask in fringe:
                 total += 1
                 assert is_min_code(DFSCode(code))
-                assert len(gids) < miner.min_count
-                assert gids == {
+                assert mask.bit_count() < miner.min_count
+                assert set(BitSet.from_bits(mask)) == {
                     e.graph_id for e in project_code(db, code)
                 }
         assert total > 0, "no seed pruned a candidate; test exercised nothing"

@@ -20,7 +20,7 @@ def _pattern(labels, edges, support_count=1, database_size=2):
         graph=graph,
         support_count=support_count,
         support=support_count / database_size,
-        support_set=frozenset(range(support_count)),
+        support_mask=(1 << support_count) - 1,
         class_id=0,
     )
 

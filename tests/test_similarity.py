@@ -391,12 +391,12 @@ class TestTreelets:
             for key, fid in index.keys_of_kind("n")
             if key == carrier_key
         ]
-        assert index.graphs_with(fid).to_set() == {0, 2}
+        assert set(index.graphs_with(fid)) == {0, 2}
         # Size floors: only g0 has 3 nodes / 2 edges.
         from repro.util.bitset import BitSet
 
         survivors = index.candidates([], min_nodes=3, min_edges=2)
-        assert survivors.to_set() == {0}
+        assert set(survivors) == {0}
         empty = index.candidates([BitSet()])
         assert not empty
 

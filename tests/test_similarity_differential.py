@@ -150,9 +150,9 @@ def _soundness_check(seed, cap):
                 truth = _match_oracle(
                     pattern, database, measure, threshold, semantics
                 )
-                candidates = engine.candidate_graphs(
+                candidates = set(engine.candidate_graphs(
                     pattern, threshold, semantics
-                ).to_set()
+                ))
                 label = f"seed={seed} t={threshold} {semantics}"
                 # Sound: the prefilter may keep losers, never drop a
                 # winner.

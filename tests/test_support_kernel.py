@@ -3,9 +3,10 @@
 ``OccurrenceStore.support_count`` counts the runs (one per graph) that
 ``bits`` touches with four big-int operations; ``OccurrenceColumns``
 inherits the same kernel and adds tombstoned (cleared) columns.  Every
-answer must equal ``len(support_set(bits))`` and a direct count over the
-live occurrences, on sparse masks (``popcount * 4 < #graphs``) and dense
-ones alike.
+answer must equal the popcount of ``support_mask(bits)``, and that mask
+the owners of the live occurrences in ``bits``, on sparse masks
+(``popcount * 4 < #graphs``) and dense ones alike, before and after the
+columns are cleared, renumbered and compacted.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ def _draw_masks(data, num_occurrences: int, num_graphs: int) -> list[int]:
     return masks + [0, (1 << num_occurrences) - 1]
 
 
-def _live_support(columns, bits: int) -> int:
-    return len({
-        column[0]
-        for occ_id, column in enumerate(columns)
-        if column is not None and bits >> occ_id & 1
-    })
+def _live_owners(columns, bits: int) -> int:
+    """Brute-force graph-id mask of the live occurrences in ``bits``."""
+    mask = 0
+    for occ_id, column in enumerate(columns):
+        if column is not None and bits >> occ_id & 1:
+            mask |= 1 << column[0]
+    return mask
 
 
 @given(_per_graph, st.data())
@@ -60,9 +62,9 @@ def test_store_kernel_matches_support_set(per_graph, data):
     for gid, nodes in columns:
         store.add(gid, nodes)
     for bits in _draw_masks(data, len(columns), len(per_graph)):
-        expected = len(store.support_set(bits))
-        assert store.support_count(bits) == expected
-        assert expected == _live_support(columns, bits)
+        mask = store.support_mask(bits)
+        assert store.support_count(bits) == mask.bit_count()
+        assert mask == _live_owners(columns, bits)
 
 
 @given(_per_graph, st.data())
@@ -72,11 +74,25 @@ def test_columns_kernel_ignores_cleared_graphs(per_graph, data):
         st.sets(st.integers(min_value=0, max_value=len(per_graph) - 1),
                 max_size=len(per_graph) // 2)
     )
+    # Warm the cached runs and owners first: every edit must reset them.
+    assert columns.support_mask(columns.all_bits) == (1 << len(per_graph)) - 1
     columns.clear_graphs(removed)
     live_graphs = len(per_graph) - len(removed)
     # Masks may carry dead columns; they must count for nothing.
     for bits in _draw_masks(data, len(columns), live_graphs):
-        expected = len(columns.support_set(bits))
-        assert columns.support_count(bits) == expected
-        assert expected == _live_support(list(columns), bits)
+        mask = columns.support_mask(bits)
+        assert columns.support_count(bits) == mask.bit_count()
+        assert mask == _live_owners(list(columns), bits)
     assert columns.support_count(columns.all_bits) == live_graphs
+    # Shift the survivors' graph ids down, then drop the dead columns.
+    keep = ((1 << len(per_graph)) - 1) & ~sum(1 << gid for gid in removed)
+    columns.remap_graphs(keep)
+    for bits in _draw_masks(data, len(columns), live_graphs):
+        mask = columns.support_mask(bits)
+        assert mask == _live_owners(list(columns), bits)
+    assert columns.support_mask(columns.all_bits) == (1 << live_graphs) - 1
+    columns.compact()
+    for bits in _draw_masks(data, len(columns), live_graphs):
+        mask = columns.support_mask(bits)
+        assert columns.support_count(bits) == mask.bit_count()
+        assert mask == _live_owners(list(columns), bits)

@@ -1,12 +1,13 @@
 """The run-carry support kernel's cached run masks across column edits.
 
-``OccurrenceStore`` caches ``(inner, last)`` run masks on the first
-kernel call; ``add``, ``OccurrenceColumns.clear_graphs`` and ``compact``
-drop the cache, ``remap_graphs`` keeps it.  The state machine below
-interleaves every edit an ``OccurrenceColumns`` sees in the incremental
-updater with kernel calls, and after every step compares
-``support_count``/``support_set`` with a brute-force count over the live
-occurrences.  A graph whose occurrences would be split must raise.
+``OccurrenceStore`` caches ``(inner, last)`` run masks and the
+occurrence -> graph-id list on the first kernel call; ``add``,
+``OccurrenceColumns.clear_graphs``, ``remap_graphs`` and ``compact``
+drop the cache.  The state machine below interleaves every edit an
+``OccurrenceColumns`` sees in the incremental updater with kernel
+calls, and after every step compares ``support_count``/``support_mask``
+with a brute-force count and owner mask over the live occurrences.  A
+graph whose occurrences would be split must raise.
 """
 
 from __future__ import annotations
@@ -72,16 +73,20 @@ class SupportRunsMachine(RuleBasedStateMachine):
         assert cleared == expected
         self.masks = masks
 
-    @rule(masks=_masks)
-    def remap_shift_down(self, masks):
-        id_map = {gid: new for new, gid in enumerate(sorted(self._live()))}
-        self.columns.remap_graphs(id_map)
+    @rule(data=st.data(), masks=_masks)
+    def remap_shift_down(self, data, masks):
+        # ``keep`` also holds ids that own no column here, as the
+        # updater's surviving-graph mask does.
+        extra = data.draw(st.sets(st.integers(min_value=0, max_value=40)))
+        keep = self._live() | extra
+        id_map = {gid: new for new, gid in enumerate(sorted(keep))}
+        self.columns.remap_graphs(sum(1 << gid for gid in keep))
         self.model = [None if g is None else id_map[g] for g in self.model]
         self.masks = masks
 
     @rule(masks=_masks)
     def compact(self, masks):
-        self.columns.compact(self.columns.compaction_map())
+        self.columns.compact()
         self.model = [g for g in self.model if g is not None]
         self.masks = masks
 
@@ -98,7 +103,7 @@ class SupportRunsMachine(RuleBasedStateMachine):
         everything = (1 << (len(self.model) + 3)) - 1
         for bits in [0, columns.all_bits, everything, *self.masks]:
             expected = _brute_support(self.model, bits)
-            assert columns.support_set(bits) == expected
+            assert columns.support_mask(bits) == sum(1 << g for g in expected)
             assert columns.support_count(bits) == len(expected)
         assert columns.support_count(columns.all_bits) == len(self._live())
 
@@ -140,5 +145,5 @@ def test_cleared_graph_may_start_a_new_run():
     columns.support_count(columns.all_bits)  # build the run masks
     columns.clear_graphs([0])
     columns.append(0, (1, 0))
-    assert columns.support_set(0b111) == frozenset({0, 1})
+    assert columns.support_mask(0b111) == 0b11  # graphs 0 and 1
     assert columns.support_count(0b001) == 0
