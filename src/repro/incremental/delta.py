@@ -154,14 +154,13 @@ class OccurrenceColumns(OccurrenceStore):
         first with :meth:`clear_graphs`.
         """
         self._graph_ids = squeeze(self._graph_ids, keep)
-        renumbered: dict[int, int] = {}
+        new_ids: dict[int, int] = {}  # old graph id -> rank in ``keep``
         for occ_id, column in enumerate(self.occurrences):
             if column is not None:
                 gid = column[0]
-                new = renumbered.get(gid)
-                if new is None:
-                    new = renumbered[gid] = (keep & ((1 << gid) - 1)).bit_count()
-                self.occurrences[occ_id] = (new, column[1])
+                if gid not in new_ids:
+                    new_ids[gid] = (keep & ((1 << gid) - 1)).bit_count()
+                self.occurrences[occ_id] = (new_ids[gid], column[1])
         self._runs = None
 
     def compact(self) -> None:

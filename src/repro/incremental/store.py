@@ -35,9 +35,10 @@ pattern set is computed once, by whichever writer committed it, and the
 reader loads it instead of running Step 3 again.  Each pattern holds
 its position labels (node ``p`` of ``graph_from_code(class code)``),
 its canonical code edges, its support count and its support mask (the
-``support_mask`` int every pattern carries) in hex.  The list is sorted by code edges rather than kept
-in Step-3 emission order, which the parallel runtime does not return,
-so the sequential and parallel store builds write the same list.
+``support_mask`` int every pattern carries) in hex.  The list is sorted
+by code edges rather than kept in Step-3 emission order, which the
+parallel runtime does not return, so the sequential and parallel store
+builds write the same list.
 ``support`` and ``class_id`` are derived on load.  The key is absent on
 stores written before it existed; such a class is specialized on demand
 and persisted by its first update.  Old builds ignore the key, so the

@@ -113,10 +113,11 @@ def merge_support_sets(
     containing some pattern; ``shard_starts[s]`` is the global id of the
     shard's first graph.  Because shards are disjoint contiguous ranges,
     the shifted OR is exact: the result is the pattern's global support
-    mask, and its popcount the global support.  This is the same shift-and-OR re-basing
-    :func:`merge_class_fragments` applies to occurrence bits; the
-    replication query router uses it to merge per-shard ``graphs``
-    answers into one global support set.
+    mask, and its popcount the global support.  This is the same
+    shift-and-OR re-basing :func:`merge_class_fragments` applies to
+    occurrence bits and support masks; the replication query router
+    uses it to merge per-shard ``graphs`` answers into one global
+    support mask.
     """
     if len(per_shard) != len(shard_starts):
         raise MiningError(
@@ -179,7 +180,8 @@ def merge_class_fragments(
         start = shard_starts[fragment.shard_id]
         for local_gid, nodes in fragment.occurrences:
             occurrences.append((local_gid + start, nodes))
-        support |= BitSet([gid for gid, _ in fragment.occurrences]).bits << start
+        local = BitSet([gid for gid, _nodes in fragment.occurrences]).bits
+        support |= local << start
         for position, entry in enumerate(fragment.entries):
             target = merged_entries[position]
             for label, bits in entry.items():

@@ -95,16 +95,20 @@ class MatchResult:
     """Exact match set of one query pattern.
 
     ``support_mask`` has bit ``g`` set iff graph ``g`` matches;
-    ``graph_ids`` is the same set as a frozenset.  ``occurrences`` lists
+    ``support_count`` is its popcount and ``graph_ids`` the same set as
+    a frozenset.  ``occurrences`` lists
     ``(graph_id, node_tuple)`` pairs — the occurrence ids of the pattern
     inside its class — and is ``None`` when the answer came from a
     border entry or a VF2 fallback, where no occurrence index exists.
     """
 
-    support_count: int
     support_mask: int
     occurrences: tuple[tuple[int, tuple[int, ...]], ...] | None
     path: str
+
+    @property
+    def support_count(self) -> int:
+        return self.support_mask.bit_count()
 
     @property
     def graph_ids(self) -> frozenset[int]:
@@ -751,7 +755,6 @@ class StoreReader:
         else:
             gids = engine.fuzzy_match(pattern, threshold, semantics)
             value = MatchResult(
-                support_count=len(gids),
                 support_mask=BitSet(gids).bits,
                 occurrences=None,
                 path=f"similarity:{semantics}",
@@ -797,7 +800,7 @@ class StoreReader:
                 )
             ).bits
             self.metrics.add("serving.label_scans", 1)
-            return MatchResult(mask.bit_count(), mask, None, "label-scan")
+            return MatchResult(mask, None, "label-scan")
         code, isos = self._generalized(state, pattern, labels)
         stored = state.classes.get(code.edges)
         if stored is not None:
@@ -821,7 +824,7 @@ class StoreReader:
                 for occ_id, entry in enumerate(columns)
                 if entry is not None and (total >> occ_id) & 1
             )
-            return MatchResult(mask.bit_count(), mask, occurrences, "bitset")
+            return MatchResult(mask, occurrences, "bitset")
         border_mask = state.border.get(code.edges)
         if border_mask is not None:
             generalized_is_query = all(
@@ -832,17 +835,15 @@ class StoreReader:
                 # support set of this structure's most-general pattern.
                 self.metrics.add("serving.border_hits", 1)
                 self.metrics.add("serving.bitset_queries", 1)
-                return MatchResult(
-                    border_mask.bit_count(), border_mask, None, "border"
-                )
+                return MatchResult(border_mask, None, "border")
             mask = self._vf2_scan(
                 state, pattern, BitSet.from_bits(border_mask)
             )
-            return MatchResult(mask.bit_count(), mask, None, "vf2-border")
+            return MatchResult(mask, None, "vf2-border")
         mask = self._vf2_scan(
             state, pattern, range(len(state.store.database))
         )
-        return MatchResult(mask.bit_count(), mask, None, "vf2")
+        return MatchResult(mask, None, "vf2")
 
     def _vf2_scan(self, state, pattern, candidates) -> int:
         """Support mask of ``pattern`` over the ``candidates`` graph ids."""

@@ -14,7 +14,7 @@ to ``add`` / ``discard`` / ``union_update``.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -125,7 +125,9 @@ class BitSet:
     def __init__(self, ids: Iterable[int] = ()) -> None:
         ids = set(ids)
         if ids and min(ids) < 0:
-            raise ValueError(f"BitSet ids must be non-negative, got {min(ids)}")
+            raise ValueError(
+                f"BitSet ids must be non-negative, got {min(ids)}"
+            )
         self._bits = sum(map((1).__lshift__, ids))
 
     # -- construction helpers -------------------------------------------------
@@ -163,14 +165,9 @@ class BitSet:
         return i >= 0 and (self._bits >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # Render the mask as binary text once (lowest bit first) and hop
-        # between the ones: O(#bits) in C plus O(#members) in Python,
-        # where peeling the lowest bit would copy the whole int per member.
-        text = format(self._bits, "b")[::-1]
-        i = text.find("1")
-        while i >= 0:
-            yield i
-            i = text.find("1", i + 1)
+        # Ascending, in C: peeling the lowest bit in Python would copy
+        # the whole int per member.
+        return compress(count(), bit_flags(self._bits))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BitSet):
