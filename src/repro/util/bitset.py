@@ -9,7 +9,7 @@ sets (graph-id masks) are raw Python ints everywhere they are stored;
 similarity prefilter and to list a mask's members.
 
 All binary operations return new instances; in-place mutation is limited
-to ``add`` / ``discard`` / ``union_update``.
+to the ``*_update`` / ``add`` / ``discard`` / ``clear_bit`` family.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class _KernelCounters:
         "differences",
         "popcounts",
         "jaccards",
+        "offsets",
     )
 
     def __init__(self) -> None:
@@ -196,6 +197,18 @@ class BitSet:
         _KERNEL.unions += 1
         self._bits |= other._bits
 
+    def clear_bit(self, i: int) -> bool:
+        """Remove ``i`` from the set; return whether it was present."""
+        if i < 0 or (self._bits >> i) & 1 == 0:
+            return False
+        self._bits ^= 1 << i
+        return True
+
+    def difference_update(self, other: "BitSet") -> None:
+        """In-place difference: remove every member of ``other``."""
+        _KERNEL.differences += 1
+        self._bits &= ~other._bits
+
     # -- set algebra -----------------------------------------------------------
 
     def __and__(self, other: "BitSet") -> "BitSet":
@@ -248,6 +261,26 @@ class BitSet:
         if union == 0:
             return 1.0
         return (self._bits & other._bits).bit_count() / union
+
+    def issubset(self, other: "BitSet") -> bool:
+        return self._bits & ~other._bits == 0
+
+    def issuperset(self, other: "BitSet") -> bool:
+        return other.issubset(self)
+
+    def offset(self, k: int) -> "BitSet":
+        """A new set with every member shifted up by ``k``."""
+        if k < 0:
+            raise ValueError(f"offset must be non-negative, got {k}")
+        _KERNEL.offsets += 1
+        return BitSet.from_bits(self._bits << k)
+
+    def compact(self, id_map: Mapping[int, int]) -> "BitSet":
+        """Members renumbered through ``id_map``; unmapped ones are dropped.
+
+        Unlike :func:`squeeze`, ``id_map`` need not preserve order.
+        """
+        return BitSet(id_map[i] for i in self if i in id_map)
 
     def copy(self) -> "BitSet":
         return BitSet.from_bits(self._bits)

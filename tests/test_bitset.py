@@ -1,7 +1,7 @@
 """Unit and property tests for :mod:`repro.util.bitset`.
 
-The property suite uses Python ``set`` as the oracle.  Ids reach past
-2**16 so masks spanning many machine words (and sets whose
+The property suite uses Python ``set`` as the oracle.  Ids and offsets
+reach past 2**16 so masks spanning many machine words (and sets whose
 members sit far apart) are covered, not just single-word masks.
 """
 
@@ -21,6 +21,10 @@ ids = st.one_of(
     st.integers(min_value=0, max_value=4 * _WIDE),
 )
 id_sets = st.sets(ids, max_size=40)
+offsets = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=_WIDE - 8, max_value=2 * _WIDE + 3),
+)
 
 
 class TestConstruction:
@@ -109,6 +113,12 @@ class TestAlgebra:
     def test_sub(self):
         assert set(BitSet([1, 2, 3]) - BitSet([2])) == {1, 3}
 
+    def test_subset_superset(self):
+        small, big = BitSet([1, 2]), BitSet([1, 2, 3])
+        assert small.issubset(big)
+        assert big.issuperset(small)
+        assert not big.issubset(small)
+
     def test_disjoint(self):
         assert BitSet([1]).isdisjoint(BitSet([2]))
         assert not BitSet([1, 2]).isdisjoint(BitSet([2]))
@@ -126,6 +136,60 @@ class TestAlgebra:
 
     def test_repr_lists_members(self):
         assert repr(BitSet([2, 0])) == "BitSet({0, 2})"
+
+    def test_offset(self):
+        assert set(BitSet([0, 2]).offset(3)) == {3, 5}
+
+    def test_offset_zero_is_copy(self):
+        original = BitSet([1, 4])
+        shifted = original.offset(0)
+        assert shifted == original
+        shifted.add(9)
+        assert set(original) == {1, 4}
+
+    def test_offset_negative_rejected(self):
+        with pytest.raises(ValueError):
+            BitSet([1]).offset(-1)
+
+
+class TestIncrementalMaintenance:
+    def test_clear_bit_present(self):
+        bs = BitSet([1, 5])
+        assert bs.clear_bit(5) is True
+        assert set(bs) == {1}
+
+    def test_clear_bit_absent(self):
+        bs = BitSet([1])
+        assert bs.clear_bit(3) is False
+        assert bs.clear_bit(-2) is False
+        assert set(bs) == {1}
+
+    def test_difference_update(self):
+        bs = BitSet([1, 2, 3])
+        bs.difference_update(BitSet([2, 9]))
+        assert set(bs) == {1, 3}
+
+    def test_difference_update_leaves_other_unchanged(self):
+        other = BitSet([1, 2])
+        BitSet([2]).difference_update(other)
+        assert set(other) == {1, 2}
+
+    def test_compact_renumbers(self):
+        bs = BitSet([0, 2, 5])
+        assert set(bs.compact({0: 0, 2: 1, 5: 2})) == {0, 1, 2}
+
+    def test_compact_drops_unmapped(self):
+        assert set(BitSet([0, 1, 2]).compact({1: 0})) == {0}
+
+    def test_compact_returns_new_instance(self):
+        original = BitSet([3])
+        compacted = original.compact({3: 0})
+        compacted.add(7)
+        assert set(original) == {3}
+
+    def test_compact_negative_target_rejected(self):
+        with pytest.raises(ValueError):
+            BitSet([1]).compact({1: -1})
 
 
 class TestHypothesis:
@@ -147,6 +211,10 @@ class TestHypothesis:
         assert set(bs) == a
         assert len(bs) == len(a)
 
+    @given(id_sets, id_sets)
+    def test_subset_consistent(self, a, b):
+        assert BitSet(a).issubset(BitSet(b)) == (a <= b)
+
     @given(id_sets)
     def test_iteration_sorted_ascending(self, a):
         assert list(BitSet(a)) == sorted(a)
@@ -156,6 +224,41 @@ class TestHypothesis:
         bs = BitSet(a)
         bs.union_update(BitSet(b))
         assert set(bs) == a | b
+
+    @given(id_sets, offsets)
+    def test_offset_shifts_every_member(self, a, k):
+        assert set(BitSet(a).offset(k)) == {i + k for i in a}
+
+    @given(id_sets, id_sets, offsets)
+    def test_offset_distributes_over_union(self, a, b, k):
+        # Shift-then-OR == OR-then-shift.
+        left = BitSet(a).offset(k) | BitSet(b).offset(k)
+        right = (BitSet(a) | BitSet(b)).offset(k)
+        assert left == right
+
+    @given(id_sets, ids)
+    def test_clear_bit_matches_set_discard(self, a, i):
+        bs = BitSet(a)
+        assert bs.clear_bit(i) == (i in a)
+        assert set(bs) == a - {i}
+
+    @given(id_sets, id_sets)
+    def test_difference_update_matches_set_difference(self, a, b):
+        bs = BitSet(a)
+        bs.difference_update(BitSet(b))
+        assert set(bs) == a - b
+
+    @given(id_sets, id_sets)
+    def test_compact_matches_mapped_survivors(self, a, survivors):
+        # A dense renumbering of the survivor set.
+        id_map = {i: n for n, i in enumerate(sorted(survivors))}
+        expected = {id_map[i] for i in a & survivors}
+        assert set(BitSet(a).compact(id_map)) == expected
+
+    @given(id_sets)
+    def test_compact_identity_map_roundtrips(self, a):
+        identity = {i: i for i in a}
+        assert set(BitSet(a).compact(identity)) == a
 
     @given(id_sets, id_sets)
     @example(a={0, 3, 300}, survivors=set())
@@ -203,6 +306,7 @@ class TestHypothesis:
     def test_intersection_count_matches_set_intersection(self, a, b):
         assert BitSet(a).intersection_count(BitSet(b)) == len(a & b)
         assert BitSet(a).isdisjoint(BitSet(b)) == a.isdisjoint(b)
+        assert BitSet(a).issuperset(BitSet(b)) == (a >= b)
 
     @given(id_sets, id_sets)
     def test_equality_and_hash_follow_set_equality(self, a, b):

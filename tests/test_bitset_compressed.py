@@ -3,7 +3,9 @@
 Python ``set`` is the oracle.  The id sets here mix scattered ids around
 2**16 with long runs of consecutive ids (up to 300 members), and every
 check compares the full observable state: members, length, truth value,
-ascending iteration order and the raw mask.
+ascending iteration order and the raw mask.  ``compact`` is driven with
+non-monotonic injective renumberings rather than the dense survivor maps
+of ``tests/test_bitset.py``.
 """
 
 from __future__ import annotations
@@ -71,8 +73,44 @@ class TestConstruction:
 
 class TestMutation:
     @no_deadline
+    @given(_id_sets, _ids)
+    def test_clear_bit(self, ids, victim):
+        value = BitSet(ids)
+        assert value.clear_bit(victim) == (victim in ids)
+        _check(value, ids - {victim})
+
+    @no_deadline
     @given(_id_sets, _id_sets)
     def test_union_update(self, a, b):
         value = BitSet(a)
         value.union_update(BitSet(b))
         _check(value, a | b)
+
+    @no_deadline
+    @given(_id_sets, _id_sets)
+    def test_difference_update(self, a, b):
+        value = BitSet(a)
+        value.difference_update(BitSet(b))
+        _check(value, a - b)
+
+
+class TestShiftingAndRemapping:
+    @settings(max_examples=60, deadline=None)
+    @given(_id_sets, st.integers(min_value=0, max_value=2 * _WIDE + 3))
+    def test_offset(self, ids, k):
+        _check(BitSet(ids).offset(k), {i + k for i in ids})
+
+    @no_deadline
+    @given(_id_sets, st.integers(min_value=0, max_value=40))
+    def test_compact(self, ids, salt):
+        # A non-monotonic but injective renumbering that drops every
+        # third member.
+        id_map = {
+            i: (i * 7 + salt) % (5 * _WIDE)
+            for n, i in enumerate(sorted(ids))
+            if n % 3 != 0
+        }
+        if len(set(id_map.values())) != len(id_map):
+            id_map = {i: n for n, i in enumerate(sorted(id_map))}
+        expected = {id_map[i] for i in ids if i in id_map}
+        _check(BitSet(ids).compact(id_map), expected)
