@@ -43,7 +43,7 @@ from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.datagen.datasets import DATASET_FAMILIES, build_dataset, dataset_spec
 from repro.exceptions import ReproError
 from repro.graphs.io import read_graph_database, write_graph_database
-from repro.observability import RunReport, Tracer
+from repro.observability import MetricsRegistry, RunReport, Tracer
 from repro.taxonomy.io import read_taxonomy, write_taxonomy
 from repro.util.bitset import BitSet
 from repro.util.stats import DatabaseStats
@@ -998,14 +998,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
             for spec in patterns:
                 print(" ", reader.render(spec))
     if _wants_report(args):
-        report = RunReport(
-            algorithm="serving",
-            counters=dict(reader.metrics.counters),
-            gauges=dict(reader.metrics.gauges),
+        _emit_report(
+            args,
+            RunReport.from_run(
+                "serving", tracer=tracer, metrics=reader.metrics
+            ),
         )
-        if tracer is not None and tracer.enabled:
-            report.spans = tracer.root
-        _emit_report(args, report)
     return 0
 
 
@@ -1046,14 +1044,12 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         )
         print(f"  graphs: {gids if gids else '(none)'}")
     if _wants_report(args):
-        report = RunReport(
-            algorithm="serving",
-            counters=dict(reader.metrics.counters),
-            gauges=dict(reader.metrics.gauges),
+        _emit_report(
+            args,
+            RunReport.from_run(
+                "serving", tracer=tracer, metrics=reader.metrics
+            ),
         )
-        if tracer is not None and tracer.enabled:
-            report.spans = tracer.root
-        _emit_report(args, report)
     return 0
 
 
@@ -1093,14 +1089,12 @@ def _cmd_session(args: argparse.Namespace) -> int:
         print(f"  ... and {len(result.patterns) - len(shown)} more")
     manager.delete(session.session_id)
     if _wants_report(args):
-        report = RunReport(
-            algorithm="sessions",
-            counters=dict(reader.metrics.counters),
-            gauges=dict(reader.metrics.gauges),
+        _emit_report(
+            args,
+            RunReport.from_run(
+                "sessions", tracer=tracer, metrics=reader.metrics
+            ),
         )
-        if tracer is not None and tracer.enabled:
-            report.spans = tracer.root
-        _emit_report(args, report)
     return 0
 
 
@@ -1146,11 +1140,13 @@ def _run_async_front(
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import AdmissionController, serve_async
 
+    metrics = MetricsRegistry()
     front, reader = serve_async(
         args.store,
         host=args.host,
         port=args.port,
-        admission=AdmissionController(),
+        admission=AdmissionController(metrics=metrics),
+        metrics=metrics,
     )
     _run_async_front(
         args,
@@ -1165,7 +1161,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.observability import MetricsRegistry
     from repro.streaming import (
         ApplierOptions,
         StreamApplier,
@@ -1214,7 +1209,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_ingest_serve(
     args: argparse.Namespace, applier_options, wal_compress: str | None
 ) -> int:
-    from repro.observability.metrics import LockingMetricsRegistry
     from repro.serving import (
         AdmissionController,
         AdmissionLimits,
@@ -1227,7 +1221,7 @@ def _cmd_ingest_serve(
         from repro.replication import PrimaryService
 
         service_class, publishing = PrimaryService, {"secret": args.secret}
-    metrics = LockingMetricsRegistry()
+    metrics = MetricsRegistry()
     service = service_class(
         args.store,
         args.wal,
@@ -1275,7 +1269,6 @@ def _cmd_ingest_serve(
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    from repro.observability.metrics import LockingMetricsRegistry
     from repro.replication import Follower, FollowerOptions, FollowerService
     from repro.serving import AdmissionController
     from repro.streaming import ApplierOptions
@@ -1302,7 +1295,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             )
         return 0
 
-    metrics = LockingMetricsRegistry()
+    metrics = MetricsRegistry()
     service = FollowerService(
         args.store,
         args.wal,
@@ -1333,11 +1326,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.observability.metrics import LockingMetricsRegistry
     from repro.replication import HTTPReplica, RouterOptions, RouterService
     from repro.serving import AdmissionController
 
-    metrics = LockingMetricsRegistry()
+    metrics = MetricsRegistry()
     service = RouterService(
         [HTTPReplica(url) for url in args.replicas],
         host=args.host,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.graphs.digraph import DiGraph
@@ -59,6 +59,12 @@ class TaxonomyPattern:
         return (self.num_edges, self.code.edges)
 
 
+def _counter(metric: str, peak: bool = False):
+    """A :class:`MiningCounters` field: its metric key, and whether it
+    merges by maximum (a peak) rather than by sum."""
+    return field(default=0, metadata={"metric": metric, "peak": peak})
+
+
 @dataclass
 class MiningCounters:
     """Work counters backing the paper's efficiency claims.
@@ -79,63 +85,45 @@ class MiningCounters:
     :mod:`repro.observability`).
     """
 
-    isomorphism_tests: int = 0
-    embedding_extensions: int = 0
-    bitset_intersections: int = 0
-    occurrence_index_updates: int = 0
-    pattern_classes: int = 0
-    candidates_enumerated: int = 0
-    candidates_pruned: int = 0
-    overgeneralized_eliminated: int = 0
-    memory_cells_peak: int = 0
-    gspan_candidates_generated: int = 0
-    gspan_candidates_pruned_infrequent: int = 0
-    gspan_candidates_pruned_nonminimal: int = 0
-    oie_entries: int = 0
+    isomorphism_tests: int = _counter("iso.tests")
+    embedding_extensions: int = _counter("mine.embedding_extensions")
+    bitset_intersections: int = _counter("specialize.bitset_intersections")
+    occurrence_index_updates: int = _counter("index.updates")
+    pattern_classes: int = _counter("mine.pattern_classes")
+    candidates_enumerated: int = _counter("specialize.candidates_enumerated")
+    candidates_pruned: int = _counter("specialize.candidates_pruned")
+    overgeneralized_eliminated: int = _counter(
+        "specialize.overgeneralized_eliminated"
+    )
+    memory_cells_peak: int = _counter("memory.cells_peak", peak=True)
+    gspan_candidates_generated: int = _counter("gspan.candidates_generated")
+    gspan_candidates_pruned_infrequent: int = _counter(
+        "gspan.candidates_pruned_infrequent"
+    )
+    gspan_candidates_pruned_nonminimal: int = _counter(
+        "gspan.candidates_pruned_nonminimal"
+    )
+    oie_entries: int = _counter("index.oie_entries")
 
     def merge(self, other: "MiningCounters") -> None:
-        self.isomorphism_tests += other.isomorphism_tests
-        self.embedding_extensions += other.embedding_extensions
-        self.bitset_intersections += other.bitset_intersections
-        self.occurrence_index_updates += other.occurrence_index_updates
-        self.pattern_classes += other.pattern_classes
-        self.candidates_enumerated += other.candidates_enumerated
-        self.candidates_pruned += other.candidates_pruned
-        self.overgeneralized_eliminated += other.overgeneralized_eliminated
-        self.memory_cells_peak = max(self.memory_cells_peak, other.memory_cells_peak)
-        self.gspan_candidates_generated += other.gspan_candidates_generated
-        self.gspan_candidates_pruned_infrequent += (
-            other.gspan_candidates_pruned_infrequent
-        )
-        self.gspan_candidates_pruned_nonminimal += (
-            other.gspan_candidates_pruned_nonminimal
-        )
-        self.oie_entries += other.oie_entries
+        """Fold ``other`` in: counters sum, peaks keep the maximum."""
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            setattr(
+                self,
+                spec.name,
+                max(mine, theirs) if spec.metadata["peak"] else mine + theirs,
+            )
 
     def as_metrics(self) -> dict[str, int]:
         """Namespaced counter view consumed by
-        :class:`repro.observability.report.RunReport`."""
-        return {
-            "gspan.candidates_generated": self.gspan_candidates_generated,
-            "gspan.candidates_pruned_infrequent": (
-                self.gspan_candidates_pruned_infrequent
-            ),
-            "gspan.candidates_pruned_nonminimal": (
-                self.gspan_candidates_pruned_nonminimal
-            ),
-            "index.oie_entries": self.oie_entries,
-            "index.updates": self.occurrence_index_updates,
-            "iso.tests": self.isomorphism_tests,
-            "memory.cells_peak": self.memory_cells_peak,
-            "mine.embedding_extensions": self.embedding_extensions,
-            "mine.pattern_classes": self.pattern_classes,
-            "specialize.bitset_intersections": self.bitset_intersections,
-            "specialize.candidates_enumerated": self.candidates_enumerated,
-            "specialize.candidates_pruned": self.candidates_pruned,
-            "specialize.overgeneralized_eliminated": (
-                self.overgeneralized_eliminated
-            ),
-        }
+        :class:`repro.observability.report.RunReport`, keys sorted."""
+        return dict(
+            sorted(
+                (spec.metadata["metric"], getattr(self, spec.name))
+                for spec in fields(self)
+            )
+        )
 
 
 @dataclass

@@ -1,12 +1,15 @@
-"""Observability for the mining pipeline: spans, metrics, run reports.
+"""Observability for mining and serving: spans, metrics, run reports.
 
 The subsystem has three layers:
 
 * :mod:`repro.observability.trace` — hierarchical phase spans
   (:class:`Tracer`, :class:`SpanRecord`) carrying wall/CPU time and peak
-  RSS, with a zero-overhead disabled mode (:data:`NOOP_TRACER`);
-* :mod:`repro.observability.metrics` — named counters and gauges that
-  merge across worker processes (:class:`MetricsRegistry`);
+  RSS, safe to share between threads (each thread keeps its own span
+  stack), with a zero-overhead disabled mode (:data:`NOOP_TRACER`);
+* :mod:`repro.observability.metrics` — named counters and gauges in one
+  thread-safe :class:`MetricsRegistry` per process: every component of a
+  serving role writes into the registry its HTTP front renders at
+  ``GET /metrics``, and a mining run keeps its runtime extras in one;
 * :mod:`repro.observability.report` — the :class:`RunReport` attached to
   every :class:`~repro.core.results.TaxogramResult`, with JSON
   round-trip, human-readable rendering and cross-run counter diffs.
@@ -24,11 +27,7 @@ Typical use::
     result_path.write_text(result.report.to_json())
 """
 
-from repro.observability.metrics import (
-    LatencyHistogram,
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import LatencyHistogram, MetricsRegistry
 from repro.observability.report import RunReport
 from repro.observability.trace import (
     NOOP_TRACER,
@@ -41,7 +40,6 @@ from repro.observability.trace import (
 
 __all__ = [
     "LatencyHistogram",
-    "LockingMetricsRegistry",
     "MetricsRegistry",
     "RunReport",
     "SpanRecord",

@@ -1,15 +1,21 @@
-"""Named counters and gauges with cross-process merge semantics.
+"""Named counters and gauges: one thread-safe registry per process.
 
-:class:`MetricsRegistry` is the report-side home for metrics that do not
-fit the fixed :class:`repro.core.results.MiningCounters` block — above
-all the parallel runtime's per-shard statistics (``parallel.shard[3].
-patterns``), which exist only on multi-process runs and whose key set
-depends on the shard count.
+:class:`MetricsRegistry` is where every component of a process writes
+its work counters.  A serving role (standalone ``serve``, an ingest
+primary, a follower, the router) builds one registry and hands it to
+its reader, WAL, applier, shipper, router, admission controller and
+HTTP front, so ``GET /metrics`` renders that one registry; a mining run
+uses one for the metrics that do not fit the fixed
+:class:`repro.core.results.MiningCounters` block — above all the
+parallel runtime's per-shard statistics (``parallel.shard[3].
+patterns``), whose key set depends on the shard count.
 
-Counters are additive across merges (worker totals sum); gauges hold
-point-in-time values and merge by maximum, which is the right semantics
-for peaks (RSS, resident entries) and harmless for constants like
-``db.graphs`` that agree on both sides.
+Every update takes the registry's lock, so concurrent request threads
+and a background applier never drop an increment.  Counters are
+additive across merges (worker totals sum); gauges hold point-in-time
+values and merge by maximum, which is the right semantics for peaks
+(RSS, resident entries) and harmless for constants like ``db.graphs``
+that agree on both sides.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ import bisect
 import math
 import threading
 
-__all__ = ["LatencyHistogram", "LockingMetricsRegistry", "MetricsRegistry"]
+__all__ = ["LatencyHistogram", "MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """A bag of named counters (int, additive) and gauges (float, max)."""
+    """A thread-safe bag of named counters (int, additive) and gauges
+    (float, max)."""
 
-    __slots__ = ("counters", "gauges")
+    __slots__ = ("counters", "gauges", "_lock")
 
     def __init__(
         self,
@@ -33,36 +40,55 @@ class MetricsRegistry:
     ) -> None:
         self.counters: dict[str, int] = dict(counters or {})
         self.gauges: dict[str, float] = dict(gauges or {})
+        self._lock = threading.Lock()
 
     def add(self, name: str, value: int = 1) -> None:
         """Increment counter ``name`` by ``value``."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
+        with self._lock:
+            self.gauges[name] = float(value)
 
     def max_gauge(self, name: str, value: float) -> None:
         """Raise gauge ``name`` to ``value`` if larger (peak semantics)."""
-        current = self.gauges.get(name)
-        if current is None or value > current:
-            self.gauges[name] = float(value)
+        with self._lock:
+            current = self.gauges.get(name)
+            if current is None or value > current:
+                self.gauges[name] = float(value)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` in: counters sum, gauges keep the maximum."""
-        for name, value in other.counters.items():
-            self.add(name, value)
-        for name, value in other.gauges.items():
-            self.max_gauge(name, value)
+        """Fold ``other`` in: counters sum, gauges keep the maximum.
+
+        ``other`` is copied under its own lock first, so the two locks
+        are never held at once.
+        """
+        with other._lock:
+            counters = list(other.counters.items())
+            gauges = list(other.gauges.items())
+        with self._lock:
+            for name, value in counters:
+                self.counters[name] = self.counters.get(name, 0) + value
+            for name, value in gauges:
+                current = self.gauges.get(name)
+                if current is None or value > current:
+                    self.gauges[name] = float(value)
 
     def counter(self, name: str) -> int:
         """Point read of one counter (0 when never touched)."""
-        return self.counters.get(name, 0)
+        with self._lock:
+            return self.counters.get(name, 0)
 
     def as_dict(self) -> dict:
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-        }
+        """A consistent, key-sorted snapshot of every counter and gauge."""
+        with self._lock:
+            return {
+                "counters": {
+                    k: self.counters[k] for k in sorted(self.counters)
+                },
+                "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
+            }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsRegistry":
@@ -71,7 +97,7 @@ class MetricsRegistry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsRegistry):
             return NotImplemented
-        return self.counters == other.counters and self.gauges == other.gauges
+        return self.as_dict() == other.as_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -181,47 +207,3 @@ class LatencyHistogram:
             "p99_ms": self.quantile(0.99) * 1000.0,
             "max_ms": self.max_seconds * 1000.0,
         }
-
-
-class LockingMetricsRegistry(MetricsRegistry):
-    """A :class:`MetricsRegistry` whose updates are atomic across threads.
-
-    The mining pipeline is single-threaded per process, so the base
-    class skips locking; the serving layer shares one registry between
-    concurrent query threads, where an unlocked read-modify-write
-    ``add`` would drop increments.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(
-        self,
-        counters: dict[str, int] | None = None,
-        gauges: dict[str, float] | None = None,
-    ) -> None:
-        super().__init__(counters, gauges)
-        self._lock = threading.Lock()
-
-    def add(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            super().add(name, value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            super().set_gauge(name, value)
-
-    def max_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            super().max_gauge(name, value)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        with self._lock:
-            super().merge(other)
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return super().as_dict()
-
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return super().counter(name)

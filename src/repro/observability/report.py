@@ -50,24 +50,28 @@ class RunReport:
     def from_run(
         cls,
         algorithm: str,
-        counters: "MiningCounters",
+        counters: "MiningCounters | None" = None,
         stage_seconds: dict[str, float] | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "RunReport":
         """Assemble a report from pipeline state.
 
-        ``tracer`` contributes its span tree only when enabled;
-        ``metrics`` contributes runtime extras (e.g. ``parallel.*``).
+        ``counters`` is a mining run's fixed counter block (``None`` for
+        reader-side commands, which have none); ``tracer`` contributes
+        its span tree only when enabled; ``metrics`` contributes a
+        snapshot of a registry (runtime extras such as ``parallel.*``,
+        or a reader's ``serving.*``).
         """
         report = cls(
             algorithm=algorithm,
-            counters=dict(counters.as_metrics()),
+            counters={} if counters is None else dict(counters.as_metrics()),
             stage_seconds=dict(stage_seconds or {}),
         )
         if metrics is not None:
-            report.counters.update(metrics.counters)
-            report.gauges.update(metrics.gauges)
+            snapshot = metrics.as_dict()
+            report.counters.update(snapshot["counters"])
+            report.gauges.update(snapshot["gauges"])
         if tracer is not None and tracer.enabled:
             report.spans = tracer.root
         return report

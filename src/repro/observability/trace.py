@@ -1,14 +1,19 @@
 """Hierarchical phase spans: wall/CPU time and peak RSS per pipeline phase.
 
-A :class:`Tracer` maintains a stack of open spans; ``with
+A :class:`Tracer` keeps one stack of open spans per thread; ``with
 tracer.span("relabel"):`` opens a child of whatever span is currently on
-top, so nested pipeline phases (``gspan.extend`` containing one
-``specialize.class`` per pattern class) form a tree of
-:class:`SpanRecord` nodes.  Records are keyed by name under their
-parent, so re-entering the same phase accumulates into one record
-(``count`` says how many times it ran) instead of growing an unbounded
-list — the report stays proportional to the phase structure, not to the
-number of pattern classes.
+top of the calling thread's stack, so nested pipeline phases
+(``gspan.extend`` containing one ``specialize.class`` per pattern class)
+form a tree of :class:`SpanRecord` nodes.  Records are keyed by name
+under their parent, so re-entering the same phase accumulates into one
+record (``count`` says how many times it ran) instead of growing an
+unbounded list — the report stays proportional to the phase structure,
+not to the number of pattern classes.
+
+One tracer may be shared by many threads (request threads and a
+background applier in a server): a thread's first span roots at the
+tree's ``run`` record, children are created atomically, and totals are
+updated under a lock that only an enabled tracer takes.
 
 Zero overhead when disabled: a disabled tracer's :meth:`Tracer.span`
 returns the module-level :data:`NULL_SPAN` singleton — no allocation, no
@@ -20,6 +25,7 @@ and :class:`PhaseClock` is the worker-side measuring primitive.
 
 from __future__ import annotations
 
+import threading
 import time
 
 try:  # pragma: no cover - resource is POSIX-only
@@ -61,8 +67,8 @@ class SpanRecord:
     def child(self, name: str) -> "SpanRecord":
         record = self.children.get(name)
         if record is None:
-            record = SpanRecord(name)
-            self.children[name] = record
+            # Atomic under concurrent first entries: one record wins.
+            record = self.children.setdefault(name, SpanRecord(name))
         return record
 
     def as_dict(self) -> dict:
@@ -123,14 +129,14 @@ NULL_SPAN = _NullSpan()
 class _SpanContext:
     """An open span: pushes its record on enter, accumulates on exit."""
 
-    __slots__ = ("_tracer", "_name", "_record", "_wall0", "_cpu0")
+    __slots__ = ("_tracer", "_name", "_stack", "_record", "_wall0", "_cpu0")
 
     def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
         self._name = name
 
     def __enter__(self) -> "_SpanContext":
-        stack = self._tracer._stack
+        stack = self._stack = self._tracer._thread_stack()
         self._record = stack[-1].child(self._name)
         stack.append(self._record)
         self._wall0 = time.perf_counter()
@@ -138,33 +144,60 @@ class _SpanContext:
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        record = self._record
-        record.wall_seconds += time.perf_counter() - self._wall0
-        record.cpu_seconds += time.process_time() - self._cpu0
-        record.count += 1
+        wall = time.perf_counter() - self._wall0
+        cpu = time.process_time() - self._cpu0
         rss = peak_rss_kb()
-        if rss > record.peak_rss_kb:
-            record.peak_rss_kb = rss
-        stack = self._tracer._stack
+        record = self._record
+        self._tracer._accumulate(record, wall, cpu, rss, 1)
+        stack = self._stack
         if len(stack) > 1 and stack[-1] is record:
             stack.pop()
         return False
 
 
 class Tracer:
-    """Span collector for one mining run.
+    """Span collector for one run or one server process.
 
     ``Tracer()`` records; ``Tracer(enabled=False)`` (or the shared
     :data:`NOOP_TRACER`) turns every operation into a no-op with no
     per-call allocation.
+
+    Thread-safe: each thread nests spans on its own stack, so a span
+    opened on a pool thread (a request handler, a shard fan-out worker,
+    the background applier) roots at ``run``, not under whatever span
+    another thread has open.
     """
 
-    __slots__ = ("enabled", "root", "_stack")
+    __slots__ = ("enabled", "root", "_local", "_lock")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.root = SpanRecord("run")
-        self._stack: list[SpanRecord] = [self.root]
+        self._local = threading.local()
+        self._lock = threading.Lock()
+
+    def _thread_stack(self) -> list[SpanRecord]:
+        """The calling thread's open spans, bottomed by ``root``."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = [self.root]
+            return stack
+
+    def _accumulate(
+        self,
+        record: SpanRecord,
+        wall_seconds: float,
+        cpu_seconds: float,
+        peak_rss_kb: int,
+        count: int,
+    ) -> None:
+        with self._lock:
+            record.wall_seconds += wall_seconds
+            record.cpu_seconds += cpu_seconds
+            record.count += count
+            if peak_rss_kb > record.peak_rss_kb:
+                record.peak_rss_kb = peak_rss_kb
 
     def span(self, name: str):
         """Context manager timing one entry of phase ``name``."""
@@ -184,17 +217,13 @@ class Tracer:
         phase) as a child of the currently open span."""
         if not self.enabled:
             return
-        record = self._stack[-1].child(name)
-        record.wall_seconds += wall_seconds
-        record.cpu_seconds += cpu_seconds
-        record.count += count
-        if peak_rss_kb > record.peak_rss_kb:
-            record.peak_rss_kb = peak_rss_kb
+        record = self._thread_stack()[-1].child(name)
+        self._accumulate(record, wall_seconds, cpu_seconds, peak_rss_kb, count)
 
     @property
     def depth(self) -> int:
-        """Number of currently open spans (0 when idle)."""
-        return len(self._stack) - 1
+        """Number of spans the calling thread has open (0 when idle)."""
+        return len(self._thread_stack()) - 1
 
 
 NOOP_TRACER = Tracer(enabled=False)

@@ -45,10 +45,7 @@ from pathlib import Path
 
 from repro.exceptions import ReplicationError, ReproError
 from repro.incremental.store import PatternStore
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.replication.shipper import verify_manifest
 from repro.serving.admission import AdmissionController
@@ -105,7 +102,7 @@ class PrimaryClient:
         self.timeout = timeout
         self.secret = secret
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
 
     def _get(self, path: str) -> bytes:
@@ -197,7 +194,7 @@ class Follower:
         self.options = options if options is not None else FollowerOptions()
         self.applier_options = applier_options
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.client = PrimaryClient(
@@ -514,8 +511,10 @@ class FollowerService:
     :meth:`close` stops it and releases the WAL.  Sync failures (the
     primary being down, a partition) are recorded — and visible in
     ``/health`` as ``sync_ok: false`` — while queries keep serving the
-    last committed version.  ``admission`` is forwarded to the front
-    (``None`` admits every request).
+    last committed version.  ``metrics`` is the service's one registry,
+    shared by the follower's client, WAL and applier, the reader and
+    the front.  ``admission`` is forwarded to the front (``None`` admits
+    every request).
     """
 
     def __init__(
@@ -532,7 +531,7 @@ class FollowerService:
         admission: AdmissionController | None = None,
     ) -> None:
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.follower = Follower(
             store_dir,
@@ -545,14 +544,15 @@ class FollowerService:
         )
         self.follower.sync_once()
         self.follower.applier.drain()
-        self.reader = StoreReader(store_dir, tracer=tracer)
-        routes = serving_routes(
-            self.reader,
-            role="follower",
-            health_extras=self.health_extras,
-            metrics=self.metrics,
+        self.reader = StoreReader(
+            store_dir, tracer=tracer, metrics=self.metrics
         )
-        self.server = AsyncHTTPFront(routes, host, port, admission=admission)
+        routes = serving_routes(
+            self.reader, role="follower", health_extras=self.health_extras
+        )
+        self.server = AsyncHTTPFront(
+            routes, host, port, admission=admission, metrics=self.metrics
+        )
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._closed = False

@@ -83,10 +83,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import ReplicationError, ReproError
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.parallel.merge import merge_support_sets
 from repro.serving.admission import AdmissionController
@@ -479,7 +476,7 @@ class QueryRouter:
             raise ReplicationError("router needs at least one replica")
         self.options = options if options is not None else RouterOptions()
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         for state in states:
@@ -959,8 +956,8 @@ def router_routes(router: QueryRouter) -> RouteTable:
 
     ``POST /query``, ``POST /similar`` and ``GET /top`` (all accepting
     ``min_applied_seq``) route through :meth:`QueryRouter.query`;
-    ``GET /health`` lists per-replica liveness and session pins;
-    ``GET /metrics`` reports the router's registry; every
+    ``GET /health`` lists per-replica liveness and session pins (the
+    front adds ``GET /metrics``, from the router's registry); every
     ``/sessions`` path the replicas serve is forwarded through the
     session's pin, under the same admission kind as on the replica.
     """
@@ -979,9 +976,6 @@ def router_routes(router: QueryRouter) -> RouteTable:
             "replicas": router.replica_states(),
             "session_pins": router.session_pins(),
         }, {}
-
-    def handle_metrics(request: HTTPRequest) -> HTTPResult:
-        return 200, router.metrics.as_dict(), {}
 
     def handle_top(request: HTTPRequest) -> HTTPResult:
         try:
@@ -1050,7 +1044,6 @@ def router_routes(router: QueryRouter) -> RouteTable:
     ]
     return RouteTable([
         Endpoint("GET", "/health", "health", "control", handle_health),
-        Endpoint("GET", "/metrics", "metrics", "control", handle_metrics),
         Endpoint("GET", "/top", "top", "query", handle_top),
         Endpoint("POST", "/query", "query", "query", handle_query),
         Endpoint("POST", "/similar", "similar", "query", handle_query),
@@ -1061,8 +1054,9 @@ def router_routes(router: QueryRouter) -> RouteTable:
 class RouterService:
     """The router behind one HTTP front (``taxogram route``).
 
-    ``admission`` is forwarded to the front (``None`` admits every
-    request).
+    ``metrics`` is the service's one registry, shared by the router,
+    its replica connections and the front.  ``admission`` is forwarded
+    to the front (``None`` admits every request).
     """
 
     def __init__(
@@ -1080,7 +1074,11 @@ class RouterService:
         )
         self.metrics = self.router.metrics
         self.server = AsyncHTTPFront(
-            router_routes(self.router), host, port, admission=admission
+            router_routes(self.router),
+            host,
+            port,
+            admission=admission,
+            metrics=self.metrics,
         )
 
     @property

@@ -38,10 +38,7 @@ from pathlib import Path
 
 from repro.exceptions import ReplicationError
 from repro.incremental.store import fence_state
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.streaming.service import IngestService
 from repro.streaming.wal import WriteAheadLog
 
@@ -102,7 +99,7 @@ class SegmentShipper:
         self.store_dir = Path(store_dir)
         self.secret = secret
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self._fence_retries = max(1, fence_retries)
         self._fence_wait = fence_wait

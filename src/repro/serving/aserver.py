@@ -21,9 +21,12 @@ onto one event loop:
   instead of at a cliff, and control endpoints (health/metrics/lag/
   flush) are never shed, so the server stays observable and drainable
   at any load;
-* per-kind :class:`~repro.observability.metrics.LatencyHistogram`\\ s
-  record end-to-end request latency, surfaced as a ``front`` block on
-  ``GET /metrics``;
+* the front answers ``GET /metrics`` itself, from the role's one
+  :class:`~repro.observability.metrics.MetricsRegistry` (its
+  ``counters``/``gauges``, plus the nonzero ``bitset.*`` kernel
+  counters) and a ``front`` block whose per-kind
+  :class:`~repro.observability.metrics.LatencyHistogram`\\ s record
+  end-to-end request latency;
 * bodies are compact JSON (``json.dumps`` without ``indent``, which
   keeps CPython's C encoder), encoded once per response.
 
@@ -48,18 +51,21 @@ from http.client import responses as _HTTP_REASONS
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from repro.observability.metrics import LatencyHistogram
+from repro.observability.metrics import LatencyHistogram, MetricsRegistry
 from repro.serving.admission import (
     ENDPOINT_KINDS,
     AdmissionController,
 )
 from repro.serving.endpoints import (
+    Endpoint,
     HTTPRequest,
+    HTTPResult,
     RouteTable,
     not_found,
     serving_routes,
 )
 from repro.serving.reader import StoreReader
+from repro.util.bitset import kernel_counters
 
 __all__ = ["AsyncHTTPFront", "serve_async"]
 
@@ -75,9 +81,13 @@ class _BadRequest(Exception):
 class AsyncHTTPFront:
     """One listening socket, one route table, one bounded compute pool.
 
-    ``routes`` is owned by the front (its ``GET /metrics`` handler is
-    decorated in place).  ``admission=None`` disables shedding — every
-    request is admitted, still bounded by the per-kind semaphores.
+    ``routes`` is owned by the front, which adds its ``GET /metrics``
+    endpoint to it.  ``metrics`` is the registry that endpoint renders —
+    the role's one registry, which every component of the role writes
+    into; ``None`` gives the front a fresh one, so every front answers
+    ``/metrics`` in the same shape.  ``admission=None`` disables
+    shedding — every request is admitted, still bounded by the per-kind
+    semaphores.
     ``max_requests`` stops the front after N responses (the CLI's
     ``--max-requests`` testing aid).
 
@@ -94,9 +104,11 @@ class AsyncHTTPFront:
         admission: AdmissionController | None = None,
         max_workers: int | None = None,
         max_requests: int | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.routes = routes
         self.admission = admission
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_requests = max_requests
         infos = socket.getaddrinfo(
             host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
@@ -134,7 +146,9 @@ class AsyncHTTPFront:
         self._waiting: set[asyncio.Task] = set()
         self._draining = False
         self._thread: threading.Thread | None = None
-        self._decorate_metrics()
+        routes.add(
+            Endpoint("GET", "/metrics", "metrics", "control", self._metrics)
+        )
 
     def _bound(self, kind: str) -> int:
         """How many requests of ``kind`` may compute at once."""
@@ -157,21 +171,16 @@ class AsyncHTTPFront:
             payload["admission"] = self.admission.snapshot()
         return payload
 
-    def _decorate_metrics(self) -> None:
-        if self.routes.resolve("GET", "/metrics") is None:
-            return
-
-        def wrap(current):
-            def handler(request: HTTPRequest):
-                status, payload, headers = current.handler(request)
-                if isinstance(payload, dict):
-                    payload = dict(payload)
-                    payload["front"] = self.stats()
-                return status, payload, headers
-
-            return handler
-
-        self.routes.replace("GET", "/metrics", wrap)
+    def _metrics(self, request: HTTPRequest) -> HTTPResult:
+        """``GET /metrics``: the role's registry, kernel work, the front."""
+        payload = self.metrics.as_dict()
+        # Process-cumulative bit-set kernel work (similarity scoring runs
+        # on BitSet kernels); counters still at zero are left out.
+        payload["counters"].update(
+            {k: v for k, v in kernel_counters().items() if v}
+        )
+        payload["front"] = self.stats()
+        return 200, payload, {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -447,10 +456,15 @@ def serve_async(
     admission: AdmissionController | None = None,
     max_requests: int | None = None,
     sessions=True,
+    metrics: MetricsRegistry | None = None,
 ) -> tuple[AsyncHTTPFront, StoreReader]:
     """A front over a read-only store (``taxogram serve``).
 
     Returns the bound, not yet serving front and its reader.
+    ``metrics`` is the process's registry, shared by the reader, the
+    session manager and the front (pass the same one to ``admission``
+    so ``/metrics`` carries its ``admission.*`` counters); ``None``
+    uses a fresh one.
     ``sessions`` mounts the interactive-session surface: ``True`` builds
     a default :class:`~repro.sessions.manager.SessionManager` over the
     reader, a manager instance is used as-is, and ``False``/``None``
@@ -460,7 +474,7 @@ def serve_async(
     from repro.serving.endpoints import session_routes
     from repro.sessions.manager import SessionManager
 
-    reader = StoreReader(store_dir)
+    reader = StoreReader(store_dir, metrics=metrics)
     routes = serving_routes(reader, role="standalone")
     manager = None
     if sessions is True:
@@ -475,6 +489,7 @@ def serve_async(
         port,
         admission=admission,
         max_requests=max_requests,
+        metrics=reader.metrics,
     )
     front.sessions = manager
     return front, reader

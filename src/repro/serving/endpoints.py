@@ -24,14 +24,15 @@ socket — the registry replaced a hardcoded tuple in the admission
 module that silently missed newly added control routes.
 
 ``serving_routes`` builds the read-only surface over a
-:class:`~repro.serving.reader.StoreReader` (plus, for ``GET /metrics``,
-the role's own registry); ``ingest_routes`` adds the
+:class:`~repro.serving.reader.StoreReader`; ``ingest_routes`` adds the
 streaming surface over an ingest service/core; ``replication_routes``
 adds the primary's segment-publishing surface over a
 :class:`~repro.replication.shipper.SegmentShipper`; ``session_routes``
 adds the interactive-session surface over a
 :class:`~repro.sessions.manager.SessionManager`; and
 :func:`repro.replication.router.router_routes` is the router's surface.
+No table here serves ``GET /metrics``: the front answers it from the
+role's one registry (:class:`~repro.serving.aserver.AsyncHTTPFront`).
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from typing import Callable, Mapping
 
 from repro.exceptions import ReproError
 from repro.incremental.delta import DatabaseDelta
-from repro.observability.metrics import MetricsRegistry
-from repro.util.bitset import BitSet, kernel_counters
+from repro.util.bitset import BitSet
 
 __all__ = [
     "ENDPOINT_KINDS",
@@ -138,9 +138,6 @@ class RouteTable:
             self.add(endpoint)
         return self
 
-    def resolve(self, method: str, path: str) -> Endpoint | None:
-        return self._routes.get((method, path))
-
     def match(
         self, method: str, path: str
     ) -> tuple[Endpoint | None, dict[str, str]]:
@@ -169,22 +166,6 @@ class RouteTable:
 
     def endpoints(self) -> list[Endpoint]:
         return list(self._routes.values())
-
-    def replace(
-        self, method: str, path: str,
-        wrap: Callable[[Endpoint], Callable[[HTTPRequest], HTTPResult]],
-    ) -> None:
-        """Swap one handler for a wrapper of it (front-end decoration)."""
-        current = self._routes[(method, path)]
-        self.add(
-            Endpoint(
-                method=method,
-                path=path,
-                name=current.name,
-                kind=current.kind,
-                handler=wrap(current),
-            )
-        )
 
 
 def not_found(path: str) -> HTTPResult:
@@ -236,15 +217,8 @@ def serving_routes(
     reader,
     role: str = "standalone",
     health_extras: Callable[[], dict] | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> RouteTable:
-    """The read-only surface: /health, /metrics, /top, /query, /similar.
-
-    ``metrics`` is the role's own registry (an ingest core's
-    ``streaming.*``/``admission.*``/``replication.*`` counters, a
-    follower's sync counters); ``GET /metrics`` reports it merged with
-    the reader's ``serving.*`` registry.
-    """
+    """The read-only surface: /health, /top, /query, /similar."""
     from repro.serving.reader import SIMILARITY_OPS
 
     def handle_health(request: HTTPRequest) -> HTTPResult:
@@ -260,19 +234,6 @@ def serving_routes(
         }
         if health_extras is not None:
             payload.update(health_extras())
-        return 200, payload, {}
-
-    def handle_metrics(request: HTTPRequest) -> HTTPResult:
-        merged = MetricsRegistry.from_dict(reader.metrics.as_dict())
-        if metrics is not None:
-            merged.merge(MetricsRegistry.from_dict(metrics.as_dict()))
-        payload = merged.as_dict()
-        # Process-cumulative bit-set kernel work: similarity scoring
-        # (overlap/jaccard over fragment fingerprints) runs on BitSet
-        # kernels.
-        payload["counters"].update(
-            {k: v for k, v in kernel_counters().items() if v}
-        )
         return 200, payload, {}
 
     def handle_top(request: HTTPRequest) -> HTTPResult:
@@ -346,7 +307,6 @@ def serving_routes(
 
     return RouteTable([
         Endpoint("GET", "/health", "health", "control", handle_health),
-        Endpoint("GET", "/metrics", "metrics", "control", handle_metrics),
         Endpoint("GET", "/top", "top", "query", handle_top),
         Endpoint("POST", "/query", "query", "query", handle_query),
         Endpoint("POST", "/similar", "similar", "query", handle_similar),

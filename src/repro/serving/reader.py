@@ -61,7 +61,7 @@ from repro.mining.dfs_code import (
     min_dfs_code,
 )
 from repro.mining.gspan import min_support_count
-from repro.observability.metrics import LockingMetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.serving.cache import VersionedResultCache, query_key
 from repro.similarity.engine import ScoredGraph, SimilarityEngine
@@ -173,6 +173,11 @@ class StoreReader:
     and shared across query threads.  All query methods may raise
     :class:`~repro.exceptions.StoreError` if the store keeps changing
     faster than the reader can fence a consistent snapshot.
+
+    ``metrics`` is the registry the reader (and its similarity engine
+    and session managers) writes ``serving.*``/``similarity.*``/
+    ``sessions.*`` counters into — a serving role passes its one
+    registry; the default is a fresh one.
     """
 
     def __init__(
@@ -182,9 +187,10 @@ class StoreReader:
         max_retries: int = 100,
         retry_wait: float = 0.02,
         tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.metrics = LockingMetricsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._cache = VersionedResultCache(cache_size)
         self._max_retries = max(1, max_retries)

@@ -35,10 +35,7 @@ from dataclasses import dataclass
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
 from repro.isomorphism.vf2 import find_embedding
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.similarity.homomorphism import find_homomorphism
 from repro.similarity.matcher import (
@@ -90,7 +87,7 @@ class SimilarityEngine:
         self.database = database
         self.measure = TaxonomySimilarity(taxonomy, exclude_labels)
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.prefilter = prefilter

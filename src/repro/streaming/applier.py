@@ -58,10 +58,7 @@ from repro.exceptions import ReproError, StoreError
 from repro.incremental.delta import DatabaseDelta
 from repro.incremental.store import PatternStore
 from repro.incremental.updater import IncrementalOptions, IncrementalTaxogram
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.streaming.wal import WALRecord, WriteAheadLog
 
@@ -280,7 +277,7 @@ class StreamApplier:
         self.wal = wal
         self.options = options if options is not None else ApplierOptions()
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.recovery = recover_store(self.store_dir)

@@ -38,10 +38,7 @@ from pathlib import Path
 
 from repro.exceptions import ReproError
 from repro.incremental.delta import DatabaseDelta
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.serving.admission import AdmissionController
 from repro.serving.aserver import AsyncHTTPFront
@@ -87,6 +84,9 @@ class IngestService:
     and releases everything; it is what SIGTERM handling calls for a
     graceful exit.
 
+    ``metrics`` is the service's one registry: the WAL, applier, reader
+    and front (and a :class:`~repro.replication.shipper.PrimaryService`'s
+    shipper) all write into it, and ``GET /metrics`` renders it.
     ``admission`` is forwarded to the front; the default ``None``
     admits every request, leaving back-pressure to the
     ``max_lag_records`` bound.
@@ -110,7 +110,7 @@ class IngestService:
     ) -> None:
         self.options = options if options is not None else IngestOptions()
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.wal = WriteAheadLog(
@@ -125,16 +125,17 @@ class IngestService:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.reader = StoreReader(store_dir, tracer=self.tracer)
+        self.reader = StoreReader(
+            store_dir, tracer=self.tracer, metrics=self.metrics
+        )
         self._closed = False
         routes = serving_routes(
-            self.reader,
-            role=self.role,
-            health_extras=self.health_extras,
-            metrics=self.metrics,
+            self.reader, role=self.role, health_extras=self.health_extras
         )
         routes.merge(ingest_routes(self))
-        self.server = AsyncHTTPFront(routes, host, port, admission=admission)
+        self.server = AsyncHTTPFront(
+            routes, host, port, admission=admission, metrics=self.metrics
+        )
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -59,10 +59,7 @@ from pathlib import Path
 
 from repro.exceptions import CompressionError, WALError
 from repro.incremental.delta import DatabaseDelta
-from repro.observability.metrics import (
-    LockingMetricsRegistry,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.util.compression import (
     container_raw_length,
     decode_container,
@@ -224,7 +221,7 @@ class WriteAheadLog:
         # local journal at the snapshot's committed offset + 1.
         self._initial_seq = max(0, initial_seq)
         self.metrics = (
-            metrics if metrics is not None else LockingMetricsRegistry()
+            metrics if metrics is not None else MetricsRegistry()
         )
         # None unless REPRO_FAULTPOINTS_FILE is set (chaos harness).
         self._faultpoints = Faultpoints.from_env()

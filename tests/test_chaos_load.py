@@ -2,7 +2,8 @@
 
 The bounded applier-crash test runs in tier-1 (one SIGKILL + restart,
 fixed seed, ~10s wall).  The wider sweeps — fsync stalls, follower
-kills behind a router, torn WAL tails — are ``chaos``-marked and run
+kills behind a router, torn WAL tails, a router overloaded past its
+admission limits — are ``chaos``-marked and run
 with ``RUN_CHAOS=1`` (the CI chaos job); the randomized sweep is
 ``slow``-marked for the nightly.
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -47,6 +50,8 @@ from repro.loadtest.faults import (
     stall_fsync,
     truncate_segment,
 )
+from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.endpoints import Endpoint, RouteTable
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from repro.taxonomy.io import write_taxonomy
 from tests.conftest import wait_until
@@ -299,6 +304,80 @@ class TestChaosSweeps:
             if follower is not None:
                 follower.terminate()
             primary.terminate()
+
+
+    def test_overloaded_router_sheds_and_stays_observable(self, tmp_path):
+        # A replica whose queries block until released pins every
+        # routed query in flight, so a burst past the router's queue
+        # bound (query concurrency 16 x queue factor 4 = 64) must shed.
+        release = threading.Event()
+
+        def health(request):
+            return 200, {
+                "status": "ok", "role": "follower", "applied_seq": 0,
+                "store_version": 1, "database_size": 3,
+            }, {}
+
+        def blocked_query(request):
+            release.wait(30)
+            return 200, {"op": "support", "store_version": 1,
+                         "cached": False, "value": 1}, {}
+
+        replica = AsyncHTTPFront(
+            RouteTable([
+                Endpoint("GET", "/health", "health", "control", health),
+                Endpoint("POST", "/query", "query", "query", blocked_query),
+            ]),
+            max_workers=64,
+        )
+        rhost, rport = replica.start_background()
+        router = spawn_router([f"http://{rhost}:{rport}"], cwd=tmp_path)
+        router.start()
+        outcomes: list[tuple[int, dict]] = []
+        lock = threading.Lock()
+
+        def hit() -> None:
+            request = urllib.request.Request(
+                router.url + "/query",
+                json.dumps({"op": "support", "pattern": PATTERN}).encode(),
+                {"Content-Type": "application/json"},
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=60) as answer:
+                    outcome = (answer.status, dict(answer.headers))
+            except urllib.error.HTTPError as exc:
+                outcome = (exc.code, dict(exc.headers))
+            with lock:
+                outcomes.append(outcome)
+
+        clients = [threading.Thread(target=hit) for _ in range(80)]
+        try:
+            for client in clients:
+                client.start()
+            wait_until(
+                lambda: any(status == 429 for status, _ in outcomes),
+                message="the router to shed",
+            )
+            # Control traffic is never shed, whatever the query load.
+            assert _get(router.url + "/health")["status"] == "ok"
+        finally:
+            release.set()
+            for client in clients:
+                client.join(timeout=60)
+            try:
+                counters = _get(router.url + "/metrics")["counters"]
+            finally:
+                router.terminate()
+                replica.stop_background()
+        statuses = [status for status, _ in outcomes]
+        assert len(statuses) == len(clients)
+        assert set(statuses) <= {200, 429}
+        assert statuses.count(200) >= 16
+        for status, headers in outcomes:
+            if status == 429:
+                assert float(headers["Retry-After"]) > 0.0
+        assert counters["admission.shed"] >= 1
+        assert counters["admission.shed"] == statuses.count(429)
 
 
 @pytest.mark.slow

@@ -1,9 +1,10 @@
 """Every process role answers ``GET /metrics`` in one shape.
 
 Standalone, primary, follower and router each run on the same HTTP
-front, so each reports ``counters``, ``gauges`` and the front's own
-block with a latency histogram per endpoint kind — and each role's own
-registry (not just its reader's) reaches the endpoint.
+front, which answers ``GET /metrics`` from the role's one registry, so
+each reports exactly ``counters``, ``gauges`` and the front's own block
+with a latency histogram per endpoint kind — and every component of the
+role (reader, WAL, applier, shipper, router, admission) reaches it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import threading
 
+from repro.loadtest.cluster import spawn_serve
 from repro.replication import (
     FollowerOptions,
     FollowerService,
@@ -18,7 +20,8 @@ from repro.replication import (
     RouterService,
 )
 from repro.serving import serve_async
-from repro.serving.endpoints import ENDPOINT_KINDS
+from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.endpoints import ENDPOINT_KINDS, Endpoint, RouteTable
 from tests.test_replication_follower import _unapplied_primary
 from tests.test_replication_shipper import ADD_ONE, _mine_store, _request
 
@@ -67,6 +70,7 @@ def test_every_role_reports_its_own_counters_in_one_shape(tmp_path):
         assert _request(solo, "/query", query)[0] == 200
         assert _request(primary_url, "/ingest", {"add": ADD_ONE})[0] == 202
         assert _request(routed, "/query", query)[0] == 200
+        assert _request(primary_url, "/query", query)[0] == 200
 
         own = {
             solo: "serving.queries",
@@ -76,6 +80,12 @@ def test_every_role_reports_its_own_counters_in_one_shape(tmp_path):
         }
         for url, counter in own.items():
             assert _metrics(url)["counters"].get(counter, 0) >= 1, counter
+        # The reader writes into its role's one registry, so its
+        # serving.* counters arrive through the same /metrics.
+        for service, url in ((primary, primary_url), (follower, follower_url)):
+            assert service.reader.metrics is service.metrics
+            assert service.server.metrics is service.metrics
+            assert _metrics(url)["counters"].get("serving.queries", 0) >= 1
     finally:
         if router is not None:
             router.server.stop_background()
@@ -86,3 +96,33 @@ def test_every_role_reports_its_own_counters_in_one_shape(tmp_path):
         primary_thread.join(timeout=10)
         primary.close()
         standalone.stop_background()
+
+
+def test_a_bare_front_answers_metrics_in_the_same_shape():
+    routes = RouteTable([
+        Endpoint("GET", "/ping", "ping", "query", lambda r: (200, {}, {})),
+    ])
+    front = AsyncHTTPFront(routes)
+    host, port = front.start_background()
+    url = f"http://{host}:{port}"
+    try:
+        assert _request(url, "/ping")[0] == 200
+        doc = _metrics(url)
+        assert doc["front"]["latency"]["query"]["count"] == 1
+    finally:
+        front.stop_background()
+
+
+def test_standalone_serve_reports_admission_counters(tmp_path):
+    # ``taxogram serve`` hands one registry to its reader, its admission
+    # controller and its front, so admission.* reaches /metrics.
+    process = spawn_serve(_mine_store(tmp_path), cwd=tmp_path)
+    process.start()
+    try:
+        query = {"op": "support", "pattern": PATTERN}
+        assert _request(process.url, "/query", query)[0] == 200
+        counters = _metrics(process.url)["counters"]
+        assert counters.get("admission.admitted", 0) >= 1
+        assert counters.get("serving.queries", 0) >= 1
+    finally:
+        process.terminate()

@@ -7,7 +7,10 @@ round-tripping — independent of the mining pipeline that consumes it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -103,6 +106,37 @@ class TestSpanNesting:
         names = [record.name for _depth, record in tracer.root.walk()]
         assert names == ["run", "a", "z", "b"]
 
+    def test_threads_sharing_a_tracer_each_root_at_run(self):
+        # Each thread nests on its own stack: four workers that each
+        # open "wN" -> "inner" 200 times give run > wN x200 > inner
+        # x200, not a chain that interleaves the threads' spans.
+        tracer = Tracer()
+        start = threading.Barrier(4)
+
+        def work(index: int) -> None:
+            start.wait()
+            for _ in range(200):
+                with tracer.span(f"w{index}"):
+                    with tracer.span("inner"):
+                        time.sleep(0)  # yield: let the threads interleave
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        root = tracer.root
+        assert sorted(root.children) == ["w0", "w1", "w2", "w3"]
+        for record in root.children.values():
+            assert record.count == 200
+            assert list(record.children) == ["inner"]
+            inner = record.children["inner"]
+            assert inner.count == 200
+            assert inner.children == {}
+        assert tracer.depth == 0
+
     def test_span_record_json_round_trip(self):
         tracer = Tracer()
         with tracer.span("outer"):
@@ -169,6 +203,27 @@ class TestCrossProcessMerge:
         counters.candidates_pruned = 3
         clone = pickle.loads(pickle.dumps(counters))
         assert clone.as_metrics() == counters.as_metrics()
+
+    def test_every_field_reaches_as_metrics_and_survives_merge(self):
+        # Distinct values per field, so a field missing from (or
+        # duplicated in) as_metrics changes the multiset of values.
+        names = [spec.name for spec in dataclasses.fields(MiningCounters)]
+        a = MiningCounters(**{n: 3 + i for i, n in enumerate(names)})
+        b = MiningCounters(**{n: 10 * (i + 1) for i, n in enumerate(names)})
+        metrics = a.as_metrics()
+        assert len(metrics) == len(names)
+        assert list(metrics) == sorted(metrics)
+        assert sorted(metrics.values()) == [3 + i for i in range(len(names))]
+        a.merge(b)
+        for i, name in enumerate(names):
+            if name == "memory_cells_peak":  # a peak: merges by max
+                expected = max(3 + i, 10 * (i + 1))
+            else:
+                expected = 3 + i + 10 * (i + 1)
+            assert getattr(a, name) == expected, name
+        assert sorted(a.as_metrics().values()) == sorted(
+            getattr(a, name) for name in names
+        )
 
     def test_registry_counters_sum_gauges_max(self):
         a = MetricsRegistry({"work": 3}, {"peak": 10.0, "only_a": 1.0})
