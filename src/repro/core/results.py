@@ -82,7 +82,11 @@ class MiningCounters:
     ``candidates_pruned`` counts Step-3 label choices whose occurrence
     intersection fell below the threshold — together they make pruning
     regressions visible as counter deltas (see
-    :mod:`repro.observability`).
+    :mod:`repro.observability`).  ``candidates_enumerated`` counts the
+    complete label assignments Step 3 builds, and
+    ``overgeneralized_eliminated`` the over-generalized ones it drops:
+    one per label enhancement (c) skips before or during enumeration,
+    plus one per built assignment the final check rejects.
     """
 
     isomorphism_tests: int = _counter("iso.tests")

@@ -11,13 +11,20 @@ position every covered descendant-or-self of the class's base label is
 considered via a DFS through the occurrence-index sub-taxonomy.  This is
 equivalent to the paper's child-replacement scheme with a processed-nodes
 set (PNS): positions already passed are exactly the PNS, and the
-unconditional single-child-step check in :func:`_is_overgeneralized`
+unconditional single-child-step check in :func:`is_overgeneralized`
 subsumes the paper's follow-up PNS inspection (support monotonicity along
 specialization chains, Lemma 2, makes the single-step check detect any
 multi-step equal-support specialization).  Per-position visited sets
 handle DAG taxonomies where a label is reachable through several parents,
 mirroring the paper's "visited vertex labels within an occurrence index
 are marked".
+
+Enhancement (c) drops provably over-generalized labels early: before
+enumeration along single-covered-child chains (:func:`_collapse`), and at
+every partial assignment, where a frequent label whose occurrence
+intersection equals a covered child's is not offered (every completion
+with it has the child as a same-support specialization).  The final
+check still runs, since later positions can make a child's set equal.
 
 Patterns whose structure has automorphisms are reached under several
 label assignments; canonical minimum DFS codes deduplicate them.
@@ -34,7 +41,7 @@ from repro.graphs.graph import Graph
 from repro.mining.dfs_code import min_dfs_code
 from repro.taxonomy.taxonomy import Taxonomy
 
-__all__ = ["SpecializerOptions", "specialize_class"]
+__all__ = ["SpecializerOptions", "is_overgeneralized", "specialize_class"]
 
 
 @dataclass(frozen=True)
@@ -47,11 +54,15 @@ class SpecializerOptions:
     are tested and fail individually) but performs the paper's baseline
     amount of work.
 
-    ``occurrence_collapse`` (enhancement (c)): before enumeration,
-    advance a position's base label to its only covered child when the
-    child's occurrence set is identical — the skipped generalizations are
-    provably over-generalized.  The single-covered-child condition keeps
-    the step sound on DAG taxonomies (see DESIGN.md).
+    ``occurrence_collapse`` (enhancement (c)): skip labels that are
+    provably over-generalized.  Before enumeration, advance a position's
+    base label to its only covered child when the child's occurrence set
+    is identical.  During enumeration, do not offer a frequent label
+    whose occurrence intersection equals a covered child's (every
+    completion with it is over-generalized), though its children are
+    still walked.  Both steps are sound on DAG taxonomies (see
+    DESIGN.md).  Disabling it yields the same patterns with the paper's
+    baseline amount of work.
     """
 
     descendant_pruning: bool = True
@@ -90,7 +101,7 @@ def specialize_class(
     def finalize(bits: int) -> None:
         counters.candidates_enumerated += 1
         support_count = store.support_count(bits)
-        if _is_overgeneralized(
+        if is_overgeneralized(
             labels, bits, support_count, store, index, taxonomy, counters
         ):
             counters.overgeneralized_eliminated += 1
@@ -123,6 +134,7 @@ def specialize_class(
             store,
             min_count,
             options.descendant_pruning,
+            options.occurrence_collapse,
             counters,
         ):
             labels[position] = label
@@ -142,35 +154,63 @@ def _position_options(
     store: OccurrenceStore,
     min_count: int,
     descendant_pruning: bool,
+    occurrence_collapse: bool,
     counters: MiningCounters,
 ) -> list[tuple[int, int]]:
     """Frequent label choices for ``position``: every covered
     descendant-or-self of ``base_label`` whose occurrence intersection
-    keeps the support threshold."""
+    keeps the support threshold.
+
+    With ``occurrence_collapse`` (enhancement (c)) a frequent label whose
+    intersection equals a covered child's is not offered: each of its
+    completions has a same-support specialization (the child), so it is
+    over-generalized.  Its children are still walked.  The check's child
+    intersections are kept and reused when the child is visited, so the
+    walk still does one intersection per visited label.
+    """
     out: list[tuple[int, int]] = []
     visited: set[int] = set()
+    intersections: dict[int, int] = {}  # label -> bits & OIE(position, label)
     stack = [base_label]
     while stack:
         label = stack.pop()
         if label in visited:
             continue
         visited.add(label)
-        label_bits = bits & index.bits(position, label)
-        counters.bitset_intersections += 1
+        label_bits = intersections.get(label)
+        if label_bits is None:
+            label_bits = bits & index.bits(position, label)
+            counters.bitset_intersections += 1
+            intersections[label] = label_bits  # a later DAG parent's check
         frequent = store.support_count(label_bits) >= min_count
-        if frequent:
-            out.append((label, label_bits))
-        else:
+        if not frequent:
             counters.candidates_pruned += 1
-        if frequent or not descendant_pruning:
             # Enhancement (a): an infrequent label's descendants cannot be
-            # frequent (their occurrence sets are subsets), so with
-            # pruning enabled we stop here.
-            stack.extend(index.covered_children(position, label, taxonomy))
+            # frequent (their occurrence sets are subsets).
+            if not descendant_pruning:
+                stack.extend(index.covered_children(position, label, taxonomy))
+            continue
+        children = index.covered_children(position, label, taxonomy)
+        stack.extend(children)
+        if occurrence_collapse:
+            overgeneralized = False
+            for child in children:
+                child_bits = intersections.get(child)
+                if child_bits is None:
+                    child_bits = bits & index.bits(position, child)
+                    counters.bitset_intersections += 1
+                    intersections[child] = child_bits
+                if child_bits == label_bits:
+                    overgeneralized = True
+                    break
+            if overgeneralized:
+                counters.overgeneralized_eliminated += 1
+                continue
+        out.append((label, label_bits))
     return out
 
 
-def _is_overgeneralized(
+def is_overgeneralized(
     labels: list[int],
     bits: int,
     support_count: int,

@@ -99,9 +99,8 @@ def _project_extension(
         for emb in embeddings:
             graph = database[emb.graph_id]
             nodes = emb.nodes
-            mapped = set(nodes)
             for w, key, link in graph.incident(nodes[i]):
-                if link == tail and w not in mapped:
+                if link == tail and w not in nodes:
                     out.append(
                         Embedding(emb.graph_id, nodes + (w,), emb.used | {key})
                     )

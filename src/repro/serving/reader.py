@@ -48,7 +48,11 @@ from pathlib import Path
 from repro.core.occurrence_index import OccurrenceIndex
 from repro.core.relabel import repair_taxonomy
 from repro.core.results import MiningCounters, TaxonomyPattern, format_pattern
-from repro.core.specializer import SpecializerOptions, specialize_class
+from repro.core.specializer import (
+    SpecializerOptions,
+    is_overgeneralized,
+    specialize_class,
+)
 from repro.exceptions import MiningError, StoreError, TaxonomyError
 from repro.graphs.graph import Graph
 from repro.graphs.io import parse_graph_database
@@ -892,25 +896,22 @@ class StoreReader:
         if support < state.min_count:
             self.metrics.add("serving.bitset_intersections", intersections)
             return False
-        # Over-generalization check (paper Lemma 2 / specializer's
-        # single-child-step): an equal-support covered child at any
-        # position means a strictly more specific pattern explains the
-        # same occurrences, so this pattern was not emitted.
-        working = state.working
-        overgeneralized = False
-        for position in range(stored.num_positions):
-            label = labels[iso[position]]
-            for child in rows.covered_children(position, label, working):
-                intersections += 1
-                if (
-                    columns.support_count(bits & rows.bits(position, child))
-                    == support
-                ):
-                    overgeneralized = True
-                    break
-            if overgeneralized:
-                break
-        self.metrics.add("serving.bitset_intersections", intersections)
+        # A pattern with an equal-support covered child at any position
+        # is over-generalized (paper Lemma 2), so it was not emitted.
+        counters = MiningCounters()
+        overgeneralized = is_overgeneralized(
+            [labels[iso[position]] for position in range(stored.num_positions)],
+            bits,
+            support,
+            columns,
+            rows,
+            state.working,
+            counters,
+        )
+        self.metrics.add(
+            "serving.bitset_intersections",
+            intersections + counters.bitset_intersections,
+        )
         return not overgeneralized
 
     def _compute_specializations(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.graphs.database import GraphDatabase
+from repro.graphs.digraph import DiGraphDatabase
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.interner import LabelInterner
@@ -202,11 +203,13 @@ def make_random_database(
     max_nodes: int = 5,
     max_edges: int = 6,
     edge_labels: tuple[str, ...] = ("x", "y"),
-) -> GraphDatabase:
-    """A random database whose node labels come from ``taxonomy``."""
+    directed: bool = False,
+) -> GraphDatabase | DiGraphDatabase:
+    """A random database whose node labels come from ``taxonomy``; with
+    ``directed`` its graphs are digraphs (antiparallel arcs allowed)."""
     interner = taxonomy.interner
     all_labels = list(taxonomy.labels())
-    db = GraphDatabase(node_labels=interner)
+    db = (DiGraphDatabase if directed else GraphDatabase)(node_labels=interner)
     for _ in range(n_graphs):
         n = rng.randint(2, max_nodes)
         node_labels = [interner.name_of(rng.choice(all_labels)) for _ in range(n)]
@@ -214,7 +217,7 @@ def make_random_database(
         present: set[tuple[int, int]] = set()
         for _ in range(rng.randint(1, max_edges)):
             u, v = rng.randrange(n), rng.randrange(n)
-            key = (min(u, v), max(u, v))
+            key = (u, v) if directed else (min(u, v), max(u, v))
             if u == v or key in present:
                 continue
             present.add(key)

@@ -158,6 +158,53 @@ class TestEnhancements:
         }
         assert counters.overgeneralized_eliminated >= 2  # a and b skipped
 
+    def test_equal_child_label_dropped_where_collapse_cannot_fire(self):
+        # DAG a -> {b, c}, d -> {b, c}, e -> c, and y -> {y1, y2}.  Every
+        # base label has two covered children, so the pre-enumeration
+        # collapse cannot fire.  The partial-assignment rule drops a (its
+        # set equals c's), b (equals d's) and, with d at position 0, y
+        # (equals y1's there though not globally).
+        taxonomy = taxonomy_from_parent_names({
+            "a": [], "b": "a", "c": "a", "d": ["b", "c"], "e": "c",
+            "y": [], "y1": "y", "y2": "y",
+        })
+        ids = {n: taxonomy.id_of(n) for n in ("a", "d", "e", "y", "y1", "y2")}
+        structure = Graph.from_edges([ids["a"], ids["y"]], [(0, 1, 0)])
+        originals = [
+            [ids["d"], ids["y1"]],
+            [ids["d"], ids["y1"]],
+            [ids["e"], ids["y2"]],
+        ]
+        embeddings = [
+            Embedding(gid, (0, 1), frozenset()) for gid in range(3)
+        ]
+        with_rule, counters_on = _run(
+            taxonomy, structure, embeddings, originals, 1, 3,
+            SpecializerOptions(occurrence_collapse=True),
+        )
+        without_rule, counters_off = _run(
+            taxonomy, structure, embeddings, originals, 1, 3,
+            SpecializerOptions(occurrence_collapse=False),
+        )
+
+        def view(patterns):
+            return {
+                (p.code, p.support_count, p.support_mask) for p in patterns
+            }
+
+        assert view(with_rule) == view(without_rule)
+        assert {
+            tuple(
+                taxonomy.name_of(p.graph.node_label(v))
+                for v in p.graph.nodes()
+            )
+            for p in with_rule
+        } == {("c", "y"), ("d", "y1"), ("e", "y2")}
+        assert (
+            counters_on.candidates_enumerated
+            < counters_off.candidates_enumerated
+        )
+
     def test_descendant_pruning_changes_work_not_results(self):
         taxonomy, ids, structure, originals, embeddings = _paper_like_fixture()
         pruned, counters_pruned = _run(
