@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +18,7 @@ from repro.isomorphism.vf2 import (
     is_subgraph_isomorphic,
     iter_embeddings,
 )
+from repro.similarity.homomorphism import iter_homomorphisms
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from repro.util.interner import LabelInterner
 from tests.conftest import make_random_taxonomy
@@ -174,3 +175,48 @@ class TestAgainstBruteForce:
                 if ok:
                     expected.add(tuple(perm))
         assert found == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_homomorphisms_match_product_search(self, seed):
+        # A concept and one of its ancestors-or-self, one edge label, and
+        # patterns of 3-4 nodes into hosts of 2-3 make folded maps common,
+        # so a cut that is sound only for injective maps (used marks,
+        # degree, pattern size) drops some.
+        rng = random.Random(seed)
+        tax = make_random_taxonomy(rng, LabelInterner(), rng.randint(3, 6), dag=True)
+        concept = rng.choice(sorted(tax.labels()))
+        labels = [concept, rng.choice(sorted(tax.ancestors_or_self(concept)))]
+
+        def random_graph(n_min, n_max):
+            n = rng.randint(n_min, n_max)
+            g = Graph()
+            for _ in range(n):
+                g.add_node(rng.choice(labels))
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v and not g.has_edge(u, v):
+                    g.add_edge(u, v, 0)
+            return g
+
+        pattern = random_graph(3, 4)
+        host = random_graph(2, 3)
+        matcher = GeneralizedMatcher(tax)
+        found = list(iter_homomorphisms(pattern, host, matcher))
+
+        expected = set()
+        for image in product(host.nodes(), repeat=pattern.num_nodes):
+            if all(
+                matcher.matches(pattern.node_label(p), host.node_label(image[p]))
+                for p in pattern.nodes()
+            ) and all(
+                host.has_edge(image[u], image[v])
+                and host.edge_label(image[u], image[v]) == e
+                for u, v, e in pattern.edges()
+            ):
+                expected.add(image)
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+        assert set(iter_embeddings(pattern, host, matcher)) == {
+            image for image in expected if len(set(image)) == len(image)
+        }
