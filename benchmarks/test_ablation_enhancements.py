@@ -82,7 +82,7 @@ def test_ablation_point(benchmark, config_name):
     )
 
 
-def test_ablation_shape(benchmark):
+def test_ablation_shape():
     if len(_results) < len(CONFIGS):
         pytest.skip("run the full ablation sweep first")
     print_header(

@@ -44,6 +44,7 @@ from repro.datagen.datasets import DATASET_FAMILIES, build_dataset, dataset_spec
 from repro.exceptions import ReproError
 from repro.graphs.io import read_graph_database, write_graph_database
 from repro.observability import MetricsRegistry, RunReport, Tracer
+from repro.similarity.matcher import SEMANTICS
 from repro.taxonomy.io import read_taxonomy, write_taxonomy
 from repro.util.bitset import BitSet
 from repro.util.stats import DatabaseStats
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     similar.add_argument(
         "--semantics",
-        choices=("isomorphism", "homomorphism"),
+        choices=SEMANTICS,
         default=None,
         help="match semantics for fuzzy_contains (default: isomorphism)",
     )
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     session.add_argument(
         "--semantics",
-        choices=("isomorphism", "homomorphism"),
+        choices=SEMANTICS,
         default="isomorphism",
         help="witness semantics for the example filter "
         "(default: isomorphism)",

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.mining.dfs_code import DFSCode
+from repro.mining.dfs_code import DFSCode, code_key
 from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 
@@ -57,6 +57,11 @@ class TaxonomyPattern:
 
     def sort_key(self) -> tuple:
         return (self.num_edges, self.code.edges)
+
+    def rank_key(self) -> tuple:
+        """Ranked-listing order: highest support first, ties in DFS-code
+        order."""
+        return (-self.support_count, code_key(self.code.edges))
 
 
 def _counter(metric: str, peak: bool = False):

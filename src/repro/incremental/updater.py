@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import shutil
 from dataclasses import dataclass
-from functools import cmp_to_key
 from pathlib import Path
 
 from repro.core.occurrence_index import (
@@ -62,7 +61,7 @@ from repro.incremental.store import PatternStore, StoredClass, stored_patterns
 from repro.mining.dfs_code import (
     DFSCode,
     DFSEdge,
-    code_lt,
+    code_key,
     graph_from_code,
     is_min_code,
 )
@@ -81,19 +80,6 @@ from repro.util.timing import Stopwatch
 __all__ = ["IncrementalOptions", "IncrementalTaxogram"]
 
 _Code = tuple[DFSEdge, ...]
-
-
-def _code_cmp(a: _Code, b: _Code) -> int:
-    if code_lt(a, b):
-        return -1
-    if code_lt(b, a):
-        return 1
-    return 0
-
-
-# gSpan's DFS-lexicographic order on whole codes; sorting final classes
-# by it reproduces the class ids a fresh sequential run assigns.
-_CODE_KEY = cmp_to_key(_code_cmp)
 
 
 @dataclass(frozen=True)
@@ -345,7 +331,7 @@ class IncrementalTaxogram:
                 # Prefix seeds sort first, so a seed that is a descendant
                 # of an earlier one is already discovered and skipped.
                 for code, _mask in sorted(
-                    promotions, key=lambda item: _CODE_KEY(item[0])
+                    promotions, key=lambda item: code_key(item[0])
                 ):
                     if code in discovered:
                         continue
@@ -364,7 +350,7 @@ class IncrementalTaxogram:
                 (stored.code, stored) for stored in survivors
             ]
             entries.extend(discovered.items())
-            entries.sort(key=lambda item: _CODE_KEY(item[0]))
+            entries.sort(key=lambda item: code_key(item[0]))
             for class_id, (code, payload) in enumerate(entries):
                 if isinstance(payload, StoredClass):
                     stored = payload

@@ -1,4 +1,5 @@
-"""A VF2-style backtracking solver for (generalized) subgraph isomorphism.
+"""A VF2-style backtracking solver for (generalized) subgraph isomorphism
+and homomorphism: the one subgraph-matching search.
 
 Semantics follow frequent-subgraph-mining convention: an *embedding* of a
 pattern ``P`` into a graph ``G`` is an injective node mapping under which
@@ -6,6 +7,22 @@ every pattern edge maps onto a graph edge with an equal edge label.  The
 graph may have additional edges among the mapped nodes (non-induced
 subgraph isomorphism) — this matches the paper's definition of an
 occurrence.
+
+With ``injective=False`` the same search yields *homomorphisms* ("Mining
+Patterns in Networks using Homomorphism", Dries & Nijssen, PAPERS.md):
+distinct pattern nodes may share an image.  Three cuts of the injective
+search are unsound there and are skipped:
+
+* no ``used`` marks — a graph node may host several pattern nodes;
+* no degree cut — a graph node of degree 1 can host a pattern node of
+  degree 3, whose pattern neighbors all fold onto its one neighbor;
+* no pattern-size cut — a pattern larger than the graph can still fold
+  into it.
+
+Adjacent pattern nodes still map to distinct graph nodes: their images
+must be joined by a graph edge, and graphs have no self-loops.  Every
+embedding is a homomorphism, so homomorphic containment is implied by
+isomorphic containment.
 
 Label compatibility is delegated to a
 :class:`~repro.isomorphism.matchers.NodeMatcher`, which is how the
@@ -45,19 +62,23 @@ def iter_embeddings(
     pattern: Graph | DiGraph,
     graph: Graph | DiGraph,
     matcher: NodeMatcher | None = None,
+    *,
+    injective: bool = True,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every embedding of ``pattern`` into ``graph``.
+    """Yield every embedding of ``pattern`` into ``graph``, or with
+    ``injective=False`` every homomorphism.
 
-    Each embedding is a tuple ``m`` with ``m[i]`` the graph node that
-    pattern node ``i`` maps to.  Automorphic images are distinct
-    embeddings, matching the paper's occurrence accounting.
+    Each result is a tuple ``m`` with ``m[i]`` the graph node that
+    pattern node ``i`` maps to (distinct nodes unless ``injective`` is
+    false).  Automorphic images are distinct embeddings, matching the
+    paper's occurrence accounting.
     """
     matcher = matcher if matcher is not None else _EXACT
     np = pattern.num_nodes
     if np == 0:
         yield ()
         return
-    if np > graph.num_nodes:
+    if injective and np > graph.num_nodes:
         return
 
     order = _matching_order(pattern)
@@ -90,15 +111,17 @@ def iter_embeddings(
         else:
             pool = iter(graph.nodes())
         p_label = pattern.node_label(p)
-        p_degree = pattern.degree(p)
-        for g in pool:
-            if used[g]:
-                continue
-            if graph.degree(g) < p_degree:
-                continue
-            if not matcher.matches(p_label, graph.node_label(g)):
-                continue
-            yield g
+        if injective:
+            p_degree = pattern.degree(p)
+            for g in pool:
+                if used[g] or graph.degree(g) < p_degree:
+                    continue
+                if matcher.matches(p_label, graph.node_label(g)):
+                    yield g
+        else:
+            for g in pool:
+                if matcher.matches(p_label, graph.node_label(g)):
+                    yield g
 
     def feasible(position: int, g: int) -> bool:
         for q, tail in checks[position]:
@@ -114,7 +137,7 @@ def iter_embeddings(
         for g in candidates(position):
             if feasible(position, g):
                 mapping[p] = g
-                used[g] = True
+                used[g] = injective
                 yield from search(position + 1)
                 mapping[p] = -1
                 used[g] = False
@@ -126,9 +149,14 @@ def find_embedding(
     pattern: Graph | DiGraph,
     graph: Graph | DiGraph,
     matcher: NodeMatcher | None = None,
+    *,
+    injective: bool = True,
 ) -> tuple[int, ...] | None:
-    """The first embedding found, or None."""
-    for embedding in iter_embeddings(pattern, graph, matcher):
+    """The first embedding (homomorphism, with ``injective=False``)
+    found, or None."""
+    for embedding in iter_embeddings(
+        pattern, graph, matcher, injective=injective
+    ):
         return embedding
     return None
 

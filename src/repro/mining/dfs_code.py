@@ -24,6 +24,8 @@ patterns.
 This module provides:
 
 * :func:`dfs_edge_lt` — the DFS lexicographic edge order;
+* :func:`code_lt` / :data:`code_key` — that order on whole codes, as a
+  predicate and as a sort key;
 * :class:`DFSCode` — an immutable code with rightmost-path bookkeeping;
 * :func:`is_min_code` — gSpan's minimality check;
 * :func:`min_dfs_code` — canonical form of an arbitrary connected graph.
@@ -31,7 +33,7 @@ This module provides:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Iterable, Sequence
 
 from repro.exceptions import MiningError
@@ -42,6 +44,8 @@ __all__ = [
     "DFSEdge",
     "canonical_cache_info",
     "clear_canonical_caches",
+    "code_key",
+    "code_lt",
     "dfs_edge_lt",
     "DFSCode",
     "graph_from_code",
@@ -99,6 +103,17 @@ def code_lt(code1: Sequence[DFSEdge], code2: Sequence[DFSEdge]) -> bool:
             continue
         return dfs_edge_lt(e1, e2)
     return len(code1) < len(code2)
+
+
+def _code_cmp(code1: Sequence[DFSEdge], code2: Sequence[DFSEdge]) -> int:
+    if code_lt(code1, code2):
+        return -1
+    return 1 if code_lt(code2, code1) else 0
+
+
+# Sort key for whole codes in code_lt order; sorting classes by it
+# reproduces the class ids a sequential gSpan run assigns.
+code_key = cmp_to_key(_code_cmp)
 
 
 class DFSCode:

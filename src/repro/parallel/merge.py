@@ -32,11 +32,10 @@ collapses back to precisely the sequential class set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from repro.exceptions import MiningError
-from repro.mining.dfs_code import DFSEdge, code_lt
+from repro.mining.dfs_code import DFSEdge, code_key
 from repro.util.bitset import BitSet
 
 __all__ = [
@@ -137,15 +136,7 @@ def union_candidate_codes(
     distinct: set[tuple[DFSEdge, ...]] = set()
     for codes in per_shard:
         distinct.update(codes)
-
-    def compare(a: tuple[DFSEdge, ...], b: tuple[DFSEdge, ...]) -> int:
-        if code_lt(a, b):
-            return -1
-        if code_lt(b, a):
-            return 1
-        return 0
-
-    return sorted(distinct, key=cmp_to_key(compare))
+    return sorted(distinct, key=code_key)
 
 
 def merge_class_fragments(

@@ -42,7 +42,6 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from functools import cmp_to_key
 from pathlib import Path
 
 from repro.core.occurrence_index import OccurrenceIndex
@@ -59,7 +58,6 @@ from repro.graphs.io import parse_graph_database
 from repro.incremental.store import PatternStore, StoredClass, fence_state
 from repro.isomorphism.vf2 import is_generalized_subgraph_isomorphic
 from repro.mining.dfs_code import (
-    code_lt,
     graph_from_code,
     min_code_with_embeddings,
     min_dfs_code,
@@ -77,10 +75,6 @@ __all__ = [
     "ServingAnswer",
     "StoreReader",
 ]
-
-_CODE_KEY = cmp_to_key(
-    lambda a, b: -1 if code_lt(a, b) else (1 if code_lt(b, a) else 0)
-)
 
 _QUERY_OPS = ("support", "contains", "graphs", "specializations")
 
@@ -437,9 +431,7 @@ class StoreReader:
             value = ()
         else:
             patterns = self._class_patterns(state, stored, resolved)
-            patterns.sort(
-                key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
-            )
+            patterns.sort(key=TaxonomyPattern.rank_key)
             value = tuple(patterns)
         self._cache.put(state.version, key, value, tenant=tenant)
         return value
@@ -953,9 +945,7 @@ class StoreReader:
         for position in range(stored.num_positions):
             structure.relabel_node(position, labels[iso[position]])
         patterns = self._specialize(state, stored, structure, min_count)
-        patterns.sort(
-            key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
-        )
+        patterns.sort(key=TaxonomyPattern.rank_key)
         return tuple(patterns)
 
     def _materialized_patterns(
@@ -971,8 +961,6 @@ class StoreReader:
                     patterns.extend(
                         self._class_patterns(state, stored, state.min_count)
                     )
-                patterns.sort(
-                    key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
-                )
+                patterns.sort(key=TaxonomyPattern.rank_key)
                 state.patterns = tuple(patterns)
             return state.patterns

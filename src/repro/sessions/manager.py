@@ -40,13 +40,14 @@ from repro.graphs.graph import Graph
 from repro.graphs.io import parse_graph_database
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.serving.cache import VersionedResultCache, query_key
-from repro.sessions.miner import SEMANTICS, mine_session_patterns
+from repro.sessions.miner import mine_session_patterns
 from repro.sessions.quotas import (
     QuotaAccountant,
     QuotaExceeded,
     TenantQuotas,
 )
 from repro.sessions.scratch import ScratchStore
+from repro.similarity.matcher import validate_semantics
 
 __all__ = [
     "QuotaExceeded",
@@ -270,11 +271,7 @@ class SessionManager:
     ) -> SessionMineResult:
         """Run one bounded example-driven mine for the session."""
         session = self.get(session_id)
-        if semantics not in SEMANTICS:
-            raise MiningError(
-                f"unknown session semantics {semantics!r}; expected one "
-                f"of {', '.join(SEMANTICS)}"
-            )
+        validate_semantics(semantics)
         sigma = (
             self.reader.min_support if min_support is None else min_support
         )

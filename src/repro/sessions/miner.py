@@ -23,7 +23,10 @@ witness.  The differential suite pins the end-to-end equivalence: a
 session mine at sigma equals a fresh global mine at sigma restricted
 to example-witnessed patterns, bit-identical supports.
 
-Two witness semantics are offered per mine:
+Two witness semantics are offered per mine, the match semantics of
+:data:`repro.similarity.matcher.SEMANTICS` (re-exported here as
+``SEMANTICS``); the witness check is the one VF2 search, run injectively
+or not:
 
 * ``isomorphism`` (default) — the paper's subgraph-isomorphism
   embedding, injective on nodes;
@@ -43,28 +46,23 @@ results.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from repro.core.results import MiningCounters, TaxonomyPattern
 from repro.exceptions import MiningError, TaxonomyError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.isomorphism.vf2 import is_generalized_subgraph_isomorphic
-from repro.mining.dfs_code import code_lt, graph_from_code
+from repro.isomorphism.matchers import GeneralizedMatcher, NodeMatcher
+from repro.isomorphism.vf2 import find_embedding
+from repro.mining.dfs_code import graph_from_code
 from repro.mining.gspan import GSpanMiner, min_support_count
 from repro.sessions.quotas import QuotaAccountant
 from repro.similarity.homomorphism import (
     is_generalized_subgraph_homomorphic,
 )
+from repro.similarity.matcher import SEMANTICS, validate_semantics
 
 __all__ = ["SEMANTICS", "mine_session_patterns"]
-
-SEMANTICS = ("isomorphism", "homomorphism")
-
-_CODE_KEY = cmp_to_key(
-    lambda a, b: -1 if code_lt(a, b) else (1 if code_lt(b, a) else 0)
-)
 
 
 def _relabeled_examples(reader, examples: Sequence[Graph]) -> list[Graph]:
@@ -140,18 +138,12 @@ def _witnessed_codes_hom(
 def _witnesses(
     pattern: TaxonomyPattern,
     examples: Iterable[Graph],
-    working,
-    semantics: str,
+    matcher: NodeMatcher,
+    injective: bool,
 ) -> bool:
-    if semantics == "homomorphism":
-        return any(
-            is_generalized_subgraph_homomorphic(
-                pattern.graph, example, working
-            )
-            for example in examples
-        )
     return any(
-        is_generalized_subgraph_isomorphic(pattern.graph, example, working)
+        find_embedding(pattern.graph, example, matcher, injective=injective)
+        is not None
         for example in examples
     )
 
@@ -179,11 +171,7 @@ def mine_session_patterns(
     resolved from its bit-sets, so a complete sub-threshold answer
     would need a global remine — the one thing sessions exist to avoid.
     """
-    if semantics not in SEMANTICS:
-        raise MiningError(
-            f"unknown session semantics {semantics!r}; expected one of "
-            f"{', '.join(SEMANTICS)}"
-        )
+    injective = validate_semantics(semantics) == "isomorphism"
     if not examples:
         raise MiningError("session mine needs at least one example graph")
     if not 0.0 < min_support <= 1.0:
@@ -200,22 +188,20 @@ def mine_session_patterns(
     if counters is None:
         counters = MiningCounters()
     relabeled = _relabeled_examples(reader, examples)
-    if semantics == "homomorphism":
-        codes = _witnessed_codes_hom(reader, relabeled, counters)
-    else:
+    if injective:
         codes = _witnessed_codes_iso(reader, relabeled, counters)
+    else:
+        codes = _witnessed_codes_hom(reader, relabeled, counters)
     candidates = counters.gspan_candidates_generated
     if accountant is not None and tenant is not None:
         accountant.check_candidates(tenant, candidates)
-    working = reader.working_taxonomy
+    matcher = GeneralizedMatcher(reader.working_taxonomy)
     patterns: list[TaxonomyPattern] = []
     for code_edges in codes:
         for member in reader.class_members(
             code_edges, min_count=min_count, tenant=tenant
         ):
-            if _witnesses(member, examples, working, semantics):
+            if _witnesses(member, examples, matcher, injective):
                 patterns.append(member)
-    patterns.sort(
-        key=lambda p: (-p.support_count, _CODE_KEY(p.code.edges))
-    )
+    patterns.sort(key=TaxonomyPattern.rank_key)
     return tuple(patterns), candidates

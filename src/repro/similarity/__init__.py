@@ -17,7 +17,8 @@ similarity measure for free — normalized distance between two labels in
   a graph-to-pattern score in ``[0, 1]``; ``1.0`` iff the graph
   contains the pattern exactly.
 * **Homomorphism semantics** — a second, cheaper match semantics
-  (Dries & Nijssen) that drops injectivity; selectable per query.
+  (Dries & Nijssen) that drops injectivity; selectable per query, and
+  run by the same VF2 search with ``injective=False``.
 
 A :class:`TreeletIndex` decomposes every database graph into node /
 edge / wedge fragments and serves as a *sound* candidate prefilter: a

@@ -5,7 +5,8 @@ the serving reader builds it lazily per committed store version — and
 answers the three similarity ops:
 
 * :meth:`SimilarityEngine.fuzzy_match` — similarity-thresholded
-  containment (isomorphism or homomorphism semantics);
+  containment under one of :data:`~repro.similarity.matcher.SEMANTICS`,
+  each one VF2 search, injective or not;
 * :meth:`SimilarityEngine.score` — the MCS-based graph-to-pattern
   similarity of one graph;
 * :meth:`SimilarityEngine.similar` — all graphs scoring at least a
@@ -23,8 +24,9 @@ graphs are scored first; results are finally ordered by
 ``(-score, graph_id)`` so routed and direct answers are bit-identical.
 
 Counters (``similarity.*``) mirror the serving conventions: every
-VF2/homomorphism test and MCS solve on the hot path is counted, which
-is how the benchmark suite proves the prefilter's cut.
+containment test and MCS solve on the hot path is counted —
+``vf2_tests`` for injective searches, ``hom_tests`` for non-injective
+ones — which is how the benchmark suite proves the prefilter's cut.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from repro.graphs.graph import Graph
 from repro.isomorphism.vf2 import find_embedding
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
-from repro.similarity.homomorphism import find_homomorphism
 from repro.similarity.matcher import (
-    SEMANTICS,
     ThresholdMatcher,
+    validate_semantics,
     validate_threshold,
 )
 from repro.similarity.mcs import MaximumCommonSubgraphSolver
@@ -61,15 +62,6 @@ class ScoredGraph:
 
     graph_id: int
     score: float
-
-
-def validate_semantics(semantics: str) -> str:
-    if semantics not in SEMANTICS:
-        raise MiningError(
-            f"unknown match semantics {semantics!r}; expected one of "
-            f"{', '.join(SEMANTICS)}"
-        )
-    return semantics
 
 
 class SimilarityEngine:
@@ -199,7 +191,7 @@ class SimilarityEngine:
     ) -> frozenset[int]:
         """Graph ids containing ``pattern`` at similarity ``threshold``."""
         threshold = validate_threshold(threshold)
-        validate_semantics(semantics)
+        injective = validate_semantics(semantics) == "isomorphism"
         self.metrics.add("similarity.queries", 1)
         with self.tracer.span("similarity.prefilter"):
             candidates = self.candidate_graphs(pattern, threshold, semantics)
@@ -209,18 +201,17 @@ class SimilarityEngine:
             "similarity.prefilter_skipped", total - len(candidates)
         )
         matcher = ThresholdMatcher(self.measure, threshold)
-        homomorphic = semantics == "homomorphism"
+        counter = (
+            "similarity.vf2_tests" if injective else "similarity.hom_tests"
+        )
         gids = set()
         with self.tracer.span("similarity.evaluate"):
             for gid in candidates:
+                self.metrics.add(counter, 1)
                 graph = self.database[gid]
-                if homomorphic:
-                    self.metrics.add("similarity.hom_tests", 1)
-                    hit = find_homomorphism(pattern, graph, matcher)
-                else:
-                    self.metrics.add("similarity.vf2_tests", 1)
-                    hit = find_embedding(pattern, graph, matcher)
-                if hit is not None:
+                if find_embedding(
+                    pattern, graph, matcher, injective=injective
+                ) is not None:
                     gids.add(gid)
         return frozenset(gids)
 

@@ -7,21 +7,11 @@ into a graph ``G`` maps every pattern node to some graph node —
 **not necessarily injectively** — such that every pattern edge lands on
 a graph edge with an equal label.  Every embedding is a homomorphism,
 so homomorphic support is always a superset of isomorphic support
-(pinned by the differential suite); the search space is smaller in
-practice because no ``used`` bookkeeping constrains candidates.
+(pinned by the differential suite).
 
-Two deliberate differences from :func:`repro.isomorphism.vf2.
-iter_embeddings`:
-
-* no ``used`` set — distinct pattern nodes may share an image;
-* no degree pruning — a graph node of degree 1 can legally host a
-  pattern node of degree 3 under a homomorphism (its pattern neighbors
-  may all collapse onto one graph neighbor), so the injective engine's
-  ``degree(g) < degree(p)`` cut would be *unsound* here.
-
-Adjacent pattern nodes still map to distinct graph nodes automatically:
-their images must be joined by a graph edge, and
-:class:`~repro.graphs.graph.Graph` has no self-loops.
+There is one search: these functions are
+:func:`repro.isomorphism.vf2.iter_embeddings` with ``injective=False``,
+whose docstring says which of its cuts that setting skips and why.
 """
 
 from __future__ import annotations
@@ -30,6 +20,7 @@ from typing import Iterator
 
 from repro.graphs.graph import Graph
 from repro.isomorphism.matchers import GeneralizedMatcher, NodeMatcher
+from repro.isomorphism.vf2 import find_embedding, iter_embeddings
 from repro.taxonomy.taxonomy import Taxonomy
 
 __all__ = [
@@ -47,64 +38,9 @@ def iter_homomorphisms(
     """Yield every homomorphism of ``pattern`` into ``graph``.
 
     Each result is a tuple ``m`` with ``m[i]`` the (not necessarily
-    distinct) graph node that pattern node ``i`` maps to.  Node order
-    mirrors the VF2 engine: BFS from the highest-degree pattern node,
-    so each node after the first is anchored to a mapped neighbor.
+    distinct) graph node that pattern node ``i`` maps to.
     """
-    np = pattern.num_nodes
-    if np == 0:
-        yield ()
-        return
-    if graph.num_nodes == 0:
-        return
-
-    order = _matching_order(pattern)
-    anchors: list[int] = []
-    placed: set[int] = set()
-    for p in order:
-        anchor = -1
-        for q in pattern.neighbors(p):
-            if q in placed:
-                anchor = q
-                break
-        anchors.append(anchor)
-        placed.add(p)
-
-    mapping = [-1] * np
-
-    def candidates(position: int) -> Iterator[int]:
-        p = order[position]
-        anchor = anchors[position]
-        if anchor >= 0:
-            pool: Iterator[int] = graph.neighbors(mapping[anchor])
-        else:
-            pool = iter(graph.nodes())
-        p_label = pattern.node_label(p)
-        for g in pool:
-            if matcher.matches(p_label, graph.node_label(g)):
-                yield g
-
-    def feasible(p: int, g: int) -> bool:
-        for q, elabel in pattern.neighbor_items(p):
-            gq = mapping[q]
-            if gq < 0:
-                continue
-            if not graph.has_edge(g, gq) or graph.edge_label(g, gq) != elabel:
-                return False
-        return True
-
-    def search(position: int) -> Iterator[tuple[int, ...]]:
-        if position == np:
-            yield tuple(mapping)
-            return
-        p = order[position]
-        for g in candidates(position):
-            if feasible(p, g):
-                mapping[p] = g
-                yield from search(position + 1)
-                mapping[p] = -1
-
-    yield from search(0)
+    return iter_embeddings(pattern, graph, matcher, injective=False)
 
 
 def find_homomorphism(
@@ -113,9 +49,7 @@ def find_homomorphism(
     matcher: NodeMatcher,
 ) -> tuple[int, ...] | None:
     """The first homomorphism found, or None."""
-    for mapping in iter_homomorphisms(pattern, graph, matcher):
-        return mapping
-    return None
+    return find_embedding(pattern, graph, matcher, injective=False)
 
 
 def is_generalized_subgraph_homomorphic(
@@ -125,27 +59,3 @@ def is_generalized_subgraph_homomorphic(
     semantics (the homomorphism analog of paper §2 containment)."""
     matcher = GeneralizedMatcher(taxonomy)
     return find_homomorphism(pattern, graph, matcher) is not None
-
-
-def _matching_order(pattern: Graph) -> list[int]:
-    """BFS from the highest-degree node, components appended in turn —
-    identical ordering policy to the VF2 engine's."""
-    n = pattern.num_nodes
-    visited = [False] * n
-    order: list[int] = []
-    seeds = sorted(pattern.nodes(), key=pattern.degree, reverse=True)
-    for seed in seeds:
-        if visited[seed]:
-            continue
-        queue = [seed]
-        visited[seed] = True
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in sorted(
-                pattern.neighbors(u), key=pattern.degree, reverse=True
-            ):
-                if not visited[v]:
-                    visited[v] = True
-                    queue.append(v)
-    return order

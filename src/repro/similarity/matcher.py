@@ -15,6 +15,12 @@ Edge labels stay exact at every threshold: edge similarity is binary
 (:meth:`TaxonomySimilarity.edge_similarity`), so any threshold in the
 valid range ``(0, 1]`` requires equality — which is what VF2's edge
 feasibility check already enforces.
+
+:data:`SEMANTICS` is the one list of match semantics that every surface
+takes (similarity queries, session mines, the CLI's ``--semantics``),
+checked by :func:`validate_semantics`.  Each selects a mode of the one
+search: ``"isomorphism"`` runs it injectively, ``"homomorphism"``
+non-injectively.
 """
 
 from __future__ import annotations
@@ -22,12 +28,27 @@ from __future__ import annotations
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
 from repro.isomorphism.vf2 import find_embedding
-from repro.similarity.homomorphism import find_homomorphism
 from repro.similarity.measure import TaxonomySimilarity
 
-__all__ = ["ThresholdMatcher", "validate_threshold", "fuzzy_contains"]
+__all__ = [
+    "SEMANTICS",
+    "ThresholdMatcher",
+    "validate_semantics",
+    "validate_threshold",
+    "fuzzy_contains",
+]
 
 SEMANTICS = ("isomorphism", "homomorphism")
+
+
+def validate_semantics(semantics: str) -> str:
+    """``semantics`` when it is one of :data:`SEMANTICS`."""
+    if semantics not in SEMANTICS:
+        raise MiningError(
+            f"unknown match semantics {semantics!r}; expected one of "
+            f"{', '.join(SEMANTICS)}"
+        )
+    return semantics
 
 
 def validate_threshold(threshold: float) -> float:
@@ -77,11 +98,8 @@ def fuzzy_contains(
     is_generalized_subgraph_isomorphic`.
     """
     matcher = ThresholdMatcher(measure, threshold)
-    if semantics == "homomorphism":
-        return find_homomorphism(pattern, graph, matcher) is not None
-    if semantics != "isomorphism":
-        raise MiningError(
-            f"unknown match semantics {semantics!r}; expected one of "
-            f"{', '.join(SEMANTICS)}"
-        )
-    return find_embedding(pattern, graph, matcher) is not None
+    injective = validate_semantics(semantics) == "isomorphism"
+    return (
+        find_embedding(pattern, graph, matcher, injective=injective)
+        is not None
+    )
