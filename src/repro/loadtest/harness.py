@@ -36,6 +36,8 @@ from pathlib import Path
 
 from repro.loadtest.workload import PlannedRequest
 from repro.observability.metrics import LatencyHistogram
+from repro.serving.endpoints import query_request
+from repro.serving.reader import Query
 
 __all__ = ["Envelope", "LoadReport", "LoadRunner", "RequestOutcome"]
 
@@ -99,20 +101,25 @@ class LoadRunner:
 
     def _fire(self, planned: PlannedRequest) -> tuple[int | None, dict, bool]:
         """Returns ``(status, payload, timed_out)``."""
-        if planned.kind == "query" and planned.op == "top":
-            request = urllib.request.Request(self.base_url + "/top?k=5")
-        elif planned.kind == "query":
-            request = _json_request(
-                self.base_url + "/query",
-                {"op": planned.op, "pattern": planned.pattern},
+        if planned.kind == "query":
+            method, path, body = query_request(
+                Query("top_k", k=5)
+                if planned.op == "top"
+                else Query(planned.op, planned.pattern)
             )
         elif planned.kind == "ingest":
             doc: dict = {"add": planned.add_text}
             if planned.wait:
                 doc["wait"] = True
-            request = _json_request(self.base_url + "/ingest", doc)
+            method, path, body = "POST", "/ingest", json.dumps(doc).encode()
         else:
-            request = _json_request(self.base_url + "/flush", {})
+            method, path, body = "POST", "/flush", b"{}"
+        request = urllib.request.Request(
+            self.base_url + path,
+            body,
+            {"Content-Type": "application/json"} if body else {},
+            method=method,
+        )
         try:
             with urllib.request.urlopen(
                 request, timeout=self.timeout
@@ -326,14 +333,6 @@ class Envelope:
                 "backpressure envelope violated:\n  "
                 + "\n  ".join(violations)
             )
-
-
-def _json_request(url: str, doc: dict) -> urllib.request.Request:
-    return urllib.request.Request(
-        url,
-        json.dumps(doc).encode("utf-8"),
-        {"Content-Type": "application/json"},
-    )
 
 
 def _read_json(response) -> dict:

@@ -11,9 +11,13 @@ a routed read costs one request on an open connection; a connection
 the replica closed while it sat idle is retried once on a fresh one
 without evicting the replica, and a truncated or garbled answer is a
 transport failure like a reset.
-Answers are the *payload* form the HTTP layer serves
-(:func:`repro.serving.endpoints.value_payload`), so a routed answer and a
-direct single-store answer are bit-identical after JSON encoding; the
+Every hop carries one :class:`~repro.serving.reader.Query`: the router
+parses it off the wire with the fronts' own parser, an
+:class:`HTTPReplica` asks it with the one serializer
+(:func:`repro.serving.endpoints.query_request`), and answers are the
+*payload* form every front serves
+(:func:`repro.serving.endpoints.answer_payload`), so a routed answer and
+a direct single-store answer are bit-identical after JSON encoding; the
 differential harness pins that.
 
 Two modes:
@@ -79,7 +83,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.exceptions import ReplicationError, ReproError
@@ -93,9 +97,19 @@ from repro.serving.endpoints import (
     HTTPRequest,
     HTTPResult,
     RouteTable,
-    value_payload,
+    answer_payload,
+    health_payload,
+    query_error,
+    query_request,
+    query_routes,
+    session_routes,
 )
-from repro.serving.reader import StoreReader
+from repro.serving.reader import (
+    QUERY_OPS,
+    SIMILARITY_OPS,
+    Query,
+    StoreReader,
+)
 from repro.util.bitset import BitSet
 
 __all__ = [
@@ -110,11 +124,7 @@ __all__ = [
     "router_routes",
 ]
 
-_SIMILARITY_OPS = ("similar", "similarity_score", "fuzzy_contains")
-_ROUTED_OPS = (
-    "support", "contains", "graphs", "specializations", "top_k",
-) + _SIMILARITY_OPS
-_SHARDED_OPS = ("support", "graphs") + _SIMILARITY_OPS
+_SHARDED_OPS = ("support", "graphs") + SIMILARITY_OPS
 # How a reused keep-alive connection fails when the replica closed it
 # while it sat idle: before any byte of the answer arrives.
 _STALE_CONNECTION_ERRORS = (
@@ -245,40 +255,10 @@ class HTTPReplica:
             )
         return json.loads(data)
 
-    def query(
-        self,
-        op: str,
-        pattern: str | None = None,
-        min_support: float | None = None,
-        k: int | None = None,
-        label_filter: str | None = None,
-        sim_threshold: float | None = None,
-        semantics: str | None = None,
-        graph_id: int | None = None,
-    ) -> dict:
-        if op == "top_k":
-            path = f"/top?k={10 if k is None else int(k)}"
-            if label_filter is not None:
-                path += f"&label={label_filter}"
-            method, doc = "GET", None
-        elif op in _SIMILARITY_OPS:
-            path, method = "/similar", "POST"
-            doc = {"op": op, "pattern": pattern}
-            if sim_threshold is not None:
-                doc["threshold"] = sim_threshold
-            if semantics is not None:
-                doc["semantics"] = semantics
-            if k is not None:
-                doc["k"] = k
-            if graph_id is not None:
-                doc["graph_id"] = graph_id
-        else:
-            path, method = "/query", "POST"
-            doc = {"op": op, "pattern": pattern}
-            if min_support is not None:
-                doc["min_support"] = min_support
-        body = None if doc is None else json.dumps(doc).encode("utf-8")
-        status, data, headers = self._call(method, path, body)
+    def query(self, query: Query) -> dict:
+        """Ask ``query`` (its pattern in wire text) over HTTP."""
+        op = query.op
+        status, data, headers = self._call(*query_request(query))
         if 200 <= status < 300:
             return json.loads(data)
         detail = data.decode("utf-8", "replace")
@@ -340,60 +320,20 @@ class LocalReplica:
         return self._name
 
     def health(self) -> dict:
-        reader = self.reader
-        reader.refresh()
-        applied = reader.app_state.get("wal_applied_seq")
-        return {
-            "status": "ok",
-            "role": "local",
-            "store_version": reader.version,
-            "classes": reader.num_classes,
-            "database_size": reader.database_size,
-            "min_support": reader.min_support,
-            "applied_seq": None if applied is None else int(applied),
-        }
+        self.reader.refresh()
+        return health_payload(self.reader, "local")
 
-    def query(
-        self,
-        op: str,
-        pattern: str | None = None,
-        min_support: float | None = None,
-        k: int | None = None,
-        label_filter: str | None = None,
-        sim_threshold: float | None = None,
-        semantics: str | None = None,
-        graph_id: int | None = None,
-    ) -> dict:
-        reader = self.reader
+    def query(self, query: Query) -> dict:
         try:
-            parsed = (
-                None if pattern is None else reader.parse_pattern(pattern)
-            )
-            answer = reader.query(
-                op,
-                parsed,
-                min_support=min_support,
-                k=k,
-                label_filter=label_filter,
-                sim_threshold=sim_threshold,
-                semantics=semantics,
-                graph_id=graph_id,
-            )
+            return answer_payload(self.reader, query)
         except ReproError as exc:
             raise QueryRejected(str(exc)) from exc
-        return {
-            "op": op,
-            "store_version": answer.store_version,
-            "cached": answer.cached,
-            "value": value_payload(reader, op, answer.value),
-        }
 
     def request(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, object, dict]:
         """Dispatch a raw ``/sessions`` request against an in-process
         session surface (built lazily over this replica's reader)."""
-        from repro.serving.endpoints import HTTPRequest, session_routes
         from repro.sessions.manager import SessionManager
 
         if getattr(self, "_session_routes", None) is None:
@@ -558,32 +498,29 @@ class QueryRouter:
         op: str,
         pattern: str | None = None,
         *,
-        min_support: float | None = None,
-        k: int | None = None,
-        label_filter: str | None = None,
         min_applied_seq: int | None = None,
-        sim_threshold: float | None = None,
-        semantics: str | None = None,
-        graph_id: int | None = None,
+        **arguments,
     ) -> dict:
         """Route one query; returns the HTTP-shaped answer payload.
 
         ``pattern`` is graph-db text (the wire format), not a parsed
-        graph — the router never opens a store itself.
+        graph — the router never opens a store itself; ``arguments``
+        are :class:`~repro.serving.reader.Query`'s other fields.
         """
-        if op not in _ROUTED_OPS:
-            raise QueryRejected(f"unknown query op {op!r}")
-        with self.tracer.span(f"replication.route_{op}"):
+        return self.answer(Query(op, pattern, **arguments), min_applied_seq)
+
+    def answer(
+        self, query: Query, min_applied_seq: int | None = None
+    ) -> dict:
+        """Route one :class:`~repro.serving.reader.Query`, on replicas
+        that have applied ``min_applied_seq``."""
+        if query.op not in QUERY_OPS:
+            raise QueryRejected(f"unknown query op {query.op!r}")
+        with self.tracer.span(f"replication.route_{query.op}"):
             if self.options.sharded:
-                payload = self._query_sharded(
-                    op, pattern, min_support, min_applied_seq,
-                    sim_threshold, semantics, graph_id, k,
-                )
+                payload = self._query_sharded(query, min_applied_seq)
             else:
-                payload = self._query_replicated(
-                    op, pattern, min_support, k, label_filter,
-                    min_applied_seq, sim_threshold, semantics, graph_id,
-                )
+                payload = self._query_replicated(query, min_applied_seq)
         self.metrics.add("replication.router_queries", 1)
         return payload
 
@@ -617,8 +554,7 @@ class QueryRouter:
         return eligible, bool(live)
 
     def _query_replicated(
-        self, op, pattern, min_support, k, label_filter, min_applied_seq,
-        sim_threshold, semantics, graph_id,
+        self, query: Query, min_applied_seq: int | None
     ) -> dict:
         now = time.monotonic()
         eligible, any_live = self._eligible(now, min_applied_seq)
@@ -643,16 +579,7 @@ class QueryRouter:
         shed: ReplicaOverloaded | None = None
         for state in order:
             try:
-                payload = state.replica.query(
-                    op,
-                    pattern,
-                    min_support=min_support,
-                    k=k,
-                    label_filter=label_filter,
-                    sim_threshold=sim_threshold,
-                    semantics=semantics,
-                    graph_id=graph_id,
-                )
+                payload = state.replica.query(query)
             except QueryRejected:
                 raise
             except ReplicaOverloaded as exc:
@@ -664,12 +591,13 @@ class QueryRouter:
                 self._evict(state, time.monotonic(), str(exc))
                 self.metrics.add("replication.router_retries", 1)
                 continue
-            payload["replica"] = state.replica.name
+            # The answer names the op routed and the replica that gave it.
+            payload.update(op=query.op, replica=state.replica.name)
             return payload
         if shed is not None:
             raise shed
         raise ReplicationError(
-            f"every eligible replica failed the {op} query; "
+            f"every eligible replica failed the {query.op} query; "
             f"last error: {last_error}"
         )
 
@@ -807,9 +735,9 @@ class QueryRouter:
         return starts
 
     def _query_sharded(
-        self, op, pattern, min_support, min_applied_seq,
-        sim_threshold, semantics, graph_id, k,
+        self, query: Query, min_applied_seq: int | None
     ) -> dict:
+        op = query.op
         if op not in _SHARDED_OPS:
             raise QueryRejected(
                 f"op {op!r} cannot be answered exactly over "
@@ -825,21 +753,16 @@ class QueryRouter:
         now = time.monotonic()
         starts = self._shard_starts(now)
         if op == "similarity_score":
-            return self._score_sharded(starts, pattern, graph_id)
-        if op in ("similar", "fuzzy_contains"):
-            # Per-shard k must stay unbounded: the globally k-th best
-            # score may rank below a shard's local top-k cut.
-            kwargs = {
-                "sim_threshold": sim_threshold, "semantics": semantics,
-            }
-            fan_op = op
-        else:
-            kwargs = {"min_support": min_support}
-            fan_op = "graphs"
+            return self._score_sharded(starts, query)
+        # Per-shard k must stay unbounded: the globally k-th best score
+        # may rank below a shard's local top-k cut.
+        fanned = (
+            replace(query, k=None)
+            if op in SIMILARITY_OPS
+            else replace(query, op="graphs")
+        )
         futures = [
-            self._pool.submit(
-                state.replica.query, fan_op, pattern, **kwargs
-            )
+            self._pool.submit(state.replica.query, fanned)
             for state in self._states
         ]
         answers = []
@@ -864,7 +787,7 @@ class QueryRouter:
                 for gid, score in answer["value"]
             ]
             scored.sort(key=lambda entry: (-entry[1], entry[0]))
-            value: object = scored if k is None else scored[:k]
+            value: object = scored if query.k is None else scored[:query.k]
         else:
             merged = merge_support_sets(
                 [answer["value"]["graph_ids"] for answer in answers],
@@ -892,8 +815,9 @@ class QueryRouter:
             "value": value,
         }
 
-    def _score_sharded(self, starts, pattern, graph_id) -> dict:
+    def _score_sharded(self, starts, query: Query) -> dict:
         """Route ``similarity_score`` to the one shard owning the id."""
+        graph_id = query.graph_id
         if graph_id is None:
             raise QueryRejected("similarity_score requires a graph_id")
         sizes = [
@@ -912,9 +836,7 @@ class QueryRouter:
         state = self._states[shard]
         try:
             answer = state.replica.query(
-                "similarity_score",
-                pattern,
-                graph_id=graph_id - starts[shard],
+                replace(query, graph_id=graph_id - starts[shard])
             )
         except (QueryRejected, ReplicaOverloaded):
             raise
@@ -937,36 +859,19 @@ class QueryRouter:
 # -- HTTP face ----------------------------------------------------------------
 
 
-def _failed(exc: ReproError) -> HTTPResult:
-    """Map a routing failure onto the serving tier's status codes."""
-    if isinstance(exc, QueryRejected):
-        return 400, {"error": str(exc)}, {}
-    if isinstance(exc, (StaleReplicasError, ReplicaOverloaded)):
-        return 429, {"error": str(exc)}, {
-            "Retry-After": str(exc.retry_after)
-        }
-    if isinstance(exc, ReplicationError):
-        return 503, {"error": str(exc)}, {}
-    return 400, {"error": str(exc)}, {}
-
-
 def router_routes(router: QueryRouter) -> RouteTable:
     """The router's HTTP surface, for an
     :class:`~repro.serving.aserver.AsyncHTTPFront`.
 
-    ``POST /query``, ``POST /similar`` and ``GET /top`` (all accepting
-    ``min_applied_seq``) route through :meth:`QueryRouter.query`;
-    ``GET /health`` lists per-replica liveness and session pins (the
-    front adds ``GET /metrics``, from the router's registry); every
-    ``/sessions`` path the replicas serve is forwarded through the
-    session's pin, under the same admission kind as on the replica.
+    ``GET /top``, ``POST /query`` and ``POST /similar`` are the fronts'
+    own handlers (:func:`~repro.serving.endpoints.query_routes`) over
+    :meth:`QueryRouter.answer`, so they read the same fields plus
+    ``min_applied_seq``; ``GET /health`` lists per-replica liveness and
+    session pins (the front adds ``GET /metrics``, from the router's
+    registry); every ``/sessions`` path the replicas serve is forwarded
+    through the session's pin, under the same admission kind as on the
+    replica.
     """
-
-    def routed(**kwargs) -> HTTPResult:
-        try:
-            return 200, router.query(**kwargs), {}
-        except ReproError as exc:
-            return _failed(exc)
 
     def handle_health(request: HTTPRequest) -> HTTPResult:
         return 200, {
@@ -977,64 +882,17 @@ def router_routes(router: QueryRouter) -> RouteTable:
             "session_pins": router.session_pins(),
         }, {}
 
-    def handle_top(request: HTTPRequest) -> HTTPResult:
-        try:
-            k = int(request.param("k", "10"))
-            min_applied = request.param("min_applied_seq")
-            min_applied_seq = (
-                None if min_applied is None else int(min_applied)
-            )
-        except ValueError as exc:
-            return 400, {"error": f"malformed request: {exc!r}"}, {}
-        return routed(
-            op="top_k",
-            k=k,
-            label_filter=request.param("label"),
-            min_applied_seq=min_applied_seq,
-        )
-
-    def handle_query(request: HTTPRequest) -> HTTPResult:
-        similar = request.path == "/similar"
-        try:
-            doc = request.json()
-
-            def field(name: str, cast):
-                value = doc.get(name)
-                return None if value is None else cast(value)
-
-            op = str(doc.get("op", "similar" if similar else "support"))
-            kwargs = {
-                "op": op,
-                "pattern": field("pattern", str),
-                "min_support": field("min_support", float),
-                "min_applied_seq": field("min_applied_seq", int),
-                "sim_threshold": field("threshold", float),
-                "semantics": field("semantics", str),
-                "k": field("k", int),
-                "graph_id": field("graph_id", int),
-            }
-        except (ValueError, TypeError, KeyError) as exc:
-            return 400, {"error": f"malformed query request: {exc!r}"}, {}
-        if similar and op not in _SIMILARITY_OPS:
-            return 400, {
-                "error": f"op {op!r} is not a similarity op; expected "
-                f"one of {', '.join(_SIMILARITY_OPS)}"
-            }, {}
-        return routed(**kwargs)
-
     def forward_session(request: HTTPRequest) -> HTTPResult:
         try:
             status, payload, headers = router.session_request(
                 request.method, request.path, request.body or None
             )
         except ReproError as exc:
-            return _failed(exc)
+            return query_error(exc)
         retry_after = headers.get("Retry-After")
         return status, payload, (
             {} if retry_after is None else {"Retry-After": str(retry_after)}
         )
-
-    from repro.serving.endpoints import session_routes
 
     # The replicas' own session table supplies the paths and kinds; its
     # handlers are never called, so it needs no manager.
@@ -1044,11 +902,8 @@ def router_routes(router: QueryRouter) -> RouteTable:
     ]
     return RouteTable([
         Endpoint("GET", "/health", "health", "control", handle_health),
-        Endpoint("GET", "/top", "top", "query", handle_top),
-        Endpoint("POST", "/query", "query", "query", handle_query),
-        Endpoint("POST", "/similar", "similar", "query", handle_query),
         *sessions,
-    ])
+    ]).merge(query_routes(router.answer))
 
 
 class RouterService:

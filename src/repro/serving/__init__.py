@@ -16,8 +16,13 @@ answers from those bit-sets:
 * :class:`VersionedResultCache` — the reader's LRU result cache, keyed
   by canonical DFS code + store version and invalidated wholesale on a
   version bump.
-* :class:`BatchExecutor` / :class:`Query` — batch execution grouping
-  queries per pattern class across a thread pool.
+* :class:`Query` — one query, the one form it takes from an HTTP client
+  through the router to :meth:`StoreReader.answer`;
+  :func:`parse_query` reads it off a request, :func:`query_request`
+  writes it as one, and :func:`answer_payload` is the answer every
+  front serves.
+* :class:`BatchExecutor` — batch execution grouping queries per pattern
+  class across a thread pool.
 * :func:`serve_async` / :class:`AsyncHTTPFront` — the JSON/HTTP
   front-end (``taxogram serve``) every serving socket runs on.
 
@@ -43,21 +48,27 @@ from repro.serving.admission import (
     AdmissionPolicy,
 )
 from repro.serving.aserver import AsyncHTTPFront, serve_async
-from repro.serving.batch import BatchExecutor, Query
+from repro.serving.batch import BatchExecutor
 from repro.serving.cache import VersionedResultCache, query_key
 from repro.serving.endpoints import (
     Endpoint,
     HTTPRequest,
     RouteTable,
+    answer_payload,
     ingest_routes,
+    parse_query,
+    query_request,
+    query_routes,
     replication_routes,
     serving_routes,
     value_payload,
 )
 from repro.serving.reader import (
     DEFAULT_SIMILAR_THRESHOLD,
+    QUERY_OPS,
     SIMILARITY_OPS,
     MatchResult,
+    Query,
     ServingAnswer,
     StoreReader,
 )
@@ -74,6 +85,7 @@ __all__ = [
     "Endpoint",
     "HTTPRequest",
     "MatchResult",
+    "QUERY_OPS",
     "Query",
     "RouteTable",
     "SIMILARITY_OPS",
@@ -82,8 +94,12 @@ __all__ = [
     "SimilarityEngine",
     "StoreReader",
     "VersionedResultCache",
+    "answer_payload",
     "ingest_routes",
+    "parse_query",
     "query_key",
+    "query_request",
+    "query_routes",
     "replication_routes",
     "serve_async",
     "serving_routes",

@@ -19,12 +19,11 @@ other groups mid-flight.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from repro.exceptions import ReproError
-from repro.graphs.graph import Graph
 from repro.serving.reader import (
     SIMILARITY_OPS,
+    Query,
     ServingAnswer,
     StoreReader,
 )
@@ -40,28 +39,6 @@ def _as_repro_error(exc: Exception) -> ReproError:
     wrapped = ReproError(f"query failed: {exc!r}")
     wrapped.__cause__ = exc
     return wrapped
-
-
-@dataclass(frozen=True)
-class Query:
-    """One declarative query: an op plus its arguments.
-
-    ``op`` is one of ``support``, ``contains``, ``graphs``,
-    ``specializations`` (which take ``pattern``), ``top_k`` (which
-    takes ``k`` and optionally ``label_filter``), or a similarity op —
-    ``similar`` / ``similarity_score`` / ``fuzzy_contains`` — which
-    take ``pattern`` plus ``sim_threshold`` / ``graph_id`` /
-    ``semantics`` as applicable.
-    """
-
-    op: str
-    pattern: Graph | None = None
-    min_support: float | None = None
-    k: int | None = None
-    label_filter: str | None = None
-    sim_threshold: float | None = None
-    semantics: str | None = None
-    graph_id: int | None = None
 
 
 class BatchExecutor:
@@ -93,14 +70,7 @@ class BatchExecutor:
                 query = queries[index]
                 try:
                     results[index] = self.reader.query(
-                        query.op,
-                        query.pattern,
-                        min_support=query.min_support,
-                        k=query.k,
-                        label_filter=query.label_filter,
-                        sim_threshold=query.sim_threshold,
-                        semantics=query.semantics,
-                        graph_id=query.graph_id,
+                        query.op, query.pattern, **query.arguments()
                     )
                 except Exception as exc:
                     results[index] = _as_repro_error(exc)

@@ -23,10 +23,18 @@ kind in this module automatically exempts it from shedding on every
 socket — the registry replaced a hardcoded tuple in the admission
 module that silently missed newly added control routes.
 
-``serving_routes`` builds the read-only surface over a
-:class:`~repro.serving.reader.StoreReader`; ``ingest_routes`` adds the
-streaming surface over an ingest service/core; ``replication_routes``
-adds the primary's segment-publishing surface over a
+A query travels as one :class:`~repro.serving.reader.Query`:
+:func:`parse_query` is the one reader of its fields off a request,
+:func:`query_request` the one writer of a request asking it, and
+:func:`answer_payload` the one answer shape.  :func:`query_routes` is
+the one set of ``/top``, ``/query`` and ``/similar`` handlers, over an
+answer function: ``serving_routes`` mounts them, with ``/health``, over
+a :class:`~repro.serving.reader.StoreReader`, and the router over its
+own dispatch.
+
+``ingest_routes`` adds the streaming surface over an ingest
+service/core; ``replication_routes`` adds the primary's
+segment-publishing surface over a
 :class:`~repro.replication.shipper.SegmentShipper`; ``session_routes``
 adds the interactive-session surface over a
 :class:`~repro.sessions.manager.SessionManager`; and
@@ -40,9 +48,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+from urllib.parse import urlencode
 
-from repro.exceptions import ReproError
+from repro.exceptions import MiningError, ReplicationError, ReproError
 from repro.incremental.delta import DatabaseDelta
+from repro.serving.reader import SIMILARITY_OPS, MatchResult, Query
 from repro.util.bitset import BitSet
 
 __all__ = [
@@ -52,10 +62,17 @@ __all__ = [
     "HTTPRequest",
     "HTTPResult",
     "RouteTable",
+    "answer_payload",
+    "health_payload",
     "ingest_routes",
+    "parse_query",
+    "query_error",
+    "query_request",
+    "query_routes",
     "replication_routes",
     "serving_routes",
     "session_routes",
+    "value_payload",
 ]
 
 # Every admission kind an Endpoint may carry.  ``session`` is the
@@ -181,13 +198,9 @@ def _pattern_payload(reader, pattern) -> dict:
 
 
 def value_payload(reader, op: str, value) -> object:
-    """Render a query answer as its canonical JSON-compatible value.
-
-    Shared with :mod:`repro.replication.router` so a routed answer and a
-    direct server answer are byte-comparable after JSON encoding.
-    """
-    from repro.serving.reader import MatchResult
-
+    """Render a query answer as its canonical JSON-compatible value:
+    the ``value`` of :func:`answer_payload`, so a routed answer and a
+    direct server answer are byte-comparable after JSON encoding."""
     if op == "similar":
         # [[graph_id, score], ...] already ordered (-score, graph_id);
         # scores are plain floats so shard-routed and direct answers
@@ -213,104 +226,154 @@ def value_payload(reader, op: str, value) -> object:
     return value
 
 
+# (Query field, wire name, cast of the wire value) for every query
+# argument; ``op`` and the router's ``min_applied_seq`` ride beside them.
+_WIRE_FIELDS = (
+    ("pattern", "pattern", str),
+    ("min_support", "min_support", float),
+    ("k", "k", int),
+    ("label_filter", "label", str),
+    ("sim_threshold", "threshold", float),
+    ("semantics", "semantics", str),
+    ("graph_id", "graph_id", int),
+)
+
+
+def parse_query(request: HTTPRequest) -> tuple[Query, int | None]:
+    """The query an HTTP request asks, and its ``min_applied_seq``.
+
+    ``GET /top`` reads URL parameters and is always ``top_k`` (``k``
+    defaults to 10); ``POST /query`` and ``POST /similar`` read a JSON
+    body whose ``op`` defaults to ``support`` and ``similar``, and
+    ``/similar`` takes only the similarity ops.  Every role reads the
+    same fields; only a router acts on ``min_applied_seq``.  A malformed
+    field raises ``ValueError``/``TypeError``.
+    """
+    if request.method == "GET":
+        doc = {"k": "10"}
+        doc.update(
+            (name, values[0]) for name, values in request.params.items()
+        )
+        op = "top_k"
+    else:
+        doc = request.json()
+        similar = request.path == "/similar"
+        op = str(doc.get("op", "similar" if similar else "support"))
+        if similar and op not in SIMILARITY_OPS:
+            raise MiningError(
+                f"op {op!r} is not a similarity op; expected one of "
+                f"{', '.join(SIMILARITY_OPS)}"
+            )
+
+    def read(name: str, cast):
+        value = doc.get(name)
+        return None if value is None else cast(value)
+
+    query = Query(
+        op, **{field: read(wire, cast) for field, wire, cast in _WIRE_FIELDS}
+    )
+    return query, read("min_applied_seq", int)
+
+
+def query_request(query: Query) -> tuple[str, str, bytes | None]:
+    """``(method, path, body)`` of the HTTP request asking ``query``
+    (its pattern in wire text): ``top_k`` is ``GET /top`` with a
+    URL-encoded query string, a similarity op ``POST /similar`` and any
+    other op ``POST /query``, with the fields that are set as JSON."""
+    doc = {
+        wire: getattr(query, field)
+        for field, wire, _cast in _WIRE_FIELDS
+        if getattr(query, field) is not None
+    }
+    if query.op == "top_k":
+        return "GET", "/top?" + urlencode(doc), None
+    path = "/similar" if query.op in SIMILARITY_OPS else "/query"
+    return "POST", path, json.dumps({"op": query.op, **doc}).encode("utf-8")
+
+
+def answer_payload(reader, query: Query) -> dict:
+    """The answer payload of ``query`` on ``reader``: the one shape
+    every front and :class:`~repro.replication.router.LocalReplica`
+    serve."""
+    answer = reader.answer(query)
+    return {
+        "op": query.op,
+        "store_version": answer.store_version,
+        "cached": answer.cached,
+        "value": value_payload(reader, query.op, answer.value),
+    }
+
+
+def query_error(exc: ReproError) -> HTTPResult:
+    """Map a failed query onto the serving tier's status codes.
+
+    A replication failure that says when to retry (a stale or shedding
+    fleet) is 429 with that ``Retry-After``, any other replication
+    failure 503; every other error rejects the query itself, 400.
+    """
+    if isinstance(exc, ReplicationError):
+        retry_after = getattr(exc, "retry_after", None)
+        if retry_after is None:
+            return 503, {"error": str(exc)}, {}
+        return 429, {"error": str(exc)}, {"Retry-After": str(retry_after)}
+    return 400, {"error": str(exc)}, {}
+
+
+def query_routes(
+    answer: Callable[[Query, int | None], object]
+) -> RouteTable:
+    """``GET /top``, ``POST /query`` and ``POST /similar`` over one
+    answer function ``answer(query, min_applied_seq) -> payload``: a
+    reader's (:func:`serving_routes`) or a router's
+    (:func:`~repro.replication.router.router_routes`)."""
+
+    def handle(request: HTTPRequest) -> HTTPResult:
+        try:
+            return 200, answer(*parse_query(request)), {}
+        except ReproError as exc:
+            return query_error(exc)
+        except (KeyError, ValueError, TypeError) as exc:
+            return 400, {"error": f"malformed query request: {exc!r}"}, {}
+
+    return RouteTable([
+        Endpoint("GET", "/top", "top", "query", handle),
+        Endpoint("POST", "/query", "query", "query", handle),
+        Endpoint("POST", "/similar", "similar", "query", handle),
+    ])
+
+
+def health_payload(reader, role: str) -> dict:
+    """``GET /health`` of a role serving ``reader``."""
+    applied = reader.app_state.get("wal_applied_seq")
+    return {
+        "status": "ok",
+        "role": role,
+        "store_version": reader.version,
+        "classes": reader.num_classes,
+        "database_size": reader.database_size,
+        "min_support": reader.min_support,
+        "applied_seq": None if applied is None else int(applied),
+    }
+
+
 def serving_routes(
     reader,
     role: str = "standalone",
     health_extras: Callable[[], dict] | None = None,
 ) -> RouteTable:
     """The read-only surface: /health, /top, /query, /similar."""
-    from repro.serving.reader import SIMILARITY_OPS
 
     def handle_health(request: HTTPRequest) -> HTTPResult:
-        applied = reader.app_state.get("wal_applied_seq")
-        payload = {
-            "status": "ok",
-            "role": role,
-            "store_version": reader.version,
-            "classes": reader.num_classes,
-            "database_size": reader.database_size,
-            "min_support": reader.min_support,
-            "applied_seq": None if applied is None else int(applied),
-        }
+        payload = health_payload(reader, role)
         if health_extras is not None:
             payload.update(health_extras())
         return 200, payload, {}
 
-    def handle_top(request: HTTPRequest) -> HTTPResult:
-        try:
-            k = int(request.param("k", "10"))
-            label = request.param("label")
-            answer = reader.query("top_k", k=k, label_filter=label)
-        except (ReproError, ValueError) as exc:
-            return 400, {"error": str(exc)}, {}
-        return 200, {
-            "op": "top_k",
-            "store_version": answer.store_version,
-            "cached": answer.cached,
-            "value": value_payload(reader, "top_k", answer.value),
-        }, {}
-
-    def handle_query(request: HTTPRequest) -> HTTPResult:
-        try:
-            doc = request.json()
-            op = doc.get("op", "support")
-            pattern = reader.parse_pattern(doc["pattern"])
-            answer = reader.query(
-                op, pattern, min_support=doc.get("min_support")
-            )
-        except ReproError as exc:
-            return 400, {"error": str(exc)}, {}
-        except (KeyError, ValueError, TypeError) as exc:
-            return 400, {"error": f"malformed query request: {exc!r}"}, {}
-        return 200, {
-            "op": op,
-            "store_version": answer.store_version,
-            "cached": answer.cached,
-            "value": value_payload(reader, op, answer.value),
-        }, {}
-
-    def handle_similar(request: HTTPRequest) -> HTTPResult:
-        try:
-            doc = request.json()
-            op = doc.get("op", "similar")
-            if op not in SIMILARITY_OPS:
-                return 400, {
-                    "error": f"op {op!r} is not a similarity op; expected "
-                    f"one of {', '.join(SIMILARITY_OPS)}"
-                }, {}
-            pattern = reader.parse_pattern(doc["pattern"])
-            threshold = doc.get("threshold")
-            answer = reader.query(
-                op,
-                pattern,
-                sim_threshold=(
-                    None if threshold is None else float(threshold)
-                ),
-                semantics=doc.get("semantics"),
-                k=None if doc.get("k") is None else int(doc["k"]),
-                graph_id=(
-                    None
-                    if doc.get("graph_id") is None
-                    else int(doc["graph_id"])
-                ),
-            )
-        except ReproError as exc:
-            return 400, {"error": str(exc)}, {}
-        except (KeyError, ValueError, TypeError) as exc:
-            return 400, {"error": f"malformed similar request: {exc!r}"}, {}
-        return 200, {
-            "op": op,
-            "store_version": answer.store_version,
-            "cached": answer.cached,
-            "value": value_payload(reader, op, answer.value),
-        }, {}
-
     return RouteTable([
         Endpoint("GET", "/health", "health", "control", handle_health),
-        Endpoint("GET", "/top", "top", "query", handle_top),
-        Endpoint("POST", "/query", "query", "query", handle_query),
-        Endpoint("POST", "/similar", "similar", "query", handle_similar),
-    ])
+    ]).merge(query_routes(
+        lambda query, _min_applied_seq: answer_payload(reader, query)
+    ))
 
 
 def ingest_routes(core) -> RouteTable:

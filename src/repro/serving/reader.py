@@ -41,7 +41,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from repro.core.occurrence_index import OccurrenceIndex
@@ -72,20 +72,58 @@ from repro.util.bitset import BitSet
 __all__ = [
     "DEFAULT_SIMILAR_THRESHOLD",
     "MatchResult",
+    "QUERY_OPS",
+    "Query",
+    "SIMILARITY_OPS",
     "ServingAnswer",
     "StoreReader",
 ]
 
-_QUERY_OPS = ("support", "contains", "graphs", "specializations")
+# The exact ops over one pattern, answered from its class's rows.
+_PATTERN_OPS = ("support", "contains", "graphs", "specializations")
 
 # The approximate regime (repro.similarity): ranked MCS scores, one
 # graph's score, and similarity-thresholded containment.
 SIMILARITY_OPS = ("similar", "similarity_score", "fuzzy_contains")
 
+# Every op a reader answers and a router routes.
+QUERY_OPS = _PATTERN_OPS + ("top_k",) + SIMILARITY_OPS
+
 # ``similar`` needs a permissive default (1.0 would re-answer the exact
 # query); ``fuzzy_contains`` defaults to the exact fixed point so a
 # caller only gets fuzzy answers by asking for them.
 DEFAULT_SIMILAR_THRESHOLD = 0.5
+
+
+@dataclass(frozen=True)
+class Query:
+    """One query: an op plus its arguments.
+
+    The one form a query takes from an HTTP client
+    (:func:`~repro.serving.endpoints.parse_query`) through the router to
+    :meth:`StoreReader.answer`.  ``op`` is one of :data:`QUERY_OPS`:
+    ``support``, ``contains``, ``graphs``, ``specializations`` (which
+    take ``pattern``; ``specializations`` also ``min_support``),
+    ``top_k`` (which takes ``k`` and optionally ``label_filter``), or a
+    similarity op — ``similar`` / ``similarity_score`` /
+    ``fuzzy_contains`` — which take ``pattern`` plus ``sim_threshold``
+    / ``graph_id`` / ``semantics`` / ``k`` as applicable.  ``pattern``
+    is a :class:`Graph` or its graph-db text (the wire form).
+    """
+
+    op: str
+    pattern: Graph | str | None = None
+    min_support: float | None = None
+    k: int | None = None
+    label_filter: str | None = None
+    sim_threshold: float | None = None
+    semantics: str | None = None
+    graph_id: int | None = None
+
+    def arguments(self) -> dict:
+        """Every field but ``op`` and ``pattern``, by name: the keyword
+        arguments of :meth:`StoreReader.query`."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
 
 
 @dataclass(frozen=True)
@@ -342,39 +380,35 @@ class StoreReader:
         ).value
 
     def query(
-        self,
-        op: str,
-        pattern: Graph | None = None,
-        *,
-        min_support: float | None = None,
-        k: int | None = None,
-        label_filter: str | None = None,
-        sim_threshold: float | None = None,
-        semantics: str | None = None,
-        graph_id: int | None = None,
+        self, op: str, pattern: Graph | None = None, **arguments
     ) -> ServingAnswer:
-        """Generic entry point; returns the value fenced to a version."""
+        """Generic entry point; ``arguments`` are :class:`Query`'s other
+        fields.  Returns the value fenced to a version."""
+        return self.answer(Query(op, pattern, **arguments))
+
+    def answer(self, query: Query) -> ServingAnswer:
+        """Answer one query (a text pattern is parsed first), fenced to
+        a store version."""
+        if isinstance(query.pattern, str):
+            query = replace(query, pattern=self.parse_pattern(query.pattern))
         start = time.perf_counter()
-        with self._tracer.span(f"serving.{op}"):
+        with self._tracer.span(f"serving.{query.op}"):
             for _attempt in range(self._max_retries):
                 state = self._ensure_state()
                 try:
-                    if op in SIMILARITY_OPS:
+                    if query.op in SIMILARITY_OPS:
                         value, cached = self._dispatch_similarity(
-                            state, op, pattern, sim_threshold, semantics,
-                            graph_id, k,
+                            state, query
                         )
                     else:
-                        value, cached = self._dispatch(
-                            state, op, pattern, min_support, k, label_filter
-                        )
+                        value, cached = self._dispatch(state, query)
                     break
                 except _StaleStore:
                     continue
             else:
                 raise StoreError(
                     f"store {self.directory} kept changing while answering "
-                    f"a {op} query"
+                    f"a {query.op} query"
                 )
         self.metrics.add("serving.queries", 1)
         latency_ms = (time.perf_counter() - start) * 1000.0
@@ -620,7 +654,10 @@ class StoreReader:
 
     # -- dispatch and caching -------------------------------------------------
 
-    def _dispatch(self, state, op, pattern, min_support, k, label_filter):
+    def _dispatch(self, state: _ReaderState, query: Query):
+        op, pattern, k, label_filter = (
+            query.op, query.pattern, query.k, query.label_filter
+        )
         if op == "top_k":
             if k is None or k < 0:
                 raise MiningError("top_k requires a non-negative k")
@@ -643,11 +680,12 @@ class StoreReader:
                     )
                 )
             return patterns[:k], cached
-        if op not in _QUERY_OPS:
+        if op not in _PATTERN_OPS:
             raise MiningError(f"unknown query op {op!r}")
         if pattern is None:
             raise MiningError(f"op {op!r} requires a pattern")
         structure = self._structure_key(pattern)
+        min_support = query.min_support
         if op == "specializations":
             # Key by the *resolved* absolute count so an explicit
             # min_support equal to the store's default shares an entry
@@ -711,9 +749,11 @@ class StoreReader:
                 )
             return state.similarity
 
-    def _dispatch_similarity(
-        self, state, op, pattern, sim_threshold, semantics, graph_id, k
-    ):
+    def _dispatch_similarity(self, state: _ReaderState, query: Query):
+        op, pattern, semantics, k = (
+            query.op, query.pattern, query.semantics, query.k
+        )
+        sim_threshold, graph_id = query.sim_threshold, query.graph_id
         if pattern is None:
             raise MiningError(f"op {op!r} requires a pattern")
         if semantics is None:
