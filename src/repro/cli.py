@@ -1250,18 +1250,28 @@ def _cmd_ingest_serve(
             )
         service.start()
 
-    _run_async_front(
-        args,
-        service.server,
-        lambda host, port: (
-            f"{role} into {args.store} at http://{host}:{port} "
-            f"(wal {args.wal}, store version {service.reader.version}, "
-            f"{service.reader.database_size} graphs)"
-        ),
-        post_banner=_post_banner,
-        on_signal="flushing applier",
-    )
-    service.close(drain=True)
+    # The applier's batches are long stretches of pure Python.  Under the
+    # default 5 ms switch interval, each GIL hand-off a write needs
+    # (front loop, handler thread, after the WAL fsync, reply) can wait
+    # that long, which the write acknowledgement latency shows; 1 ms
+    # bounds the wait.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.001)
+    try:
+        _run_async_front(
+            args,
+            service.server,
+            lambda host, port: (
+                f"{role} into {args.store} at http://{host}:{port} "
+                f"(wal {args.wal}, store version {service.reader.version}, "
+                f"{service.reader.database_size} graphs)"
+            ),
+            post_banner=_post_banner,
+            on_signal="flushing applier",
+        )
+        service.close(drain=True)
+    finally:
+        sys.setswitchinterval(interval)
     print(
         f"applied seq {service.applier.applied_seq}, "
         f"lag {service.applier.lag}"

@@ -25,9 +25,9 @@ index — attempting them from elsewhere raises.  Reads (``bits``,
 ``covered``, ``dump_rows``...) are safe from any thread: each
 non-owner thread lazily opens its own read-only SQLite connection (one
 connection must never be shared across threads mid-statement), and the
-shared LRU/staging/coverage state is guarded by a lock.  The serving
-layer additionally opens whole indices with ``read_only=True`` so a
-query path cannot mutate a store it only reads.
+shared LRU/staging/coverage state is guarded by a lock.  An index
+reopened with ``reset=False, read_only=True`` reads an existing file
+and can never change it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.exceptions import MiningError
 from repro.mining.gspan import Embedding
 from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.bitset import squeeze
-from repro.util.compression import decode_container, encode_container
 
 __all__ = ["DiskOccurrenceIndex", "build_disk_occurrence_index"]
 
@@ -67,14 +66,8 @@ class DiskOccurrenceIndex:
         max_resident_entries: int = _DEFAULT_RESIDENT,
         reset: bool = True,
         read_only: bool = False,
-        codec: str | None = None,
     ) -> None:
         self._num_positions = num_positions
-        # Occurrence-set blob codec.  The owning pattern store records
-        # one codec per store in its manifest, so whether blobs are
-        # compressed is configuration, not per-blob sniffing (a raw
-        # little-endian mask could collide with any magic bytes).
-        self._codec = codec
         if read_only and reset:
             raise MiningError(
                 "a read-only occurrence index cannot reset its rows"
@@ -108,8 +101,8 @@ class DiskOccurrenceIndex:
             self._connection.execute("DELETE FROM entries")
             self._connection.commit()
         else:
-            # Reopen a persisted index (repro.incremental's pattern
-            # store): the coverage map is rebuilt from the stored rows.
+            # Reopen an existing index file: the coverage map is rebuilt
+            # from the stored rows.
             for position, label in self._connection.execute(
                 "SELECT position, label FROM entries"
             ):
@@ -158,30 +151,14 @@ class DiskOccurrenceIndex:
                 "that opened the index"
             )
 
-    # -- blob codec -----------------------------------------------------------
+    # -- blob format: a mask's little-endian bytes ----------------------------
 
-    # With a codec configured, every blob carries a one-byte tag: 0x00
-    # for raw little-endian mask bytes, 0x01 for a compression
-    # container.  Small masks (the overwhelmingly common case) stay raw
-    # — container framing alone would *grow* them — and only blobs the
-    # codec genuinely shrinks get compressed.  Legacy stores (no codec
-    # in the manifest) keep bare untagged blobs, so old indices read
-    # unchanged.
+    @staticmethod
+    def _enc(bits: int) -> bytes:
+        return bits.to_bytes((bits.bit_length() + 7) // 8 or 1, "little")
 
-    def _enc(self, bits: int) -> bytes:
-        raw = bits.to_bytes((bits.bit_length() + 7) // 8 or 1, "little")
-        if self._codec is None:
-            return raw
-        packed = encode_container(raw, self._codec)
-        if len(packed) < len(raw):
-            return b"\x01" + packed
-        return b"\x00" + raw
-
-    def _dec(self, blob: bytes) -> int:
-        if self._codec is not None:
-            tag, blob = blob[0], blob[1:]
-            if tag == 1:
-                blob, _ = decode_container(blob)
+    @staticmethod
+    def _dec(blob: bytes) -> int:
         return int.from_bytes(blob, "little")
 
     # -- construction ---------------------------------------------------------
@@ -305,9 +282,7 @@ class DiskOccurrenceIndex:
     def dump_rows(self) -> list[tuple[int, int, int]]:
         """Every ``(position, label, bits)`` row, staged entries merged in.
 
-        One bulk read instead of per-label probes: the serving layer
-        loads a class's whole index under a single version fence and
-        answers all later queries for that class from memory.
+        One bulk read instead of per-label probes.
         """
         merged: dict[tuple[int, int], int] = {
             (position, label): self._dec(blob)

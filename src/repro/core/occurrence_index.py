@@ -22,7 +22,7 @@ Step 3 free of isomorphism tests (Lemma 7).
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.results import MiningCounters
@@ -38,6 +38,7 @@ __all__ = [
     "OccurrenceIndex",
     "build_occurrence_index",
     "generalized_label_supports",
+    "index_occurrences",
     "project_occurrences",
 ]
 
@@ -126,12 +127,19 @@ class OccurrenceStore:
 
 class OccurrenceIndex:
     """One occurrence-index entry (label -> occurrence bit-set) per
-    pattern-node position."""
+    pattern-node position.
 
-    __slots__ = ("entries",)
+    The entries never change after the index is built, and an index is
+    always walked under the taxonomy it was projected onto, so
+    :meth:`covered_children` answers each (position, label) once and
+    keeps the list for the life of the index.
+    """
+
+    __slots__ = ("entries", "_children")
 
     def __init__(self, entries: Sequence[dict[int, int]]) -> None:
         self.entries: tuple[dict[int, int], ...] = tuple(entries)
+        self._children: dict[tuple[int, int], list[int]] = {}
 
     @property
     def num_positions(self) -> int:
@@ -152,9 +160,16 @@ class OccurrenceIndex:
         self, position: int, label: int, taxonomy: Taxonomy
     ) -> list[int]:
         """Children of ``label`` that are covered at ``position`` — the
-        sub-taxonomy edges of the paper's OIE."""
-        entry = self.entries[position]
-        return [c for c in taxonomy.children_of(label) if c in entry]
+        sub-taxonomy edges of the paper's OIE.  The list is shared by
+        every call for the same (position, label); do not mutate it."""
+        key = (position, label)
+        children = self._children.get(key)
+        if children is None:
+            entry = self.entries[position]
+            children = self._children[key] = [
+                c for c in taxonomy.children_of(label) if c in entry
+            ]
+        return children
 
 
 class AncestorTable(dict):
@@ -184,12 +199,14 @@ class AncestorTable(dict):
 
 def project_occurrences(
     register: Callable[[int, tuple[int, ...]], int],
-    embeddings: Iterable[Embedding],
+    embeddings: Iterable[Embedding | tuple[int, tuple[int, ...]]],
     original_labels: Sequence[Sequence[int]],
     ancestors: Mapping[int, tuple[int, ...]],
 ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
     """Register embeddings and group their taxonomy projection.
 
+    Each embedding starts with ``(graph_id, nodes)``: an
+    :class:`~repro.mining.gspan.Embedding` or a stored occurrence.
     ``register(graph_id, nodes)`` returns each embedding's occurrence id.
     The ids are grouped per (position, original label); each group's
     bit-set is built once, to be OR-ed into every allowed ancestor of the
@@ -200,11 +217,11 @@ def project_occurrences(
     """
     groups: list[dict[int, list[int]]] = []  # per position: original -> ids
     for emb in embeddings:
-        nodes = emb.nodes
+        graph_id, nodes = emb[0], emb[1]
         if not groups:
             groups = [{} for _ in nodes]
-        occ_id = register(emb.graph_id, nodes)
-        graph_originals = original_labels[emb.graph_id]
+        occ_id = register(graph_id, nodes)
+        graph_originals = original_labels[graph_id]
         for group, node in zip(groups, nodes):
             original = graph_originals[node]
             ids = group.get(original)
@@ -254,18 +271,53 @@ def build_occurrence_index(
     if ancestors is None:
         ancestors = AncestorTable(taxonomy, allowed_labels)
     store = OccurrenceStore()
-    entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
     projected, updates = project_occurrences(
         store.add, embeddings, original_labels, ancestors
     )
-    for position, labels, bits in projected:
-        entry = entries[position]
-        for label in labels:
-            entry[label] = entry.get(label, 0) | bits
+    entries = _entries(num_positions, projected)
     if counters is not None:
         counters.occurrence_index_updates += updates
         counters.oie_entries += sum(len(entry) for entry in entries)
     return store, OccurrenceIndex(entries)
+
+
+def index_occurrences(
+    num_positions: int,
+    occurrences: Sequence[tuple[int, tuple[int, ...]] | None],
+    original_labels: Sequence[Sequence[int]],
+    ancestors: Mapping[int, tuple[int, ...]],
+) -> OccurrenceIndex:
+    """The occurrence index of an already numbered occurrence space.
+
+    ``occurrences[occ_id]`` is ``(graph_id, nodes)``, or ``None`` for a
+    tombstone (see :class:`repro.incremental.delta.OccurrenceColumns`),
+    which no entry holds.  This is how a pattern store's class gets its
+    index back: the store keeps the class's occurrences and the
+    database's original labels, and the index is their projection,
+    equal to what :func:`build_occurrence_index` built when the same
+    occurrences were registered under the same ``ancestors``.
+    """
+    live_ids = compress(count(), occurrences)
+    projected, _updates = project_occurrences(
+        lambda _graph_id, _nodes: next(live_ids),
+        filter(None, occurrences),
+        original_labels,
+        ancestors,
+    )
+    return OccurrenceIndex(_entries(num_positions, projected))
+
+
+def _entries(
+    num_positions: int, projected: list[tuple[int, tuple[int, ...], int]]
+) -> list[dict[int, int]]:
+    """OR each projected group's bit-set into the entry of every label it
+    reaches: one ``label -> bits`` dict per position."""
+    entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
+    for position, labels, bits in projected:
+        entry = entries[position]
+        for label in labels:
+            entry[label] = entry.get(label, 0) | bits
+    return entries
 
 
 def generalized_label_supports(

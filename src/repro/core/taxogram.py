@@ -35,7 +35,7 @@ stores stay undirected and refuse one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.disk_index import build_disk_occurrence_index
 from repro.core.occurrence_index import (
@@ -143,8 +143,8 @@ class Taxogram:
 
         ``class_sink`` and ``prune_report`` are the store build's hooks
         (:mod:`repro.incremental.pipeline`): the sink receives every
-        class's ``(code edges, occurrences, index, patterns)`` after
-        Step 3, in class-id order; ``prune_report`` receives gSpan's
+        class's ``(code edges, occurrences, patterns)`` after Step 3, in
+        class-id order; ``prune_report`` receives gSpan's
         negative border (see :class:`~repro.mining.gspan.GSpanMiner`).
         """
         options = self.options
@@ -172,7 +172,7 @@ class Taxogram:
 
 
 ClassSink = Callable[
-    [tuple, Sequence[tuple[int, tuple[int, ...]]], Any, list[TaxonomyPattern]],
+    [tuple, Sequence[tuple[int, tuple[int, ...]]], list[TaxonomyPattern]],
     None,
 ]
 PruneReport = Callable[[tuple, int], None]
@@ -297,10 +297,7 @@ def mine_classes(
                 patterns.extend(class_patterns)
                 if class_sink is not None:
                     class_sink(
-                        mined.code.edges,
-                        store.occurrences,
-                        occurrence_index,
-                        class_patterns,
+                        mined.code.edges, store.occurrences, class_patterns
                     )
             finally:
                 close = getattr(occurrence_index, "close", None)

@@ -8,8 +8,7 @@ consistent) with graph removals (pre-delta graph ids).
 :class:`repro.core.occurrence_index.OccurrenceStore`: the occurrence-id
 space of one pattern class, maintained across deltas.  New graphs append
 bit columns; removals clear columns in place (tombstones keep surviving
-occurrence ids — and therefore every persisted OIE bit-set — stable);
-a compaction pass renumbers the survivors densely once the dead fraction
+occurrence ids stable); a compaction pass renumbers the survivors densely once the dead fraction
 crosses a threshold.  It subclasses ``OccurrenceStore``, so
 :func:`repro.core.specializer.specialize_class` runs the same
 ``all_bits`` / ``support_count`` / ``support_mask`` kernels on it.
@@ -95,9 +94,9 @@ class OccurrenceColumns(OccurrenceStore):
 
     ``occurrences[occ_id]`` is ``(graph_id, mapped_nodes)`` for a live
     occurrence or ``None`` for a cleared (dead) one.  Dead columns keep
-    their ids reserved so the bit positions of every persisted OIE row
-    stay valid without rewriting the index on each removal; they are
-    reclaimed by :meth:`compact` when :attr:`dead_fraction` grows.
+    their ids reserved, so a removal renumbers no surviving occurrence;
+    they are reclaimed by :meth:`compact` when :attr:`dead_fraction`
+    grows.
     The support kernels are :class:`OccurrenceStore`'s; dead columns
     belong to no run, so they count for nothing, and rows that split a
     graph's columns raise :class:`~repro.exceptions.MiningError`.
@@ -166,7 +165,7 @@ class OccurrenceColumns(OccurrenceStore):
     def compact(self) -> None:
         """Drop dead columns; live ones keep their order, so occurrence
         ``i`` becomes the ``i``-th set bit of the old :attr:`all_bits`
-        (the OIE side renumbers with ``squeeze(bits, all_bits)``)."""
+        (an occurrence set renumbers with ``squeeze(bits, all_bits)``)."""
         self.occurrences = [c for c in self.occurrences if c is not None]
         self._runs = None
 

@@ -7,11 +7,11 @@ run's hooks hand it:
 
 - ``class_sink`` delivers, for every pattern class in class-id order,
   the occurrence-id space (stored as
-  :class:`~repro.incremental.delta.OccurrenceColumns`), the
-  taxonomy-projected occurrence index (written to one
-  :class:`~repro.core.disk_index.DiskOccurrenceIndex` per class) and
-  the class's Step-3 pattern set, so the store's first reader loads it
-  instead of specializing every class again;
+  :class:`~repro.incremental.delta.OccurrenceColumns`) and the class's
+  Step-3 pattern set, so the store's first reader loads it instead of
+  specializing every class again.  The class's occurrence index is not
+  stored: readers and the updater rebuild it from the columns with
+  :func:`~repro.core.occurrence_index.index_occurrences`;
 - ``prune_report`` delivers the search's *negative border* — every
   minimal candidate code gSpan generated and pruned as infrequent, with
   its exact support mask.  The border is what lets
@@ -28,13 +28,13 @@ default :class:`~repro.core.taxogram.Taxogram` run:
 
 - occurrence indices are built without the frequent-label filter
   (enhancement (b)) — the filter depends on the database, which changes
-  under deltas, and replayed embeddings must extend the same index a
-  fresh run would build;
+  under deltas, and an index rebuilt from a class's columns must equal
+  the one a fresh run would build;
 - taxonomy contraction (enhancement (d)) is disabled — contraction also
   depends on the observed label set.
 
-Indices are built in memory and then persisted, whatever
-``occurrence_index_backend`` the caller chose.
+Indices are built in memory, whatever ``occurrence_index_backend`` the
+caller chose.
 """
 
 from __future__ import annotations
@@ -82,14 +82,8 @@ def mine_to_store(
     )
     border: dict[_Code, int] = {}
 
-    def persist(code: _Code, occurrences, index, patterns) -> None:
-        store.add_mined_class(
-            code,
-            occurrences,
-            index,
-            patterns,
-            options.disk_max_resident_entries,
-        )
+    def persist(code: _Code, occurrences, patterns) -> None:
+        store.add_mined_class(code, occurrences, patterns)
 
     def capture(code: _Code, mask: int) -> None:
         if mask:

@@ -1,16 +1,22 @@
 """The persistent pattern store: one complete mining result on disk.
 
-Layout (``format_version`` 1)::
+Layout (``format_version`` 2)::
 
     <store>/
       manifest.json      version, options fingerprint, checksums (written last)
       labels.json        interner name tables + taxonomy parent map
       database.graphs    the mined database (graph-db text format)
-      classes.json       per class: DFS code, occurrence columns, OIE name,
-                         and the class's Step-3 pattern set
+      classes.json       per class: DFS code, occurrence columns and the
+                         class's Step-3 pattern set
       border.json        negative border: DFS code -> supporting graph ids
                          (a graph-id mask in memory)
-      oie/class_<k>/occurrence_index.sqlite3   per-class persisted OIE
+
+A class's occurrence index (Step 2) is not stored: it is the projection
+of the class's occurrence columns, through the original labels of
+``database.graphs``, onto the working taxonomy, and
+:func:`repro.core.occurrence_index.index_occurrences` rebuilds it from
+exactly those three.  Version 1 stores, which kept a second copy of
+every index as a SQLite file per class under ``oie/``, are refused.
 
 Label ids are only meaningful relative to an interner, so ``labels.json``
 stores the interner *name tables* plus the taxonomy as a ``label ->
@@ -20,14 +26,12 @@ therefore DFS codes, children ordering and topological order)
 bit-identical to the original.
 
 ``manifest.json`` is written last and carries SHA-256 checksums of every
-JSON/text file plus per-class OIE row counts; a torn or tampered store
-fails :meth:`PatternStore.open` with :class:`repro.exceptions.StoreError`
-instead of producing silently wrong supports.  ``open`` is an integrity
-check followed by a parse; :meth:`PatternStore.is_committed_copy` runs
-the same check alone, so a process that still holds the store it just
-committed can adopt a fresh copy of its directory without parsing it.
-OIE directory names are allocated from a monotonic counter, so class
-reordering across updates never renames directories.
+other file; a torn or tampered store fails :meth:`PatternStore.open`
+with :class:`repro.exceptions.StoreError` instead of producing silently
+wrong supports.  ``open`` is an integrity check followed by a parse;
+:meth:`PatternStore.is_committed_copy` runs the same check alone, so a
+process that still holds the store it just committed can adopt a fresh
+copy of its directory without parsing it.
 
 Each class entry in ``classes.json`` also carries ``patterns``: the
 class's Step-3 output at the store's own threshold, so a version's
@@ -41,16 +45,14 @@ parallel runtime does not return, so the sequential and parallel store
 builds write the same list.
 ``support`` and ``class_id`` are derived on load.  The key is absent on
 stores written before it existed; such a class is specialized on demand
-and persisted by its first update.  Old builds ignore the key, so the
-format version stays 1.
+and persisted by its first update.
 
 Stores may optionally be *compressed*: when ``PatternStore.initialize``
 is given a codec name (see :mod:`repro.util.compression`), every store
-file and every OIE occurrence blob is written as a self-describing
-compressed container, and the manifest records a ``compression`` block
-(codec plus per-file raw/stored sizes).  The block is simply absent on
-legacy stores, so old stores open unchanged and the format version stays
-1; checksums always cover the on-disk (compressed) bytes.
+file is written as a self-describing compressed container, and the
+manifest records a ``compression`` block (codec plus per-file
+raw/stored sizes).  The block is absent on a raw store; checksums
+always cover the on-disk (compressed) bytes.
 
 Concurrency contract (the serving read path relies on it): every
 :meth:`PatternStore.save` bumps a monotonic ``store_version`` in the
@@ -67,12 +69,10 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.core.disk_index import DiskOccurrenceIndex
 from repro.core.results import TaxonomyPattern
 from repro.exceptions import CompressionError, StoreError
 from repro.graphs.database import GraphDatabase
@@ -95,7 +95,7 @@ __all__ = [
     "taxonomy_fingerprint",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _UPDATE_MARKER = "update.inprogress"
@@ -103,7 +103,6 @@ _LABELS = "labels.json"
 _DATABASE = "database.graphs"
 _CLASSES = "classes.json"
 _BORDER = "border.json"
-_OIE_DIR = "oie"
 
 _Code = tuple[DFSEdge, ...]
 
@@ -219,7 +218,6 @@ class StoredClass:
 
     code: _Code
     columns: OccurrenceColumns
-    oie_name: str
     patterns: list[StoredPattern] | None = None
 
     @property
@@ -252,10 +250,10 @@ class PatternStore:
         self.min_support = min_support
         self.max_edges = max_edges
         self.artificial_root_name = artificial_root_name
-        # Codec name for the store files and OIE blobs, or None for the
-        # legacy raw layout.  Recorded in the manifest on save, restored
-        # on open, so an updater re-saving a compressed store keeps its
-        # codec without the caller re-negotiating.
+        # Codec name for the store files, or None for the raw layout.
+        # Recorded in the manifest on save, restored on open, so an
+        # updater re-saving a compressed store keeps its codec without
+        # the caller re-negotiating.
         self.compression = compression
         # name -> {"raw": n, "stored": n} sizes from the last save/open.
         self.compression_stats: dict[str, dict[str, int]] = {}
@@ -271,7 +269,6 @@ class PatternStore:
         # The manifest this object last wrote or read: a directory whose
         # verified manifest equals it holds exactly this in-memory state.
         self._committed_manifest: dict | None = None
-        self._next_oie_id = 0
         self._taxonomy_sha = taxonomy_fingerprint(taxonomy)
 
     # -- creation -------------------------------------------------------------------
@@ -302,7 +299,6 @@ class PatternStore:
                 )
             shutil.rmtree(directory)
         directory.mkdir(parents=True)
-        (directory / _OIE_DIR).mkdir()
         return cls(
             directory,
             database,
@@ -315,82 +311,18 @@ class PatternStore:
 
     # -- class management ------------------------------------------------------------
 
-    def add_class(self, code: _Code, columns: OccurrenceColumns) -> StoredClass:
-        """Register a class; its OIE directory name is allocated here."""
+    def add_mined_class(
+        self, code: _Code, occurrences, patterns: list[TaxonomyPattern]
+    ) -> StoredClass:
+        """Register a freshly mined class: its occurrences (in occurrence-id
+        order) become its columns, next to its Step-3 ``patterns``."""
         stored = StoredClass(
-            code=code, columns=columns, oie_name=f"class_{self._next_oie_id}"
+            code=code,
+            columns=OccurrenceColumns(occurrences),
+            patterns=stored_patterns(patterns),
         )
-        self._next_oie_id += 1
         self.classes.append(stored)
         return stored
-
-    def drop_class(self, stored: StoredClass) -> None:
-        """Forget a class and delete its persisted OIE."""
-        if stored in self.classes:
-            self.classes.remove(stored)
-        path = self.oie_path(stored)
-        if path.exists():
-            shutil.rmtree(path)
-
-    def oie_path(self, stored: StoredClass) -> Path:
-        return self.directory / _OIE_DIR / stored.oie_name
-
-    def add_mined_class(
-        self,
-        code: _Code,
-        occurrences,
-        index,
-        patterns: list[TaxonomyPattern],
-        max_resident_entries: int = 4096,
-    ) -> StoredClass:
-        """Register a freshly mined class with its Step-3 ``patterns`` and
-        persist its occurrence index (anything with ``covered(position)``)
-        as the class's OIE."""
-        stored = self.add_class(code, OccurrenceColumns(occurrences))
-        stored.patterns = stored_patterns(patterns)
-        path = self.oie_path(stored)
-        path.mkdir(parents=True, exist_ok=True)
-        disk = DiskOccurrenceIndex(
-            stored.num_positions,
-            directory=path,
-            max_resident_entries=max_resident_entries,
-            codec=self.compression,
-        )
-        try:
-            for position in range(disk.num_positions):
-                for label, bits in index.covered(position).items():
-                    disk.insert(position, label, bits)
-            disk.finish()
-        finally:
-            disk.close()
-        return stored
-
-    def load_index(
-        self,
-        stored: StoredClass,
-        max_resident_entries: int = 4096,
-        read_only: bool = False,
-    ) -> DiskOccurrenceIndex:
-        """Reopen a class's persisted OIE without resetting its rows.
-
-        With ``read_only=True`` the SQLite file is opened in ``mode=ro``
-        (the serving path), so the reader can never mutate a store it
-        only queries.
-        """
-        path = self.oie_path(stored)
-        if not (path / "occurrence_index.sqlite3").exists():
-            raise StoreError(
-                f"store {self.directory} is missing the occurrence index "
-                f"of {stored.oie_name}"
-            )
-        return DiskOccurrenceIndex(
-            stored.num_positions,
-            directory=path,
-            max_resident_entries=max_resident_entries,
-            reset=False,
-            read_only=read_only,
-            codec=self.compression,
-        )
 
     # -- update fencing ---------------------------------------------------------------
 
@@ -494,10 +426,6 @@ class PatternStore:
             # verification on open never needs to decompress first.
             checksums[name] = hashlib.sha256(data).hexdigest()
         self.compression_stats = compression_stats
-        oie_rows = {
-            stored.oie_name: _oie_row_count(self.directory, stored.oie_name)
-            for stored in self.classes
-        }
         self.store_version += 1
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -507,15 +435,11 @@ class PatternStore:
             "artificial_root": self.artificial_root_name,
             "taxonomy_sha256": self._taxonomy_sha,
             "database_size": len(self.database),
-            "next_oie_id": self._next_oie_id,
             "app_state": dict(self.app_state),
             "checksums": checksums,
-            "oie_rows": oie_rows,
         }
         if self.compression is not None:
-            # Key absent entirely on legacy stores: old readers (which
-            # ignore unknown keys) stay compatible, and new readers take
-            # its absence as "raw layout".
+            # Absent on a raw store: its absence means "raw layout".
             manifest["compression"] = {
                 "codec": self.compression,
                 "files": compression_stats,
@@ -541,8 +465,8 @@ class PatternStore:
         hold the manifest this store last committed?
 
         When it does, the directory's files are byte-for-byte the ones
-        this object saved (the manifest pins every file checksum and
-        OIE row count), so the caller may point :attr:`directory` at it
+        this object saved (the manifest pins every file checksum), so
+        the caller may point :attr:`directory` at it
         instead of parsing it again.  Any failure answers False; the
         caller then falls back to :meth:`open`, which raises the error.
         """
@@ -608,25 +532,17 @@ class PatternStore:
                 "store taxonomy does not reproduce the fingerprint in "
                 "the manifest"
             )
-        store._next_oie_id = int(manifest["next_oie_id"])
         store.store_version = int(manifest.get("store_version", 0))
         store.app_state = dict(manifest.get("app_state", {}))
         store._committed_manifest = manifest
 
-        oie_rows = manifest.get("oie_rows", {})
         for entry in json.loads(texts[_CLASSES])["classes"]:
             code = tuple(tuple(int(x) for x in edge) for edge in entry["code"])
-            if entry["oie"] not in oie_rows:
-                raise StoreError(
-                    f"occurrence index {entry['oie']} has no row count in "
-                    "the manifest"
-                )
             patterns = entry.get("patterns")
             store.classes.append(
                 StoredClass(
                     code=code,
                     columns=OccurrenceColumns.from_rows(entry["columns"]),
-                    oie_name=entry["oie"],
                     patterns=None
                     if patterns is None
                     else [StoredPattern.from_doc(doc) for doc in patterns],
@@ -642,7 +558,6 @@ class PatternStore:
 def _class_doc(stored: StoredClass) -> dict:
     doc = {
         "code": [list(edge) for edge in stored.code],
-        "oie": stored.oie_name,
         "columns": stored.columns.to_rows(),
     }
     if stored.patterns is not None:
@@ -655,8 +570,8 @@ def _verified_files(directory: Path) -> tuple[dict, dict[str, bytes]]:
     :meth:`PatternStore.is_committed_copy`.
 
     Returns the manifest and the on-disk bytes of every checksummed
-    file after verifying the format version, every file checksum and
-    every OIE row count; raises :class:`StoreError` otherwise.
+    file after verifying the format version and every file checksum;
+    raises :class:`StoreError` otherwise.
     """
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
@@ -684,32 +599,4 @@ def _verified_files(directory: Path) -> tuple[dict, dict[str, bytes]]:
                 f"(expected {expected[:12]}..., got {actual[:12]}...)"
             )
         files[name] = data
-    for oie_name, expected_rows in manifest.get("oie_rows", {}).items():
-        rows = _oie_row_count(directory, oie_name)
-        if rows != expected_rows:
-            raise StoreError(
-                f"occurrence index {oie_name} has {rows} rows, "
-                f"manifest says {expected_rows}"
-            )
     return manifest, files
-
-
-def _oie_row_count(directory: Path, oie_name: str) -> int:
-    path = directory / _OIE_DIR / oie_name / "occurrence_index.sqlite3"
-    if not path.exists():
-        raise StoreError(
-            f"store {directory} is missing the occurrence index of {oie_name}"
-        )
-    try:
-        connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-        try:
-            (rows,) = connection.execute(
-                "SELECT COUNT(*) FROM entries"
-            ).fetchone()
-        finally:
-            connection.close()
-    except sqlite3.Error as exc:
-        raise StoreError(
-            f"occurrence index {oie_name} is unreadable: {exc}"
-        ) from exc
-    return int(rows)

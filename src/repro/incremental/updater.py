@@ -7,22 +7,25 @@ database:
 
 1. **Relabel the delta only** — added graphs pass through Step 1
    individually; survivors keep their relabeled occurrence state.
-2. **Maintain existing classes** — removals clear occurrence columns (and
-   AND-NOT the persisted OIEs); additions replay each class's DFS code
-   over the relabeled adds via :func:`repro.mining.projection.project_code`
-   and append columns.  Supports are then recomputed by bit-set
-   operations; classes falling below sigma are demoted into the border.
+2. **Maintain existing classes** — removals clear occurrence columns;
+   additions replay each class's DFS code over the relabeled adds via
+   :func:`repro.mining.projection.project_code` and append columns.
+   Supports are then recomputed by bit-set operations; classes falling
+   below sigma are demoted into the border.
 3. **Re-seed growth from the negative border** — each stored border
    code's exact support set is maintained the same way; codes reaching
    the new threshold are re-expanded with gSpan (the only subgraph
    search of the whole update).
-4. **Specialize** every surviving and discovered class — except a
-   surviving class the delta left untouched (no column cleared, no
-   embedding appended) under an unchanged ``min_count``: Step 3 reads
-   only the class's columns, its OIE rows, the taxonomy and
-   ``min_count``, so its persisted pattern set is reused with support
-   sets renumbered past the removed graphs and the class id taken from
-   its new sort position (``incremental.classes_reused``).
+4. **Specialize** every surviving and discovered class.  A surviving
+   class's occurrence index is rebuilt from its maintained columns
+   (:func:`~repro.core.occurrence_index.index_occurrences`); none is
+   stored.  A surviving class the delta left untouched (no column
+   cleared, no embedding appended) under an unchanged ``min_count`` is
+   not specialized again: Step 3 reads only the class's columns, the
+   original labels of their graphs, the taxonomy and ``min_count``, so
+   its persisted pattern set is reused with support sets renumbered
+   past the removed graphs and the class id taken from its new sort
+   position (``incremental.classes_reused``).
 
 Completeness rests on two invariants.  First, the border always holds
 *every* minimal infrequent code with at least one embedding whose
@@ -45,6 +48,7 @@ from pathlib import Path
 from repro.core.occurrence_index import (
     AncestorTable,
     build_occurrence_index,
+    index_occurrences,
     project_occurrences,
 )
 from repro.core.relabel import repair_taxonomy
@@ -90,13 +94,11 @@ class IncrementalOptions:
     the pre-delta database trigger a transparent full remine (the
     completeness guard ``n_added >= min_count`` does so independently).
     ``compact_dead_fraction``: once this fraction of a class's occurrence
-    columns are tombstones, the columns and the persisted OIE bit-sets
-    are rewritten densely.
+    columns are tombstones, the columns are rewritten densely.
     """
 
     full_remine_fraction: float = 0.5
     compact_dead_fraction: float = 0.3
-    disk_max_resident_entries: int = 4096
 
 
 class IncrementalTaxogram:
@@ -196,15 +198,14 @@ class IncrementalTaxogram:
             else None
         )
 
-        # From here on the persisted OIEs are mutated in place; the
-        # marker tells concurrent StoreReaders to treat on-disk state as
-        # unstable until save() commits the new version.
+        # The marker tells concurrent StoreReaders to treat on-disk state
+        # as unstable until save() commits the new version.
         store.mark_update_in_progress()
 
-        # A class whose columns and OIE rows the delta leaves untouched,
-        # under an unchanged threshold, keeps its persisted Step-3 output
-        # (see the class-reuse lemma in DESIGN.md §3).
-        reusable: set[str] = set()
+        # A class whose columns the delta leaves untouched, under an
+        # unchanged threshold, keeps its persisted Step-3 output (see the
+        # class-reuse lemma in DESIGN.md §3).
+        reusable: set[_Code] = set()
         same_threshold = min_count_new == min_support_count(
             store.min_support, old_size
         )
@@ -231,9 +232,8 @@ class IncrementalTaxogram:
                 touched = bool(cleared or embeddings)
                 dead = stored.columns.dead_fraction
                 if touched or dead > opts.compact_dead_fraction:
-                    self._maintain_index(
+                    self._maintain_columns(
                         stored,
-                        cleared,
                         embeddings,
                         base,
                         adds_originals,
@@ -246,7 +246,7 @@ class IncrementalTaxogram:
                     and same_threshold
                     and stored.patterns is not None
                 ):
-                    reusable.add(stored.oie_name)
+                    reusable.add(stored.code)
                 if embeddings and not (
                     store.max_edges is not None
                     and len(stored.code) >= store.max_edges
@@ -267,14 +267,15 @@ class IncrementalTaxogram:
                     metrics.add("incremental.demotions", 1)
                     mask = stored.columns.support_mask(stored.columns.all_bits)
                     demoted.append((stored.code, mask))
-                    store.drop_class(stored)
         stage_seconds["maintain_classes"] = watch.elapsed
 
         promotions: list[tuple[_Code, int]] = []
         new_border: dict[_Code, int] = {}
         discovered: dict[_Code, MinedPattern] = {}
         surviving_codes = {stored.code for stored in survivors}
-        new_originals: list[list[int]] = []
+        # Original labels of the updated database: new classes project
+        # their embeddings, and surviving ones their columns, through it.
+        originals = [graph.node_labels() for graph in updated_db]
 
         watch = Stopwatch()
         with watch, tracer.span("incremental.border"):
@@ -305,7 +306,6 @@ class IncrementalTaxogram:
             if promotions:
                 new_dmg = updated_db.copy()
                 for graph in new_dmg:
-                    new_originals.append(graph.node_labels())
                     for v in graph.nodes():
                         graph.relabel_node(v, most_general[graph.node_label(v)])
 
@@ -354,9 +354,9 @@ class IncrementalTaxogram:
             for class_id, (code, payload) in enumerate(entries):
                 if isinstance(payload, StoredClass):
                     stored = payload
-                    if stored.oie_name in reusable:
-                        # Same columns, OIE rows, taxonomy and threshold:
-                        # Step 3 would emit the same patterns, up to the
+                    if stored.code in reusable:
+                        # Same columns, taxonomy and threshold: Step 3
+                        # would emit the same patterns, up to the
                         # graph-id shift and the class id.
                         if removed_set:
                             stored.patterns = [
@@ -374,23 +374,22 @@ class IncrementalTaxogram:
                         metrics.add("incremental.classes_reused", 1)
                         final_classes.append(stored)
                         continue
-                    index = store.load_index(
-                        stored, opts.disk_max_resident_entries
+                    class_patterns = specialize_class(
+                        class_id=class_id,
+                        structure=graph_from_code(stored.code),
+                        store=stored.columns,
+                        index=index_occurrences(
+                            stored.num_positions,
+                            stored.columns.occurrences,
+                            originals,
+                            ancestors,
+                        ),
+                        taxonomy=working,
+                        min_count=min_count_new,
+                        database_size=new_size,
+                        options=specializer_options,
+                        counters=counters,
                     )
-                    try:
-                        class_patterns = specialize_class(
-                            class_id=class_id,
-                            structure=graph_from_code(stored.code),
-                            store=stored.columns,
-                            index=index,
-                            taxonomy=working,
-                            min_count=min_count_new,
-                            database_size=new_size,
-                            options=specializer_options,
-                            counters=counters,
-                        )
-                    finally:
-                        index.close()
                     patterns.extend(class_patterns)
                     stored.patterns = stored_patterns(class_patterns)
                     final_classes.append(stored)
@@ -398,7 +397,7 @@ class IncrementalTaxogram:
                     mem_store, mem_index = build_occurrence_index(
                         payload.code.num_vertices,
                         payload.embeddings,
-                        new_originals,
+                        originals,
                         working,
                         None,
                         counters,
@@ -418,11 +417,7 @@ class IncrementalTaxogram:
                     patterns.extend(class_patterns)
                     final_classes.append(
                         store.add_mined_class(
-                            code,
-                            mem_store.occurrences,
-                            mem_index,
-                            class_patterns,
-                            opts.disk_max_resident_entries,
+                            code, mem_store.occurrences, class_patterns
                         )
                     )
             counters.pattern_classes = len(entries)
@@ -458,10 +453,9 @@ class IncrementalTaxogram:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _maintain_index(
+    def _maintain_columns(
         self,
         stored: StoredClass,
-        cleared: int,
         embeddings,
         base: int,
         adds_originals: list[list[int]],
@@ -469,35 +463,24 @@ class IncrementalTaxogram:
         counters: MiningCounters,
         metrics: MetricsRegistry,
     ) -> None:
-        """Mirror one class's column changes into its persisted OIE.
+        """Append the replayed ``embeddings`` to one class's columns (which
+        already lost the removed graphs' occurrences) and compact them
+        once tombstones pass ``compact_dead_fraction``.
 
-        The columns already lost ``cleared`` (an occurrence-id mask);
-        here the replayed ``embeddings`` are appended, and the columns
-        and OIE bit-sets are compacted once tombstones pass
-        ``compact_dead_fraction``.
+        The appends go through the projection so that
+        ``occurrence_index_updates`` keeps counting the paper's index
+        updates (Lemma 5) of the replayed occurrences alone.
         """
-        opts = self.options
-        index = self.store.load_index(stored, opts.disk_max_resident_entries)
-        try:
-            if cleared:
-                index.clear_bits(cleared)
-            projected, updates = project_occurrences(
-                lambda gid, nodes: stored.columns.append(base + gid, nodes),
-                embeddings,
-                adds_originals,
-                ancestors,
-            )
-            for position, labels, bits in projected:
-                for label in labels:
-                    index.insert(position, label, bits)
-            counters.occurrence_index_updates += updates
-            if stored.columns.dead_fraction > opts.compact_dead_fraction:
-                index.remap_bits(stored.columns.all_bits)
-                stored.columns.compact()
-                metrics.add("incremental.compactions", 1)
-            index.finish()
-        finally:
-            index.close()
+        _projected, updates = project_occurrences(
+            lambda gid, nodes: stored.columns.append(base + gid, nodes),
+            embeddings,
+            adds_originals,
+            ancestors,
+        )
+        counters.occurrence_index_updates += updates
+        if stored.columns.dead_fraction > self.options.compact_dead_fraction:
+            stored.columns.compact()
+            metrics.add("incremental.compactions", 1)
 
     @staticmethod
     def _scan_new_children(

@@ -401,7 +401,7 @@ class ParallelTaxogram:
     :meth:`mine` takes the same store-build hooks as
     :meth:`Taxogram.mine <repro.core.taxogram.Taxogram.mine>`.
     ``class_sink`` receives every merged class's ``(code edges,
-    occurrences, index, patterns)`` after Step 3, in sequential class-id
+    occurrences, patterns)`` after Step 3, in sequential class-id
     order.  ``prune_report`` receives the negative border, rebuilt on
     the driver from the merged classes (:func:`_report_border`) because
     no single shard sees the global candidate stream.  A run that
@@ -515,7 +515,6 @@ class ParallelTaxogram:
                 class_sink(
                     merged.code,
                     merged.occurrences,
-                    OccurrenceIndex(merged.entries),
                     by_class.get(class_id, []),
                 )
         if prune_report is not None:

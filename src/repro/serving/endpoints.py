@@ -242,18 +242,16 @@ _WIRE_FIELDS = (
 def parse_query(request: HTTPRequest) -> tuple[Query, int | None]:
     """The query an HTTP request asks, and its ``min_applied_seq``.
 
-    ``GET /top`` reads URL parameters and is always ``top_k`` (``k``
-    defaults to 10); ``POST /query`` and ``POST /similar`` read a JSON
-    body whose ``op`` defaults to ``support`` and ``similar``, and
-    ``/similar`` takes only the similarity ops.  Every role reads the
-    same fields; only a router acts on ``min_applied_seq``.  A malformed
-    field raises ``ValueError``/``TypeError``.
+    ``GET /top`` reads URL parameters and is always ``top_k``;
+    ``POST /query`` and ``POST /similar`` read a JSON body whose ``op``
+    defaults to ``support`` and ``similar``, and ``/similar`` takes only
+    the similarity ops.  An absent field stays ``None``: the reader
+    applies the defaults.  Every role reads the same fields; only a
+    router acts on ``min_applied_seq``.  A malformed field raises
+    ``ValueError``/``TypeError``.
     """
     if request.method == "GET":
-        doc = {"k": "10"}
-        doc.update(
-            (name, values[0]) for name, values in request.params.items()
-        )
+        doc = {name: values[0] for name, values in request.params.items()}
         op = "top_k"
     else:
         doc = request.json()

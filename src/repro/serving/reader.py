@@ -3,11 +3,12 @@
 The paper's central trade (PAPER.md §3) is to pay isomorphism tests once
 — while mining — and answer every specialization question afterwards by
 bit-set intersection on the taxonomy-projected occurrence index.  A
-:class:`~repro.incremental.store.PatternStore` persists exactly those
-bit-sets, so a reader can answer support queries for *any* pattern at or
-below a mined class with zero isomorphism tests, including patterns that
-were never materialized because they were over-generalized, and exact
-sub-threshold supports for negative-border structures.
+:class:`~repro.incremental.store.PatternStore` persists every class's
+occurrences, from which the reader projects those bit-sets, so it can
+answer support queries for *any* pattern at or below a mined class with
+zero isomorphism tests, including patterns that were never materialized
+because they were over-generalized, and exact sub-threshold supports for
+negative-border structures.
 
 Query resolution for a pattern ``P``:
 
@@ -27,24 +28,29 @@ Query resolution for a pattern ``P``:
    (``serving.vf2_fallbacks`` / ``serving.vf2_tests``).
 
 Concurrency: the reader snapshots one committed store version in memory
-(columns, border, taxonomy) and loads each class's OIE rows at most once
-per version, bracketing every disk read with
-:func:`repro.incremental.store.fence_state` checks.  When an
-:class:`~repro.incremental.updater.IncrementalTaxogram` commits a new
-version, the next query reloads the snapshot and invalidates the result
-cache wholesale; answers are therefore always consistent with exactly
-one committed version — never a torn mix.
+(columns, border, taxonomy), bracketing the load with
+:func:`repro.incremental.store.fence_state` checks, and builds each
+class's occurrence index from that snapshot at most once per version.
+A query never reads the store directory after the snapshot is taken.
+When an :class:`~repro.incremental.updater.IncrementalTaxogram` commits
+a new version, the next query reloads the snapshot and invalidates the
+result cache wholesale; answers are therefore always consistent with
+exactly one committed version — never a torn mix.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
-from repro.core.occurrence_index import OccurrenceIndex
+from repro.core.occurrence_index import (
+    AncestorTable,
+    OccurrenceIndex,
+    index_occurrences,
+)
 from repro.core.relabel import repair_taxonomy
 from repro.core.results import MiningCounters, TaxonomyPattern, format_pattern
 from repro.core.specializer import (
@@ -71,6 +77,7 @@ from repro.util.bitset import BitSet
 
 __all__ = [
     "DEFAULT_SIMILAR_THRESHOLD",
+    "DEFAULT_TOP_K",
     "MatchResult",
     "QUERY_OPS",
     "Query",
@@ -89,6 +96,10 @@ SIMILARITY_OPS = ("similar", "similarity_score", "fuzzy_contains")
 # Every op a reader answers and a router routes.
 QUERY_OPS = _PATTERN_OPS + ("top_k",) + SIMILARITY_OPS
 
+# A ``top_k`` query without ``k`` answers this many patterns, whichever
+# path (HTTP front, router, in-process replica) carried it.
+DEFAULT_TOP_K = 10
+
 # ``similar`` needs a permissive default (1.0 would re-answer the exact
 # query); ``fuzzy_contains`` defaults to the exact fixed point so a
 # caller only gets fuzzy answers by asking for them.
@@ -104,7 +115,8 @@ class Query:
     :meth:`StoreReader.answer`.  ``op`` is one of :data:`QUERY_OPS`:
     ``support``, ``contains``, ``graphs``, ``specializations`` (which
     take ``pattern``; ``specializations`` also ``min_support``),
-    ``top_k`` (which takes ``k`` and optionally ``label_filter``), or a
+    ``top_k`` (which takes ``k``, default :data:`DEFAULT_TOP_K`, and
+    optionally ``label_filter``), or a
     similarity op — ``similar`` / ``similarity_score`` /
     ``fuzzy_contains`` — which take ``pattern`` plus ``sim_threshold``
     / ``graph_id`` / ``semantics`` / ``k`` as applicable.  ``pattern``
@@ -160,10 +172,6 @@ class ServingAnswer:
     cached: bool
 
 
-class _StaleStore(Exception):
-    """The store committed a new version mid-query; reload and retry."""
-
-
 class _ReaderState:
     """One committed store version, snapshotted in memory."""
 
@@ -184,19 +192,26 @@ class _ReaderState:
             stored.code: class_id
             for class_id, stored in enumerate(store.classes)
         }
-        self.rows: dict[str, OccurrenceIndex] = {}
+        # Class code -> its occurrence index, built on first touch.
+        self.rows: dict[tuple, OccurrenceIndex] = {}
+        self.ancestors = AncestorTable(self.working)
         self.patterns: tuple[TaxonomyPattern, ...] | None = None
         self.patterns_lock = threading.Lock()
         self.similarity: SimilarityEngine | None = None
         self.similarity_lock = threading.Lock()
-        self._row_locks: dict[str, threading.Lock] = {}
+        self._row_locks: dict[tuple, threading.Lock] = {}
         self._row_locks_guard = threading.Lock()
 
-    def row_lock(self, oie_name: str) -> threading.Lock:
+    @cached_property
+    def originals(self) -> list[list[int]]:
+        """Original node labels of every database graph, by graph id."""
+        return [graph.node_labels() for graph in self.store.database]
+
+    def row_lock(self, code: tuple) -> threading.Lock:
         with self._row_locks_guard:
-            lock = self._row_locks.get(oie_name)
+            lock = self._row_locks.get(code)
             if lock is None:
-                lock = self._row_locks[oie_name] = threading.Lock()
+                lock = self._row_locks[code] = threading.Lock()
             return lock
 
 
@@ -204,9 +219,9 @@ class StoreReader:
     """Read-only, thread-safe query view of a pattern store directory.
 
     The manifest is verified and the interner/taxonomy rebuilt once per
-    committed store version; per-class occurrence rows are loaded lazily
-    (once per class per version) through read-only SQLite connections
-    and shared across query threads.  All query methods may raise
+    committed store version; each class's occurrence index is built
+    lazily from the snapshot (once per class per version) and shared
+    across query threads.  All query methods may raise
     :class:`~repro.exceptions.StoreError` if the store keeps changing
     faster than the reader can fence a consistent snapshot.
 
@@ -393,23 +408,11 @@ class StoreReader:
             query = replace(query, pattern=self.parse_pattern(query.pattern))
         start = time.perf_counter()
         with self._tracer.span(f"serving.{query.op}"):
-            for _attempt in range(self._max_retries):
-                state = self._ensure_state()
-                try:
-                    if query.op in SIMILARITY_OPS:
-                        value, cached = self._dispatch_similarity(
-                            state, query
-                        )
-                    else:
-                        value, cached = self._dispatch(state, query)
-                    break
-                except _StaleStore:
-                    continue
+            state = self._ensure_state()
+            if query.op in SIMILARITY_OPS:
+                value, cached = self._dispatch_similarity(state, query)
             else:
-                raise StoreError(
-                    f"store {self.directory} kept changing while answering "
-                    f"a {query.op} query"
-                )
+                value, cached = self._dispatch(state, query)
         self.metrics.add("serving.queries", 1)
         latency_ms = (time.perf_counter() - start) * 1000.0
         self.metrics.add("serving.latency_us_total", int(latency_ms * 1000))
@@ -436,23 +439,8 @@ class StoreReader:
         tenant's example-driven mines never evict another tenant's hot
         set, and ``()`` for structures that are not mined classes.
         """
+        state = self._ensure_state()
         code_edges = tuple(code_edges)
-        for _attempt in range(self._max_retries):
-            state = self._ensure_state()
-            try:
-                return self._class_members(
-                    state, code_edges, min_count, tenant
-                )
-            except _StaleStore:
-                continue
-        raise StoreError(
-            f"store {self.directory} kept changing while answering a "
-            f"class_members query"
-        )
-
-    def _class_members(
-        self, state: _ReaderState, code_edges: tuple, min_count, tenant
-    ) -> tuple[TaxonomyPattern, ...]:
         resolved = state.min_count if min_count is None else min_count
         key = query_key("class_members", code_edges, min_count=resolved)
         value = self._cache.get(state.version, key, tenant=tenant)
@@ -607,50 +595,25 @@ class StoreReader:
                 "tried to load a consistent snapshot"
             )
 
-    def _class_rows(self, state: _ReaderState, stored: StoredClass):
-        """The class's full OIE, loaded once per version under a fence."""
-        rows = state.rows.get(stored.oie_name)
+    def _class_rows(
+        self, state: _ReaderState, stored: StoredClass
+    ) -> OccurrenceIndex:
+        """The class's occurrence index, built once per version from the
+        snapshot's columns, original labels and working taxonomy."""
+        rows = state.rows.get(stored.code)
         if rows is not None:
             return rows
-        with state.row_lock(stored.oie_name):
-            rows = state.rows.get(stored.oie_name)
-            if rows is not None:
-                return rows
-            for _attempt in range(self._max_retries):
-                version, stable = self._fence()
-                if stable and version is not None and version != state.version:
-                    raise _StaleStore()
-                if not stable or version != state.version:
-                    time.sleep(self._retry_wait)
-                    continue
-                try:
-                    index = state.store.load_index(stored, read_only=True)
-                    try:
-                        raw = index.dump_rows()
-                    finally:
-                        index.close()
-                except (StoreError, sqlite3.Error):
-                    time.sleep(self._retry_wait)
-                    continue
-                version, stable = self._fence()
-                if stable and version is not None and version != state.version:
-                    raise _StaleStore()
-                if not stable or version != state.version:
-                    time.sleep(self._retry_wait)
-                    continue
-                entries: list[dict[int, int]] = [
-                    {} for _ in range(stored.num_positions)
-                ]
-                for position, label, bits in raw:
-                    entries[position][label] = bits
-                rows = OccurrenceIndex(entries)
-                state.rows[stored.oie_name] = rows
+        with state.row_lock(stored.code):
+            rows = state.rows.get(stored.code)
+            if rows is None:
+                rows = state.rows[stored.code] = index_occurrences(
+                    stored.num_positions,
+                    stored.columns.occurrences,
+                    state.originals,
+                    state.ancestors,
+                )
                 self.metrics.add("serving.row_loads", 1)
-                return rows
-            raise StoreError(
-                f"store {self.directory} kept changing while loading the "
-                f"occurrence rows of {stored.oie_name}"
-            )
+            return rows
 
     # -- dispatch and caching -------------------------------------------------
 
@@ -659,7 +622,9 @@ class StoreReader:
             query.op, query.pattern, query.k, query.label_filter
         )
         if op == "top_k":
-            if k is None or k < 0:
+            if k is None:
+                k = DEFAULT_TOP_K
+            if k < 0:
                 raise MiningError("top_k requires a non-negative k")
             cached = state.patterns is not None
             patterns = self._materialized_patterns(state)

@@ -19,8 +19,8 @@ Container format (``encode_container`` / ``decode_container``)::
     raw (uncompressed) length   8 bytes, big-endian
     compressed payload          rest of file
 
-The magic cannot collide with any existing store file (JSON, the text
-database format, SQLite) or with a raw WAL segment, whose first frame
+The magic cannot collide with any store file (JSON or the text
+database format) or with a raw WAL segment, whose first frame
 starts with a 4-byte big-endian length far below ``0x52505A31``, so
 readers can sniff compressed vs. legacy files with ``is_container``.
 """

@@ -243,10 +243,45 @@ def pattern_view(patterns) -> list[tuple]:
     )
 
 
+def class_indices(store) -> list:
+    """Every stored class's occurrence index, rebuilt from its columns as
+    readers and the updater rebuild it."""
+    from repro.core.occurrence_index import AncestorTable, index_occurrences
+    from repro.core.relabel import repair_taxonomy
+
+    working, _most_general = repair_taxonomy(
+        store.taxonomy, store.artificial_root_name
+    )
+    ancestors = AncestorTable(working)
+    originals = [graph.node_labels() for graph in store.database]
+    return [
+        index_occurrences(
+            stored.num_positions,
+            stored.columns.occurrences,
+            originals,
+            ancestors,
+        )
+        for stored in store.classes
+    ]
+
+
+def index_rows(store) -> list[list[tuple[int, int, int]]]:
+    """Per stored class, its occurrence index as sorted
+    ``(position, label, bits)`` rows."""
+    return [
+        sorted(
+            (position, label, bits)
+            for position, entry in enumerate(index.entries)
+            for label, bits in entry.items()
+        )
+        for index in class_indices(store)
+    ]
+
+
 def step3_oracle(store_dir) -> list[tuple]:
     """The store's pattern set, recomputed by running Step 3 over every
-    class's persisted bit-sets (the reader's materialization before the
-    sets were persisted); :func:`pattern_view` shaped."""
+    class's rebuilt occurrence index (the reader's materialization
+    before the sets were persisted); :func:`pattern_view` shaped."""
     from repro.core.relabel import repair_taxonomy
     from repro.core.results import MiningCounters
     from repro.core.specializer import SpecializerOptions, specialize_class
@@ -260,24 +295,22 @@ def step3_oracle(store_dir) -> list[tuple]:
     )
     min_count = min_support_count(store.min_support, len(store.database))
     patterns = []
-    for class_id, stored in enumerate(store.classes):
-        index = store.load_index(stored, read_only=True)
-        try:
-            patterns.extend(
-                specialize_class(
-                    class_id=class_id,
-                    structure=graph_from_code(stored.code),
-                    store=stored.columns,
-                    index=index,
-                    taxonomy=working,
-                    min_count=min_count,
-                    database_size=len(store.database),
-                    options=SpecializerOptions(),
-                    counters=MiningCounters(),
-                )
+    for class_id, (stored, index) in enumerate(
+        zip(store.classes, class_indices(store))
+    ):
+        patterns.extend(
+            specialize_class(
+                class_id=class_id,
+                structure=graph_from_code(stored.code),
+                store=stored.columns,
+                index=index,
+                taxonomy=working,
+                min_count=min_count,
+                database_size=len(store.database),
+                options=SpecializerOptions(),
+                counters=MiningCounters(),
             )
-        finally:
-            index.close()
+        )
     return pattern_view(patterns)
 
 

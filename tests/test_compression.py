@@ -40,7 +40,11 @@ from repro.util.compression import (
 )
 from repro.util.interner import LabelInterner
 
-from tests.conftest import make_random_database, make_random_taxonomy
+from tests.conftest import (
+    index_rows,
+    make_random_database,
+    make_random_taxonomy,
+)
 
 
 class TestContainerFormat:
@@ -120,11 +124,7 @@ class TestStoreCompression:
             c.code for c in z_store.classes
         ]
         assert raw_store.border == z_store.border
-        for raw_cls, z_cls in zip(raw_store.classes, z_store.classes):
-            assert (
-                raw_store.load_index(raw_cls).dump_rows()
-                == z_store.load_index(z_cls).dump_rows()
-            )
+        assert index_rows(raw_store) == index_rows(z_store)
 
     def test_manifest_negotiation(self, tmp_path):
         _, raw_dir = _mine_store(tmp_path, "raw", None)

@@ -29,6 +29,7 @@ from repro.graphs.database import GraphDatabase
 from repro.incremental import DatabaseDelta, IncrementalTaxogram
 from repro.util.interner import LabelInterner
 from tests.conftest import (
+    index_rows,
     make_differential_case,
     make_random_database,
     make_random_taxonomy,
@@ -314,10 +315,9 @@ def _check_compression_variants(tmp_path, seed: int) -> None:
         assert store.compression == (
             "zlib" if name.endswith("zlib") else None
         )
-    ref_rows = [ref_store.load_index(c).dump_rows() for c in ref_store.classes]
+    ref_rows = index_rows(ref_store)
     for name, store in stores.items():
-        rows = [store.load_index(c).dump_rows() for c in store.classes]
-        assert rows == ref_rows, name
+        assert index_rows(store) == ref_rows, name
 
     answers = {
         name: _serving_answer(store_dir)

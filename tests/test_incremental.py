@@ -300,19 +300,14 @@ class TestPatternStoreIntegrity:
         _taxonomy, _db, store_dir, _result = _store_case(tmp_path, ["x", "x"], 0.5)
         manifest_path = store_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(StoreError, match="unsupported store format version"):
-            PatternStore.open(store_dir)
-
-    def test_open_missing_oie(self, tmp_path):
-        import shutil
-
-        _taxonomy, _db, store_dir, _result = _store_case(tmp_path, ["x", "x"], 0.5)
-        store = PatternStore.open(store_dir)
-        shutil.rmtree(store.oie_path(store.classes[0]))
-        with pytest.raises(StoreError, match="occurrence index"):
-            PatternStore.open(store_dir)
+        # Version 1 stores kept a SQLite occurrence index per class.
+        for version in (1, FORMAT_VERSION + 1):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            with pytest.raises(
+                StoreError, match=f"unsupported store format version {version}"
+            ):
+                PatternStore.open(store_dir)
 
     def test_initialize_refuses_foreign_directory(self, tmp_path):
         taxonomy = _flat_taxonomy()

@@ -18,7 +18,11 @@ from repro.core.taxogram import Taxogram, TaxogramOptions, mine
 from repro.exceptions import MiningError
 from repro.parallel.runtime import ParallelTaxogram
 from repro.util.interner import LabelInterner
-from tests.conftest import make_random_database, make_random_taxonomy
+from tests.conftest import (
+    index_rows,
+    make_random_database,
+    make_random_taxonomy,
+)
 
 
 def _dataset(seed: int, dag: bool = False, multiroot: bool = False):
@@ -264,7 +268,7 @@ class TestDegradation:
             [c.code for c in store.classes],
             [c.columns.to_rows() for c in store.classes],
             [c.patterns for c in store.classes],
-            [store.load_index(c).dump_rows() for c in store.classes],
+            index_rows(store),
             store.border,
         )
 

@@ -11,7 +11,6 @@ query string gets wrong.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import urllib.parse
 
@@ -21,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.graphs.database import GraphDatabase
-from repro.replication import HTTPReplica, QueryRouter, RouterService
+from repro.replication import (
+    HTTPReplica,
+    LocalReplica,
+    QueryRouter,
+    RouterService,
+)
 from repro.serving import (
     QUERY_OPS,
     HTTPRequest,
@@ -69,8 +73,6 @@ class TestWireRoundTrip:
         parsed, min_applied_seq = parse_query(
             _as_http_request(*query_request(query))
         )
-        if op == "top_k" and k is None:
-            query = dataclasses.replace(query, k=10)  # GET /top's default
         assert parsed == query
         assert min_applied_seq is None
 
@@ -149,6 +151,7 @@ _DIVERGED = [
     ("/query", {"op": "similarity_score", "pattern": PATTERN,
                 "graph_id": 2}),
     ("/query", {"op": "top_k", "k": 1}),
+    ("/query", {"op": "top_k"}),
     ("/query", {"op": "support", "pattern": PATTERN, "min_support": "abc"}),
 ]
 
@@ -168,6 +171,7 @@ _AGREED = [
                 "min_support": 0.25}),
     ("/query", {"op": "support", "pattern": "t # 0\nv 0 nope\n"}),
     ("/top?k=2", None),
+    ("/top", None),
 ]
 
 
@@ -184,7 +188,7 @@ class TestDirectEqualsRouted:
     def test_the_parity_cases_answer(self, fronts):
         direct, _routed = fronts
         statuses = [_answer(direct, path, doc)[0] for path, doc in _DIVERGED]
-        assert statuses == [200, 200, 200, 200, 400]
+        assert statuses == [200, 200, 200, 200, 200, 400]
         similar = _answer(direct, *_DIVERGED[0])[1]["value"]
         assert [gid for gid, _score in similar] == [0, 1, 3]
         fuzzy = _answer(direct, *_DIVERGED[1])[1]["value"]
@@ -212,3 +216,23 @@ class TestRoutedLabelFilter:
         status, expected = _answer(direct, target)
         assert status == 200 and expected["value"]
         assert _answer(routed, target) == (status, expected)
+
+
+class TestTopKDefault:
+    def test_every_path_answers_the_top_ten(self, store, fronts):
+        direct, routed = fronts
+        status, expected = _answer(direct, "/top?k=10")
+        assert status == 200 and expected["value"]
+        routers = [
+            QueryRouter([LocalReplica(store)]),
+            QueryRouter([HTTPReplica(direct)]),
+        ]
+        try:
+            for router in routers:
+                assert router.query("top_k")["value"] == expected["value"]
+        finally:
+            for router in routers:
+                router.close()
+        for url in (direct, routed):
+            for path, doc in (("/top", None), ("/query", {"op": "top_k"})):
+                assert _answer(url, path, doc) == (200, expected)

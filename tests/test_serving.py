@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+import sys
 import threading
 import time
 import urllib.error
@@ -720,6 +721,51 @@ class TestDifferential:
 
 
 # -- concurrency stress ---------------------------------------------------------
+
+
+class TestFirstTouch:
+    def test_threads_share_one_index_build_per_class(self, store_dir):
+        """Eight threads touch a fresh reader's classes at once, with a
+        short switch interval: each class's occurrence index is built
+        once, and every thread's Step-3 walk (which shares the index's
+        children cache) answers as a single-threaded reader does."""
+        tax = _taxonomy()
+        patterns = [
+            _pattern(tax, ["A", "B"], [(0, 1)]),
+            _pattern(tax, ["A", "C"], [(0, 1)]),
+        ]
+
+        def specializations(reader):
+            return [
+                [str(p) for p in reader.specializations(q, min_support=0.25)]
+                for q in patterns
+            ]
+
+        expected = specializations(StoreReader(store_dir))
+        reader = StoreReader(store_dir)
+        answers: list = []
+        failures: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                answers.append(specializations(reader))
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert answers == [expected] * 8
+        assert reader.metrics.counter("serving.row_loads") == len(patterns)
 
 
 @pytest.mark.slow

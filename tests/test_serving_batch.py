@@ -44,7 +44,7 @@ class TestAllErrorBatch:
             [
                 Query("support"),  # missing pattern
                 Query("definitely_not_an_op", pattern),
-                Query("top_k"),  # top_k without k
+                Query("top_k", k=-1),  # negative k
             ]
         )
         assert len(results) == 3
