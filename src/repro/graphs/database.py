@@ -105,6 +105,17 @@ class GraphDatabase:
             used.update(graph.node_labels())
         return used
 
+    def with_interners(
+        self, node_labels: LabelInterner, edge_labels: LabelInterner
+    ) -> "GraphDatabase":
+        """The same graph objects (not copies) under other interners,
+        which must hold at least this database's labels at the same ids:
+        a caller that may intern new labels passes copies, so this
+        database's interners stay as they are."""
+        out = type(self)(node_labels, edge_labels)
+        out._graphs = list(self._graphs)
+        return out
+
     def copy(self) -> "GraphDatabase":
         """Deep copy of graphs; interners are copied too."""
         out = type(self)(self.node_labels.copy(), self.edge_labels.copy())

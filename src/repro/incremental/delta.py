@@ -121,6 +121,16 @@ class OccurrenceColumns(OccurrenceStore):
 
     # -- maintenance ---------------------------------------------------------------
 
+    def copy(self) -> "OccurrenceColumns":
+        """Columns that maintenance may change while these stay as they
+        are: the column list is copied, its immutable entries and the
+        cached run masks are shared."""
+        out = OccurrenceColumns.__new__(OccurrenceColumns)
+        out.occurrences = list(self.occurrences)
+        out._graph_ids = self._graph_ids
+        out._runs = self._runs
+        return out
+
     @property
     def live_count(self) -> int:
         return self.all_bits.bit_count()

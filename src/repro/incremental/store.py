@@ -31,7 +31,10 @@ with :class:`repro.exceptions.StoreError` instead of producing silently
 wrong supports.  ``open`` is an integrity check followed by a parse;
 :meth:`PatternStore.is_committed_copy` runs the same check alone, so a
 process that still holds the store it just committed can adopt a fresh
-copy of its directory without parsing it.
+copy of its directory without parsing it.  Such a process updates a
+copy-on-write :meth:`PatternStore.fork` of that store, so the committed
+object itself never changes and a reader in the same process may keep
+serving it.
 
 Each class entry in ``classes.json`` also carries ``patterns``: the
 class's Step-3 output at the store's own threshold, so a version's
@@ -66,6 +69,7 @@ itself is replaced atomically).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import shutil
@@ -323,6 +327,44 @@ class PatternStore:
         )
         self.classes.append(stored)
         return stored
+
+    def with_own_labels(self) -> "PatternStore":
+        """This store with copies of its label interners; everything else
+        is shared.
+
+        Interning into the copy — parsing a query that names an unknown
+        label, or :func:`~repro.core.relabel.repair_taxonomy` adding its
+        artificial root — leaves this store's interners, which
+        :meth:`save` writes to ``labels.json``, as they are.  The
+        database and the taxonomy share one node interner, as
+        :meth:`open` builds them.
+        """
+        view = copy.copy(self)
+        node_labels = self.taxonomy.interner.copy()
+        view.taxonomy = self.taxonomy.with_interner(node_labels)
+        view.database = self.database.with_interners(
+            node_labels, self.database.edge_labels.copy()
+        )
+        return view
+
+    def fork(self) -> "PatternStore":
+        """A copy-on-write copy for one update; this store stays exactly
+        as committed, so a reader may keep serving it meanwhile.
+
+        On top of :meth:`with_own_labels`, the fork copies what
+        :meth:`~repro.incremental.updater.IncrementalTaxogram.apply`
+        mutates in place: each class's :class:`StoredClass` and its
+        columns, and ``app_state``.  It shares what an update only reads
+        or replaces wholesale: the graphs, the taxonomy's structure, the
+        stored patterns and the border.
+        """
+        fork = self.with_own_labels()
+        fork.classes = [
+            StoredClass(stored.code, stored.columns.copy(), stored.patterns)
+            for stored in self.classes
+        ]
+        fork.app_state = dict(self.app_state)
+        return fork
 
     # -- update fencing ---------------------------------------------------------------
 

@@ -26,7 +26,10 @@ with stale-epoch journal bytes.
 :class:`FollowerService` wraps a follower in an HTTP front (read-only
 query endpoints + ``/health`` reporting role, applied offset, lag and
 sync liveness, ``/metrics`` including the sync counters) and a
-background poll loop that alternates fetching and applying.
+background poll loop that alternates fetching and applying.  As in
+:class:`~repro.streaming.service.IngestService`, the applier hands each
+committed version to the service's reader in memory; a bootstrap that
+replaces the applier hands the new one the reader too.
 """
 
 from __future__ import annotations
@@ -205,6 +208,9 @@ class Follower:
         )
         self.wal: WriteAheadLog | None = None
         self.applier: StreamApplier | None = None
+        # The in-process reader every applier (a bootstrap replaces it)
+        # hands its committed versions to.
+        self.reader: StoreReader | None = None
         self.recovery: str | None = None
         self.bootstrapped = False
         self.last_watermark = -1
@@ -343,6 +349,10 @@ class Follower:
                 "replication_source": self.client.base_url,
             }
         )
+        if self.reader is not None:
+            # A bootstrap replaced the store: serve the new one now.
+            self.reader.adopt(lambda: self.applier.committed)
+            self.applier.reader = self.reader
         self._reset_cursor()
 
     def ensure_open(self) -> None:
@@ -545,8 +555,13 @@ class FollowerService:
         self.follower.sync_once()
         self.follower.applier.drain()
         self.reader = StoreReader(
-            store_dir, tracer=tracer, metrics=self.metrics
+            store_dir,
+            tracer=tracer,
+            metrics=self.metrics,
+            store=self.follower.applier.committed,
         )
+        self.follower.reader = self.reader
+        self.follower.applier.reader = self.reader
         routes = serving_routes(
             self.reader, role="follower", health_extras=self.health_extras
         )

@@ -12,7 +12,9 @@ answers from those bit-sets:
   entries give exact sub-threshold supports; everything else falls back
   to (counted) VF2.  Readers stay valid while an
   :class:`~repro.incremental.updater.IncrementalTaxogram` updates the
-  store: version fencing reloads the snapshot at the next query.
+  store: version fencing reloads the snapshot at the next query, and
+  the reader of an ingest or follower process is handed each committed
+  version in memory instead (:meth:`StoreReader.adopt`).
 * :class:`VersionedResultCache` — the reader's LRU result cache, keyed
   by canonical DFS code + store version and invalidated wholesale on a
   version bump.

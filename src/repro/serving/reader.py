@@ -27,15 +27,21 @@ Query resolution for a pattern ``P``:
    performs isomorphism tests, and it is counted
    (``serving.vf2_fallbacks`` / ``serving.vf2_tests``).
 
-Concurrency: the reader snapshots one committed store version in memory
-(columns, border, taxonomy), bracketing the load with
-:func:`repro.incremental.store.fence_state` checks, and builds each
-class's occurrence index from that snapshot at most once per version.
-A query never reads the store directory after the snapshot is taken.
-When an :class:`~repro.incremental.updater.IncrementalTaxogram` commits
-a new version, the next query reloads the snapshot and invalidates the
-result cache wholesale; answers are therefore always consistent with
-exactly one committed version — never a torn mix.
+Concurrency: the reader serves one committed store version in memory
+(columns, border, taxonomy) and builds each class's occurrence index
+from it at most once per version.  A query never reads the store
+directory after the version is loaded.  The version comes from one of
+two places.  A reader in its own process loads it from the directory,
+bracketing the load with :func:`repro.incremental.store.fence_state`
+checks; when a writer commits a new version, the next query reloads.
+A reader beside a :class:`~repro.streaming.applier.StreamApplier` in
+one process is handed each committed :class:`~repro.incremental.store.
+PatternStore` instead (:meth:`StoreReader.adopt`), which the applier
+never mutates afterwards.  Either way the result cache is invalidated
+wholesale at each new version, so answers are always consistent with
+exactly one committed version — never a torn mix.  Query patterns are
+parsed against per-version copies of the label interners, so a query
+naming an unknown label never interns it into a store a writer saves.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from repro.core.occurrence_index import (
     AncestorTable,
@@ -176,7 +183,10 @@ class _ReaderState:
     """One committed store version, snapshotted in memory."""
 
     def __init__(self, store: PatternStore) -> None:
-        self.store = store
+        # Queries parse (and repair_taxonomy interns) against copies of
+        # the store's interners: the store may be a writer's, whose
+        # interners reach the next labels.json.
+        store = self.store = store.with_own_labels()
         self.version = store.store_version
         self.working, self.most_general = repair_taxonomy(
             store.taxonomy, store.artificial_root_name
@@ -218,10 +228,12 @@ class _ReaderState:
 class StoreReader:
     """Read-only, thread-safe query view of a pattern store directory.
 
-    The manifest is verified and the interner/taxonomy rebuilt once per
-    committed store version; each class's occurrence index is built
-    lazily from the snapshot (once per class per version) and shared
-    across query threads.  All query methods may raise
+    Each committed store version is either loaded from the directory
+    (manifest verified, files parsed) or handed over in memory by an
+    in-process writer through :meth:`adopt`; ``store`` is the version
+    to serve first, in place of loading one.  Each class's occurrence
+    index is built lazily from the version (once per class per version)
+    and shared across query threads.  All query methods may raise
     :class:`~repro.exceptions.StoreError` if the store keeps changing
     faster than the reader can fence a consistent snapshot.
 
@@ -239,6 +251,7 @@ class StoreReader:
         retry_wait: float = 0.02,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
+        store: PatternStore | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -248,7 +261,10 @@ class StoreReader:
         self._retry_wait = retry_wait
         self._reload_lock = threading.Lock()
         self._state: _ReaderState | None = None
-        self._ensure_state()
+        if store is None:
+            self._ensure_state()
+        else:
+            self.adopt(lambda: store)
 
     # -- public query API -----------------------------------------------------
 
@@ -294,7 +310,8 @@ class StoreReader:
 
     @property
     def database(self):
-        """The served store version's database (read-only use)."""
+        """The served store version's database (read-only use); its
+        interners are the reader's own copies."""
         return self._state.store.database
 
     def class_codes(self) -> tuple[tuple, ...]:
@@ -530,12 +547,15 @@ class StoreReader:
         )
 
     def parse_pattern(self, text: str) -> Graph:
-        """One query pattern from graph-db text (``t # 0`` / ``v`` / ``e``)."""
-        store = self._state.store
+        """One query pattern from graph-db text (``t # 0`` / ``v`` / ``e``).
+
+        Unknown labels are interned into the served version's interner
+        copies only, never into the store's."""
+        database = self._state.store.database
         parsed = parse_graph_database(
             text,
-            node_labels=store.database.node_labels,
-            edge_labels=store.database.edge_labels,
+            node_labels=database.node_labels,
+            edge_labels=database.edge_labels,
         )
         if len(parsed) != 1:
             raise MiningError(
@@ -548,6 +568,36 @@ class StoreReader:
 
     def _fence(self) -> tuple[int | None, bool]:
         return fence_state(self.directory)
+
+    def adopt(self, commit: Callable[[], PatternStore]) -> PatternStore:
+        """Serve the store ``commit()`` returns, without reading the
+        directory; returns that store.
+
+        An in-process writer passes a ``commit`` that makes its new
+        version current in the directory and returns it, and must not
+        mutate that store afterwards.  ``commit`` runs under the reload
+        lock, so a query that sees the new manifest before the handoff
+        waits for it instead of parsing the directory.
+        """
+        with self._reload_lock:
+            store = commit()
+            self._install(store)
+            self.metrics.add("serving.handoffs", 1)
+        return store
+
+    def _install(self, store: PatternStore) -> _ReaderState:
+        """Serve ``store`` from now on; the caller holds the reload lock."""
+        state = _ReaderState(store)
+        self._state = state
+        self._cache.clear()
+        stats = store.compression_stats
+        raw = sum(s["raw"] for s in stats.values())
+        if raw:
+            self.metrics.set_gauge(
+                "serving.store_compression_ratio",
+                sum(s["stored"] for s in stats.values()) / raw,
+            )
+        return state
 
     def _ensure_state(self) -> _ReaderState:
         """The current snapshot, reloading when a new version committed."""
@@ -575,18 +625,8 @@ class StoreReader:
                     continue
                 version, stable = self._fence()
                 if stable and version == store.store_version:
-                    new_state = _ReaderState(store)
-                    self._state = new_state
-                    self._cache.clear()
                     self.metrics.add("serving.reloads", 1)
-                    stats = store.compression_stats
-                    raw = sum(s["raw"] for s in stats.values())
-                    if raw:
-                        self.metrics.set_gauge(
-                            "serving.store_compression_ratio",
-                            sum(s["stored"] for s in stats.values()) / raw,
-                        )
-                    return new_state
+                    return self._install(store)
                 time.sleep(self._retry_wait)
             if last_error is not None and state is None:
                 raise last_error

@@ -29,12 +29,33 @@ idempotent because records at or below the committed
 
 Between batches the applier keeps the store it just committed in
 memory.  The next batch checks its fresh shadow copy with
-:meth:`~repro.incremental.store.PatternStore.is_committed_copy` — file
-checksums and OIE row counts against a manifest that must equal the one
-this store committed — and adopts the in-memory store instead of parsing
-the copy.  A failed check, or any exception in a batch, drops the
-carried store; the batch then runs ``PatternStore.open``, which raises on
-corruption exactly as a cold start would.
+:meth:`~repro.incremental.store.PatternStore.is_committed_copy` — every
+file checksum against a manifest that must equal the one this store
+committed — and then works on a copy-on-write
+:meth:`~repro.incremental.store.PatternStore.fork` of the in-memory
+store instead of parsing the copy.  The committed store itself is never
+mutated, so an in-process :class:`~repro.serving.reader.StoreReader`
+may serve it while the next batch runs.  A failed check, or any
+exception in a batch, drops the carried store; the batch then runs
+``PatternStore.open``, which raises on corruption exactly as a cold
+start would.
+
+With a :attr:`StreamApplier.reader` set, the applier hands each
+committed version to that reader instead of letting it parse the
+directory again: the directory swap and the handoff run together under
+the reader's reload lock (:meth:`~repro.serving.reader.StoreReader.
+adopt`), so a query that sees the new manifest first waits for the
+handoff.  The applied offset advances only after the handoff, so a
+waiter released by it (``"wait": true``, ``GET /lag``) reads the
+version it waited for.  Readers in other processes keep fencing on the
+directory.
+
+In the background loop a batch closes ``max_latency_seconds`` after its
+first pending record was *appended* (:meth:`~repro.streaming.wal.
+WriteAheadLog.appended_at`), not after the applier turned to it: a
+record that arrived while the previous batch ran is due as soon as
+that batch ends, and a record with no append time in this process (one
+replayed from the journal at restart) is due at once.
 
 Records are validated individually at compose time with *copies* of the
 store's label interners (a rejected record must not leak labels into
@@ -53,6 +74,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ReproError, StoreError
 from repro.incremental.delta import DatabaseDelta
@@ -61,6 +83,9 @@ from repro.incremental.updater import IncrementalOptions, IncrementalTaxogram
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.streaming.wal import WALRecord, WriteAheadLog
+
+if TYPE_CHECKING:
+    from repro.serving.reader import StoreReader
 
 __all__ = [
     "ApplierOptions",
@@ -243,9 +268,9 @@ class ApplierOptions:
 
     A batch closes when it holds ``max_batch_records`` records, when its
     records touch ``max_batch_graphs`` graphs, or when
-    ``max_latency_seconds`` elapsed since its first record — whichever
-    comes first.  ``truncate_wal`` reclaims fully-applied WAL segments
-    after each commit.
+    ``max_latency_seconds`` elapsed since its first record was appended
+    — whichever comes first.  ``truncate_wal`` reclaims fully-applied
+    WAL segments after each commit.
     """
 
     max_batch_records: int = 256
@@ -262,7 +287,8 @@ class StreamApplier:
     learn the committed offset, and verifies the WAL still holds every
     unapplied record.  :meth:`drain` applies synchronously (the CLI's
     one-shot mode); :meth:`start` runs the same batching loop in a
-    daemon thread for live ingest.
+    daemon thread for live ingest.  Set :attr:`reader` to hand each
+    committed version to an in-process reader of the same directory.
     """
 
     def __init__(
@@ -284,7 +310,10 @@ class StreamApplier:
         store = PatternStore.open(self.store_dir)
         # The store as last committed to ``store_dir``, kept in memory so
         # the next batch verifies its shadow copy instead of parsing it.
+        # Batches fork it and never mutate it.
         self._committed: PatternStore | None = store
+        # The in-process reader each committed version is handed to.
+        self.reader: StoreReader | None = None
         self._lock = threading.Lock()
         self._applied = threading.Condition(self._lock)
         self._applied_seq = applied_wal_seq(store)
@@ -306,6 +335,12 @@ class StreamApplier:
     def applied_seq(self) -> int:
         with self._lock:
             return self._applied_seq
+
+    @property
+    def committed(self) -> PatternStore | None:
+        """The store as last committed, or None after a failed batch
+        (the next batch then re-opens the directory)."""
+        return self._committed
 
     @property
     def lag(self) -> int:
@@ -352,11 +387,12 @@ class StreamApplier:
             shutil.rmtree(next_dir)
         with self.tracer.span("streaming.shadow_copy"):
             shutil.copytree(base, next_dir)
-        # Taken, not borrowed: the updater mutates it in place, so only a
-        # batch that commits and swaps hands a store to the next batch.
-        shadow, self._committed = self._committed, None
+        # Only a batch that commits hands a store to the next batch; one
+        # that raises leaves the next to re-open the directory.
+        committed, self._committed = self._committed, None
         try:
-            if shadow is not None and shadow.is_committed_copy(next_dir):
+            if committed is not None and committed.is_committed_copy(next_dir):
+                shadow = committed.fork()
                 shadow.directory = next_dir
             else:
                 shadow = PatternStore.open(next_dir)
@@ -378,11 +414,19 @@ class StreamApplier:
         prev_dir = base.with_name(base.name + _PREV_SUFFIX)
         if prev_dir.exists():
             shutil.rmtree(prev_dir)
-        base.rename(prev_dir)
-        next_dir.rename(base)
+
+        def swap() -> PatternStore:
+            base.rename(prev_dir)
+            next_dir.rename(base)
+            updater.store.directory = base
+            return updater.store
+
+        # Swap and handoff run under the reader's reload lock, so it
+        # never parses the version it is about to be handed.
+        reader = self.reader
+        self._committed = swap() if reader is None else reader.adopt(swap)
         shutil.rmtree(prev_dir)
-        updater.store.directory = base
-        self._committed = updater.store
+        self.wal.forget_appended(batch[-1].seq)
         with self._applied:
             self._applied_seq = batch[-1].seq
             self._applied.notify_all()
@@ -425,9 +469,17 @@ class StreamApplier:
     def _run(self) -> None:
         try:
             while not self._stop.is_set():
-                if not self.wal.wait_for(self.applied_seq + 1, timeout=0.05):
+                first = self.applied_seq + 1
+                if not self.wal.wait_for(first, timeout=0.05):
                     continue
-                deadline = time.monotonic() + self.options.max_latency_seconds
+                # Due max_latency_seconds after the first pending record
+                # was appended; a replayed record (no append time) at once.
+                appended = self.wal.appended_at(first)
+                deadline = (
+                    time.monotonic()
+                    if appended is None
+                    else appended + self.options.max_latency_seconds
+                )
                 while (
                     not self._stop.is_set()
                     and not self._flush.is_set()

@@ -6,9 +6,14 @@
 a background :class:`~repro.streaming.applier.StreamApplier` folding
 journaled deltas into the pattern store, and a
 :class:`~repro.serving.reader.StoreReader` answering queries against
-whichever store version is committed.  Readers never observe a
-half-applied batch — the applier's shadow-swap commit means the store
-directory always holds a complete, checksummed version.
+whichever store version is committed.  The process holds one in-memory
+store per version: the reader starts on the store the applier opened,
+and the applier hands it each version it commits, at the directory
+swap, so the reader never parses the directory.  Readers never observe
+a half-applied batch — a batch works on a copy-on-write fork of the
+committed store, and the shadow-swap commit means the store directory
+always holds a complete, checksummed version for readers in other
+processes.
 ``taxogram ingest --serve`` builds the same service with lag-aware
 admission control on its front.
 
@@ -77,8 +82,9 @@ class IngestService:
     """WAL + applier + reader over one pattern store directory, served
     on its own HTTP front (``server``).
 
-    Construction recovers the store (crash repair), replays any
-    journaled-but-unapplied records' bookkeeping and binds the socket;
+    Construction recovers the store (crash repair), opens it once for
+    both the applier and the reader, checks the journal still holds
+    every unapplied record, and binds the socket;
     once :meth:`start` is called the applier folds batches in the
     background.  :meth:`close` stops serving, drains pending records
     and releases everything; it is what SIGTERM handling calls for a
@@ -126,8 +132,12 @@ class IngestService:
             tracer=self.tracer,
         )
         self.reader = StoreReader(
-            store_dir, tracer=self.tracer, metrics=self.metrics
+            store_dir,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            store=self.applier.committed,
         )
+        self.applier.reader = self.reader
         self._closed = False
         routes = serving_routes(
             self.reader, role=self.role, health_extras=self.health_extras

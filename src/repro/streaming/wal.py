@@ -44,7 +44,10 @@ construction) rather than appending raw frames into a container.
 The log is thread-safe: HTTP handler threads append while the applier
 thread reads, coordinated by one lock and a condition variable
 (:meth:`WriteAheadLog.wait_for`).  Readers only ever see frames whose
-write completed before ``next_seq`` advanced.
+write completed before ``next_seq`` advanced.  The log also remembers,
+in memory only, when this process appended each record
+(:meth:`WriteAheadLog.appended_at`): the applier's batch deadline runs
+from that instant.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ import json
 import os
 import struct
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,6 +241,10 @@ class WriteAheadLog:
         self._chunk_cache: tuple[int, bytes] | None = None
         self.directory.mkdir(parents=True, exist_ok=True)
         self._open_segments()
+        # time.monotonic() of each record this process appended, for
+        # records _times_from.. (see appended_at); kept in memory only.
+        self._append_times: deque[float] = deque()
+        self._times_from = self._next_seq
 
     # -- opening / recovery ---------------------------------------------------
 
@@ -400,6 +409,7 @@ class WriteAheadLog:
                 os.fsync(self._active_file.fileno())
             seq = self._next_seq
             self._next_seq += 1
+            self._append_times.append(time.monotonic())
             self.metrics.add("streaming.wal_appends", 1)
             self.metrics.add("streaming.wal_bytes", len(frame))
             if self._active_file.tell() >= self.segment_max_bytes:
@@ -450,6 +460,27 @@ class WriteAheadLog:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+    def appended_at(self, seq: int) -> float | None:
+        """``time.monotonic()`` when this process appended record ``seq``.
+
+        None for a record it did not append — one already in the journal
+        when the log was opened, such as a record replayed after a
+        restart — or one released by :meth:`forget_appended`.
+        """
+        with self._lock:
+            index = seq - self._times_from
+            if 0 <= index < len(self._append_times):
+                return self._append_times[index]
+            return None
+
+    def forget_appended(self, applied_seq: int) -> None:
+        """Drop the append times of records up to ``applied_seq``."""
+        with self._lock:
+            times = self._append_times
+            while times and self._times_from <= applied_seq:
+                times.popleft()
+                self._times_from += 1
 
     # -- reading --------------------------------------------------------------
 

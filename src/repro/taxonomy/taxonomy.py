@@ -13,6 +13,7 @@ acyclicity) and caches ancestor/descendant closures lazily.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import TaxonomyError
@@ -114,6 +115,15 @@ class Taxonomy:
         taxonomy.
         """
         return dict(self._parents)
+
+    def with_interner(self, interner: LabelInterner) -> "Taxonomy":
+        """The same DAG, sharing its structure and closure caches, over
+        ``interner`` — a copy of :attr:`interner` that the caller may
+        extend (the artificial root of :func:`repro.core.relabel.
+        repair_taxonomy` is interned there) without touching this one."""
+        out = copy.copy(self)
+        out.interner = interner
+        return out
 
     def name_of(self, label: int) -> str:
         return self.interner.name_of(label)

@@ -34,6 +34,7 @@ from tests.test_replication_shipper import (
     primary,  # noqa: F401 - fixture re-export
 )
 from tests.test_streaming_applier import _offline_replay, _store_digest
+from tests.test_streaming_handoff import assert_reader_matches_fresh
 
 
 def _segment_bytes(wal_dir: Path) -> bytes:
@@ -345,6 +346,47 @@ class TestFollowerService:
         finally:
             service.server.shutdown()
             thread.join(timeout=10)
+            service.close()
+
+
+    def test_reader_is_handed_every_version(self, primary, tmp_path):
+        """After a sync and a drain the service's reader answers as a
+        fresh reader of the replica does, without reading the directory;
+        after a snapshot bootstrap replaces the applier, the new applier
+        hands its versions to the same reader."""
+        p_service, url = primary
+        _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
+        replica = tmp_path / "replica"
+        service = FollowerService(
+            replica,
+            tmp_path / "rwal",
+            url,
+            port=0,
+            options=_quick_options(),
+            applier_options=_applier_options(),
+        )
+        follower = service.follower
+        try:
+            for _ in range(2):
+                _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
+            follower.sync_once()
+            follower.applier.drain()
+            assert follower.applied_seq == 2
+            assert_reader_matches_fresh(service.reader, replica)
+            # The primary drops history the follower still needs.
+            p_service.wal.segment_max_bytes = 1
+            for _ in range(3):
+                _request(url, "/ingest", {"remove": [0], "wait": True})
+            p_service.wal.truncate_applied(p_service.applier.applied_seq)
+            replaced = follower.applier
+            follower.sync_once()
+            assert follower.applier is not replaced
+            assert follower.applier.reader is service.reader
+            follower.applier.drain()
+            assert follower.applied_seq == 5
+            assert_reader_matches_fresh(service.reader, replica)
+            assert service.metrics.counter("serving.reloads") == 0
+        finally:
             service.close()
 
 

@@ -10,6 +10,7 @@ the records the incremental updater itself would reject.
 from __future__ import annotations
 
 import shutil
+import time
 
 import pytest
 
@@ -521,3 +522,96 @@ class TestCarriedStore:
             with pytest.raises(StoreError, match="integrity check"):
                 applier.apply_next_batch()
             assert applier.applied_seq == 0
+
+
+class TestForkedBatches:
+    def test_forked_batches_write_the_bytes_of_reopened_ones(
+        self, tmp_path, seeded, monkeypatch
+    ):
+        """A batch on a fork of the carried store commits the same files,
+        byte for byte, as one on a store parsed from the shadow copy."""
+        store_dir, adds = seeded
+        records = [
+            adds(["y"]),
+            DatabaseDelta.removing([2]),
+            adds(["x", "q"]),  # a new edge label extends the interner
+            DatabaseDelta.removing([0, 3]),
+            adds(["y"], nodes=("d", "ghost")),  # rejected
+        ]
+        copies = {}
+        for name, carried in (("forked", True), ("reopened", False)):
+            directory = tmp_path / name
+            shutil.copytree(store_dir, directory)
+            with WriteAheadLog(tmp_path / f"{name}.wal") as wal:
+                for record in records:
+                    wal.append(record)
+                applier = StreamApplier(
+                    directory, wal, ApplierOptions(max_batch_records=2)
+                )
+                if not carried:
+                    monkeypatch.setattr(
+                        PatternStore,
+                        "is_committed_copy",
+                        lambda self, directory: False,
+                    )
+                assert applier.drain() == len(records)
+                monkeypatch.undo()
+            copies[name] = {
+                path.name: path.read_bytes() for path in directory.iterdir()
+            }
+        assert copies["forked"] == copies["reopened"]
+
+
+class TestBatchDeadline:
+    """A batch closes ``max_latency_seconds`` after its first record was
+    appended, not after the applier turned to it."""
+
+    def test_overdue_record_applies_without_waiting(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        latency = 1.0
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_latency_seconds=latency)
+            )
+            seq = wal.append(adds(["y"]))
+            time.sleep(latency + 0.1)
+            started = time.monotonic()
+            applier.start()
+            try:
+                assert applier.wait_applied(seq, timeout=30.0)
+                assert time.monotonic() - started < latency
+            finally:
+                applier.stop()
+
+    def test_replayed_record_applies_at_once(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            seq = wal.append(adds(["y"]))
+        # Reopened, as at a restart: no append time for the record.
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            assert wal.appended_at(seq) is None
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_latency_seconds=60.0)
+            )
+            applier.start()
+            try:
+                assert applier.wait_applied(seq, timeout=30.0)
+            finally:
+                applier.stop()
+
+    def test_trickle_waits_out_the_latency(self, tmp_path, seeded):
+        store_dir, adds = seeded
+        latency = 0.3
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            applier = StreamApplier(
+                store_dir, wal, ApplierOptions(max_latency_seconds=latency)
+            )
+            applier.start()
+            try:
+                time.sleep(0.1)  # idle
+                appended = time.monotonic()
+                seq = wal.append(adds(["y"]))
+                assert applier.wait_applied(seq, timeout=30.0)
+                assert time.monotonic() - appended >= latency
+            finally:
+                applier.stop()

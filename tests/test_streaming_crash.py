@@ -117,7 +117,12 @@ def _run_with_kills(tmp_path, store_dir, wal_dir, rng, max_rounds=40):
             proc.wait()
             kills += 1
         else:
-            stdout, stderr = proc.communicate()
+            # Through the buffered reader readline() used: communicate()
+            # reads the pipe directly and would miss what it buffered.
+            with proc.stdout, proc.stderr:
+                stdout = proc.stdout.read()
+                stderr = proc.stderr.read()
+            proc.wait()
             assert proc.returncode == 0, stderr.decode()
             assert b"drained" in stdout
             return kills
