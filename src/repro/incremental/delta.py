@@ -152,7 +152,8 @@ class OccurrenceColumns(OccurrenceStore):
                 occurrences[occ_id] = None
                 cleared |= 1 << occ_id
         self._graph_ids &= ~BitSet(removed).bits
-        self._runs = None
+        if cleared:
+            self._runs = None
         return cleared
 
     def remap_graphs(self, keep: int) -> None:
@@ -160,7 +161,9 @@ class OccurrenceColumns(OccurrenceStore):
         mask ``keep`` were removed and later ids shifted down.
 
         Every live graph id must be in ``keep`` — clear removed graphs
-        first with :meth:`clear_graphs`.
+        first with :meth:`clear_graphs`.  Ranks keep distinct ids
+        distinct, so every run keeps its bits: cached run masks stay,
+        and only their owner list is renumbered.
         """
         self._graph_ids = squeeze(self._graph_ids, keep)
         new_ids: dict[int, int] = {}  # old graph id -> rank in ``keep``
@@ -170,7 +173,10 @@ class OccurrenceColumns(OccurrenceStore):
                 if gid not in new_ids:
                     new_ids[gid] = (keep & ((1 << gid) - 1)).bit_count()
                 self.occurrences[occ_id] = (new_ids[gid], column[1])
-        self._runs = None
+        if self._runs is not None:
+            inner, last, _owners = self._runs
+            owners = [column and column[0] for column in self.occurrences]
+            self._runs = (inner, last, owners)
 
     def compact(self) -> None:
         """Drop dead columns; live ones keep their order, so occurrence

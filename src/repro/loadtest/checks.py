@@ -24,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
+from repro.exceptions import ReplicationError
 from repro.loadtest.harness import LoadReport
+from repro.serving.client import HTTPClient
 
 __all__ = [
     "store_digest",
@@ -37,11 +37,6 @@ __all__ = [
     "verify_version_monotonic",
     "wait_for_applied",
 ]
-
-
-def _get_json(url: str, timeout: float = 10.0) -> dict:
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read())
 
 
 def wait_for_applied(
@@ -58,22 +53,22 @@ def wait_for_applied(
     arrives — including when the applier died, which would otherwise
     look like an eternal lag.
     """
-    base = base_url.rstrip("/")
     deadline = time.monotonic() + timeout
     last: dict | None = None
-    while time.monotonic() < deadline:
-        try:
-            last = _get_json(base + "/lag")
-        except (urllib.error.URLError, OSError, ValueError):
+    with HTTPClient(base_url, timeout=10.0) as client:
+        while time.monotonic() < deadline:
+            try:
+                last = json.loads(client.get("/lag")[0])
+            except (OSError, ReplicationError, ValueError):
+                time.sleep(interval)
+                continue
+            if int(last.get("applied_seq", -1)) >= min_seq:
+                return last
+            if not last.get("applier_alive", True):
+                raise TimeoutError(
+                    f"applier died before reaching seq {min_seq}: {last}"
+                )
             time.sleep(interval)
-            continue
-        if int(last.get("applied_seq", -1)) >= min_seq:
-            return last
-        if not last.get("applier_alive", True):
-            raise TimeoutError(
-                f"applier died before reaching seq {min_seq}: {last}"
-            )
-        time.sleep(interval)
     raise TimeoutError(
         f"applied_seq never reached {min_seq} within {timeout}s; "
         f"last snapshot: {last}"
@@ -86,7 +81,8 @@ def verify_no_lost_acks(
     """Assert every acked write survived; returns the lag snapshot."""
     max_acked = report.max_acked_seq
     if max_acked is None:
-        return _get_json(base_url.rstrip("/") + "/lag")
+        with HTTPClient(base_url, timeout=10.0) as client:
+            return json.loads(client.get("/lag")[0])
     snapshot = wait_for_applied(base_url, max_acked, timeout=timeout)
     journaled = int(snapshot.get("journaled_seq", -1))
     if journaled < max_acked:

@@ -26,16 +26,15 @@ judged by.
 from __future__ import annotations
 
 import json
-import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.exceptions import ReplicationError
 from repro.loadtest.workload import PlannedRequest
 from repro.observability.metrics import LatencyHistogram
+from repro.serving.client import HTTPClient
 from repro.serving.endpoints import query_request
 from repro.serving.reader import Query
 
@@ -81,7 +80,8 @@ def classify(status: int | None, timed_out: bool = False) -> str:
 
 
 class LoadRunner:
-    """Drive one plan against one base URL with a worker pool."""
+    """Drive one plan against one base URL with a worker pool, whose
+    workers share one pooled keep-alive :class:`HTTPClient`."""
 
     def __init__(
         self,
@@ -90,10 +90,9 @@ class LoadRunner:
         workers: int = 8,
         timeout: float = 30.0,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
+        self.client = HTTPClient(base_url, timeout)
         self.plan = sorted(plan, key=lambda r: r.at)
         self.workers = max(1, workers)
-        self.timeout = timeout
         self._outcomes: list[RequestOutcome] = []
         self._lock = threading.Lock()
 
@@ -114,26 +113,13 @@ class LoadRunner:
             method, path, body = "POST", "/ingest", json.dumps(doc).encode()
         else:
             method, path, body = "POST", "/flush", b"{}"
-        request = urllib.request.Request(
-            self.base_url + path,
-            body,
-            {"Content-Type": "application/json"} if body else {},
-            method=method,
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.status, _read_json(response), False
-        except urllib.error.HTTPError as exc:
-            return exc.code, _read_json(exc), False
-        except socket.timeout:
+            status, data, _headers = self.client.call(method, path, body)
+        except TimeoutError:
             return None, {}, True
-        except (urllib.error.URLError, OSError) as exc:
-            timed_out = isinstance(
-                getattr(exc, "reason", None), socket.timeout
-            )
-            return None, {}, timed_out
+        except (OSError, ReplicationError):
+            return None, {}, False
+        return status, _json_object(data), False
 
     def _worker(self, index: int, start: float) -> None:
         for position in range(index, len(self.plan), self.workers):
@@ -183,6 +169,7 @@ class LoadRunner:
             thread.start()
         for thread in threads:
             thread.join()
+        self.client.close()
         return LoadReport(self._outcomes, time.monotonic() - start)
 
 
@@ -335,10 +322,10 @@ class Envelope:
             )
 
 
-def _read_json(response) -> dict:
+def _json_object(data: bytes) -> dict:
     try:
-        doc = json.loads(response.read())
-    except (ValueError, OSError):
+        doc = json.loads(data)
+    except ValueError:
         return {}
     return doc if isinstance(doc, dict) else {}
 

@@ -11,7 +11,8 @@ offset commits in the same manifest write as the store version, and
 :func:`~repro.streaming.applier.recover_store` makes a ``kill -9`` at
 any instant recoverable by idempotent replay.  The WAL encoding is
 canonical (sorted-key JSON), so a re-journaled record is byte-identical
-to the primary's frame.
+to the primary's frame.  One :class:`PrimaryClient` keeps its
+connections to the primary alive from poll to poll.
 
 Bootstrap: when the local store does not exist yet — or the primary has
 truncated the history the follower still needs — the follower downloads
@@ -41,8 +42,6 @@ import shutil
 import tarfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +52,7 @@ from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.replication.shipper import verify_manifest
 from repro.serving.admission import AdmissionController
 from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.client import HTTPClient
 from repro.serving.endpoints import serving_routes
 from repro.serving.reader import StoreReader
 from repro.streaming.applier import (
@@ -91,8 +91,14 @@ class FollowerOptions:
     verify_segment_digests: bool = True
 
 
-class PrimaryClient:
-    """Stdlib HTTP client for the shipper's replication endpoints."""
+class PrimaryClient(HTTPClient):
+    """The shipper's replication endpoints over pooled keep-alive
+    connections (``replication.follower_connections_opened`` counts
+    the ones opened).  An unreachable primary and any status but 200
+    raise :class:`~repro.exceptions.ReplicationError`."""
+
+    role = "primary"
+    connections_counter = "replication.follower_connections_opened"
 
     def __init__(
         self,
@@ -101,28 +107,21 @@ class PrimaryClient:
         secret: str | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        if metrics is None:
+            metrics = MetricsRegistry()
+        super().__init__(base_url, timeout, metrics)
         self.secret = secret
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
 
-    def _get(self, path: str) -> bytes:
+    def get(self, path: str) -> tuple[bytes, dict]:
         try:
-            with urllib.request.urlopen(
-                self.base_url + path, timeout=self.timeout
-            ) as response:
-                return response.read()
-        except urllib.error.HTTPError:
-            raise  # callers map HTTP statuses themselves
-        except (urllib.error.URLError, OSError) as exc:
+            return super().get(path)
+        except OSError as exc:
             raise ReplicationError(
                 f"primary {self.base_url} is unreachable: {exc}"
             ) from exc
 
     def manifest(self) -> dict:
-        doc = json.loads(self._get("/replication/manifest"))
+        doc = json.loads(self.get("/replication/manifest")[0])
         if self.secret is not None and not verify_manifest(doc, self.secret):
             self.metrics.add("replication.signature_failures", 1)
             raise ReplicationError(
@@ -132,44 +131,14 @@ class PrimaryClient:
         return doc
 
     def segment_chunk(self, start_seq: int, offset: int, length: int) -> bytes:
-        path = (
+        return self.get(
             f"/replication/segment?start={start_seq}"
             f"&offset={offset}&length={length}"
-        )
-        try:
-            return self._get(path)
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            raise ReplicationError(
-                f"primary {self.base_url} refused segment {start_seq} "
-                f"@{offset}: {exc.code} {detail}"
-            ) from exc
+        )[0]
 
     def snapshot(self) -> tuple[int, bytes]:
-        request = urllib.request.Request(
-            self.base_url + "/replication/snapshot"
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                version = int(
-                    response.headers.get("X-Store-Version", "0")
-                )
-                return version, response.read()
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            raise ReplicationError(
-                f"primary {self.base_url} refused a snapshot: "
-                f"{exc.code} {detail}"
-            ) from exc
-        except (urllib.error.URLError, OSError) as exc:
-            raise ReplicationError(
-                f"primary {self.base_url} is unreachable: {exc}"
-            ) from exc
-
-    def health(self) -> dict:
-        return json.loads(self._get("/health"))
+        data, headers = self.get("/replication/snapshot")
+        return int(headers.get("X-Store-Version", "0")), data
 
 
 class Follower:
@@ -225,8 +194,12 @@ class Follower:
         return -1 if self.applier is None else self.applier.applied_seq
 
     def close(self) -> None:
-        if self.applier is not None:
-            self.applier = None
+        """Release the local WAL and the idle connections to the primary."""
+        self._close_wal()
+        self.client.close()
+
+    def _close_wal(self) -> None:
+        self.applier = None
         if self.wal is not None:
             self.wal.close()
             self.wal = None
@@ -289,7 +262,7 @@ class Follower:
         state adopted".
         """
         self.metrics.add("replication.bootstraps", 1)
-        self.close()
+        self._close_wal()
         version, data = self.client.snapshot()
         stray = self.store_dir.with_name(
             self.store_dir.name + _BOOTSTRAP_SUFFIX
@@ -598,16 +571,21 @@ class FollowerService:
         )
         self._thread.start()
 
+    def sync(self) -> None:
+        """One fetch-and-apply round of the poll loop; a failure is
+        recorded (``replication.sync_failures``), not raised."""
+        try:
+            self.follower.sync_once()
+            self.follower.applier.drain()
+            self.follower.last_sync_error = None
+        except (ReproError, OSError) as exc:
+            self.follower.last_sync_error = exc
+            self.metrics.add("replication.sync_failures", 1)
+
     def _run(self) -> None:
         interval = self.follower.options.poll_interval_seconds
         while not self._stop.is_set():
-            try:
-                self.follower.sync_once()
-                self.follower.applier.drain()
-                self.follower.last_sync_error = None
-            except (ReproError, OSError) as exc:
-                self.follower.last_sync_error = exc
-                self.metrics.add("replication.sync_failures", 1)
+            self.sync()
             self._stop.wait(interval)
 
     def serve_forever(self) -> None:

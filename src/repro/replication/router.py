@@ -6,11 +6,10 @@ similarity ops (``similar`` / ``similarity_score`` /
 ``fuzzy_contains``) through a pool of :class:`ReplicaEndpoint`\\ s —
 HTTP servers (:class:`HTTPReplica`) or in-process readers
 (:class:`LocalReplica`).
-An :class:`HTTPReplica` keeps its connections alive between calls, so
-a routed read costs one request on an open connection; a connection
-the replica closed while it sat idle is retried once on a fresh one
-without evicting the replica, and a truncated or garbled answer is a
-transport failure like a reset.
+An :class:`HTTPReplica` is the package's one outbound client
+(:class:`~repro.serving.client.HTTPClient`) plus the replica's status
+mapping, so a routed read costs one request on an open connection, and
+a truncated or garbled answer is a transport failure like a reset.
 Every hop carries one :class:`~repro.serving.reader.Query`: the router
 parses it off the wire with the fronts' own parser, an
 :class:`HTTPReplica` asks it with the one serializer
@@ -25,7 +24,8 @@ Two modes:
 * **Replicated** (default): every replica holds a full store copy
   (WAL-shipped followers).  Requests round-robin across healthy
   replicas; a transport failure evicts the replica for
-  ``eviction_seconds`` and the request retries on the next one.  A
+  ``eviction_seconds`` and the request retries on the next one (one
+  failover loop serves queries and session requests alike).  A
   replica that answers 429 is alive but shedding load: it is skipped
   without eviction (:class:`ReplicaOverloaded`), and when every
   eligible replica sheds the router sheds too, relaying the replica's
@@ -63,7 +63,7 @@ on an :class:`~repro.serving.aserver.AsyncHTTPFront`, the same front
 (admission control, keep-alive, latency histograms) every replica
 runs.
 
-Interactive sessions (PR 10) are replica-local state — the scratch
+Interactive sessions are replica-local state — the scratch
 workspace and per-tenant caches live in one server's memory — so the
 router *pins* each session to the replica that created it:
 ``POST /sessions`` round-robins to a healthy replica and records the
@@ -78,7 +78,6 @@ session's examples mine against one *whole* store.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
@@ -92,6 +91,7 @@ from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.parallel.merge import merge_support_sets
 from repro.serving.admission import AdmissionController
 from repro.serving.aserver import AsyncHTTPFront
+from repro.serving.client import HTTPClient
 from repro.serving.endpoints import (
     Endpoint,
     HTTPRequest,
@@ -125,11 +125,8 @@ __all__ = [
 ]
 
 _SHARDED_OPS = ("support", "graphs") + SIMILARITY_OPS
-# How a reused keep-alive connection fails when the replica closed it
-# while it sat idle: before any byte of the answer arrives.
-_STALE_CONNECTION_ERRORS = (
-    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
-)
+# What a replica that failed (in transport, or with a broken answer) raises.
+_REPLICA_FAILURES = (ReproError, OSError, ValueError)
 
 
 class StaleReplicasError(ReplicationError):
@@ -163,136 +160,55 @@ class QueryRejected(ReproError):
     """
 
 
-class HTTPReplica:
-    """A replica reached over the serving HTTP surface.
+class HTTPReplica(HTTPClient):
+    """A replica reached over the serving HTTP surface; a
+    :class:`QueryRouter` counts the connections it opens in its
+    registry as ``replication.router_connections_opened``."""
 
-    Calls share a lock-guarded list of idle keep-alive connections: a
-    call takes one (or opens one), reads the whole answer and returns
-    the connection unless the replica said it will close it, so the
-    pool holds at most as many connections as callers ever ran at
-    once.  A reused connection that fails before any answer byte
-    arrives was closed by the replica while it sat idle; the call
-    retries once on a fresh connection, which is not a failure of the
-    replica.  A :class:`QueryRouter` counts connection opens in its
-    registry as ``replication.router_connections_opened``.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        scheme, _sep, self._netloc = self.base_url.partition("://")
-        if scheme != "http" or not self._netloc or "/" in self._netloc:
-            raise ReplicationError(
-                f"replica URL must be http://host:port, got {base_url!r}"
-            )
-        self._idle: list[http.client.HTTPConnection] = []
-        self._lock = threading.Lock()
-        self.metrics: MetricsRegistry | None = None
+    role = "replica"
+    connections_counter = "replication.router_connections_opened"
 
     @property
     def name(self) -> str:
         return self.base_url
 
-    def close(self) -> None:
-        """Close every idle connection (calls in flight keep theirs)."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
-
-    def _exchange(self, connection, method, path, body):
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body, headers)
-        return connection.getresponse()
-
-    def _call(
-        self, method: str, path: str, body: bytes | None = None
-    ) -> tuple[int, bytes, dict]:
-        """One request/answer exchange on a pooled connection."""
-        with self._lock:
-            connection = self._idle.pop() if self._idle else None
-        reused = connection is not None
-        if connection is None:
-            connection = self._connect()
-        try:
-            try:
-                response = self._exchange(connection, method, path, body)
-            except _STALE_CONNECTION_ERRORS:
-                if not reused:
-                    raise
-                connection.close()
-                connection = self._connect()
-                response = self._exchange(connection, method, path, body)
-            data = response.read()
-        except http.client.HTTPException as exc:
-            # A truncated or garbled answer (``IncompleteRead``,
-            # ``BadStatusLine``) is a transport failure, like a reset.
-            connection.close()
-            raise ReplicationError(
-                f"replica {self.base_url} sent a broken answer: {exc!r}"
-            ) from exc
-        except BaseException:
-            connection.close()
-            raise
-        if response.will_close:
-            connection.close()
-        else:
-            with self._lock:
-                self._idle.append(connection)
-        return response.status, data, dict(response.headers)
-
-    def _connect(self) -> http.client.HTTPConnection:
-        if self.metrics is not None:
-            self.metrics.add("replication.router_connections_opened", 1)
-        return http.client.HTTPConnection(self._netloc, timeout=self.timeout)
-
     def health(self) -> dict:
-        status, data, _headers = self._call("GET", "/health")
-        if status != 200:
-            raise ReplicationError(
-                f"replica {self.base_url} failed a health check: "
-                f"{status} {data.decode('utf-8', 'replace')}"
-            )
-        return json.loads(data)
+        return json.loads(self.get("/health")[0])
 
     def query(self, query: Query) -> dict:
         """Ask ``query`` (its pattern in wire text) over HTTP."""
-        op = query.op
-        status, data, headers = self._call(*query_request(query))
+        status, payload, headers = self.request(*query_request(query))
         if 200 <= status < 300:
-            return json.loads(data)
-        detail = data.decode("utf-8", "replace")
-        if status in (400, 429):
-            try:
-                message = json.loads(detail).get("error", detail)
-            except ValueError:
-                message = detail
-            if status == 400:
-                raise QueryRejected(str(message))
+            return payload
+        error = payload.get("error") if isinstance(payload, dict) else None
+        message = payload if error is None else error
+        if status == 400:
+            raise QueryRejected(str(message))
+        if status == 429:
             raise ReplicaOverloaded(
-                f"replica {self.base_url} shed a {op} query: {message}",
+                f"replica {self.base_url} shed a {query.op} query: "
+                f"{message}",
                 retry_after=headers.get("Retry-After", "1"),
             )
         raise ReplicationError(
-            f"replica {self.base_url} failed a {op} query: {status} {detail}"
+            f"replica {self.base_url} failed a {query.op} query: "
+            f"{status} {message}"
         )
 
     def request(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, object, dict]:
-        """Forward a raw request (session pinning path).
-
-        Unlike :meth:`query`, *every* HTTP status is an answer to relay
-        (404 session-not-found, 429 quota breach with ``Retry-After``);
-        only transport failures raise, so the router evicts on dead
-        replicas but never on application errors.
+        """Forward a raw request (session pinning path): unlike
+        :meth:`query`, *every* HTTP status is an answer to relay (404
+        session-not-found, 429 quota breach with ``Retry-After``), so
+        the router evicts on dead replicas, never on application errors.
         """
-        status, data, headers = self._call(method, path, body)
-        if 200 <= status < 300:
-            return status, json.loads(data), headers
+        status, data, headers = self.call(method, path, body)
         try:
             payload: object = json.loads(data)
         except ValueError:
+            if 200 <= status < 300:
+                raise
             payload = {"error": data.decode("utf-8", "replace")}
         return status, payload, headers
 
@@ -454,7 +370,7 @@ class QueryRouter:
             state.health = state.replica.health()
             state.health_at = now
             state.failures = 0
-        except (ReproError, OSError, ValueError) as exc:
+        except _REPLICA_FAILURES as exc:
             self._evict(state, now, f"health check failed: {exc}")
 
     def _evict(self, state: _ReplicaState, now: float, reason: str) -> None:
@@ -526,15 +442,16 @@ class QueryRouter:
 
     # -- replicated mode ------------------------------------------------------
 
-    def _eligible(
-        self, now: float, min_applied_seq: int | None
-    ) -> tuple[list[_ReplicaState], bool]:
+    def _eligible(self, min_applied_seq: int | None) -> list[_ReplicaState]:
         """Live replicas satisfying the staleness bounds.
 
-        Returns ``(eligible, any_live)``; a live-but-stale replica gets
-        one immediate health re-poll before being ruled out, since
-        followers advance continuously.
+        A live-but-stale replica gets one immediate health re-poll
+        before being ruled out, since followers advance continuously.
+        With no eligible replica, raises :class:`StaleReplicasError`
+        when some replica is live (just behind), else
+        :class:`~repro.exceptions.ReplicationError`.
         """
+        now = time.monotonic()
         floor = -1 if min_applied_seq is None else min_applied_seq
         live = [s for s in self._states if s.up(now)]
         for state in live:
@@ -551,55 +468,64 @@ class QueryRouter:
                 self._refresh_health(state, now)
             if state.up(now) and state.applied_seq >= floor:
                 eligible.append(state)
-        return eligible, bool(live)
-
-    def _query_replicated(
-        self, query: Query, min_applied_seq: int | None
-    ) -> dict:
-        now = time.monotonic()
-        eligible, any_live = self._eligible(now, min_applied_seq)
-        if not eligible:
-            if any_live:
-                self.metrics.add("replication.router_shed_stale", 1)
-                raise StaleReplicasError(
-                    f"no replica has reached applied seq "
-                    f"{min_applied_seq} yet; retry shortly"
-                )
-            raise ReplicationError(
-                "no healthy replica is available to route to"
+        if eligible:
+            return eligible
+        if live:
+            self.metrics.add("replication.router_shed_stale", 1)
+            behind = (
+                "is within the staleness bound" if min_applied_seq is None
+                else f"has reached applied seq {min_applied_seq} yet"
             )
-        with self._lock:
-            start = self._round_robin
-            self._round_robin += 1
-        order = [
-            eligible[(start + i) % len(eligible)]
-            for i in range(len(eligible))
-        ]
+            raise StaleReplicasError(f"no replica {behind}; retry shortly")
+        raise ReplicationError("no healthy replica is available to route to")
+
+    def _failover(self, what: str, ask, eligible, pinned=None):
+        """Ask the ``eligible`` replicas in round-robin order (or
+        ``pinned``, a session's live replica, alone) until one answers;
+        returns ``(state, ask(state))``.  A transport failure evicts the
+        replica and asks the next (``replication.router_retries``); a
+        shed (:class:`ReplicaOverloaded`) skips it without eviction and
+        is raised if no replica answers; :class:`QueryRejected` is an
+        answer, so it propagates."""
+        if pinned is not None:
+            order = [pinned]
+        else:
+            with self._lock:
+                start = self._round_robin % len(eligible)
+                self._round_robin += 1
+            order = eligible[start:] + eligible[:start]
         last_error: Exception | None = None
         shed: ReplicaOverloaded | None = None
         for state in order:
             try:
-                payload = state.replica.query(query)
+                return state, ask(state)
             except QueryRejected:
                 raise
             except ReplicaOverloaded as exc:
                 shed = exc
                 self.metrics.add("replication.router_replica_sheds", 1)
-                continue
-            except (ReproError, OSError, ValueError) as exc:
+            except _REPLICA_FAILURES as exc:
                 last_error = exc
                 self._evict(state, time.monotonic(), str(exc))
                 self.metrics.add("replication.router_retries", 1)
-                continue
-            # The answer names the op routed and the replica that gave it.
-            payload.update(op=query.op, replica=state.replica.name)
-            return payload
         if shed is not None:
             raise shed
         raise ReplicationError(
-            f"every eligible replica failed the {query.op} query; "
+            f"every eligible replica failed the {what}; "
             f"last error: {last_error}"
         )
+
+    def _query_replicated(
+        self, query: Query, min_applied_seq: int | None
+    ) -> dict:
+        state, payload = self._failover(
+            f"{query.op} query",
+            lambda state: state.replica.query(query),
+            self._eligible(min_applied_seq),
+        )
+        # The answer names the op routed and the replica that gave it.
+        payload.update(op=query.op, replica=state.replica.name)
+        return payload
 
     # -- session pinning ------------------------------------------------------
 
@@ -637,79 +563,54 @@ class QueryRouter:
                 "store"
             )
         session_id = self._session_id_of(path)
-        now = time.monotonic()
-        eligible, any_live = self._eligible(now, None)
-        if not eligible:
-            if any_live:
-                raise StaleReplicasError(
-                    "no replica is within the staleness bound; retry "
-                    "shortly"
-                )
-            raise ReplicationError(
-                "no healthy replica is available to route to"
-            )
+        eligible = self._eligible(None)
         pinned: _ReplicaState | None = None
         if session_id is not None:
             with self._lock:
                 pinned = self._session_pins.get(session_id)
-            if pinned is not None and not pinned.up(now):
+            if pinned is not None and not pinned.up(time.monotonic()):
                 # The pinned replica died; its session state died too.
-                with self._lock:
-                    self._session_pins.pop(session_id, None)
-                self.metrics.add("replication.router_session_repins", 1)
+                self._drop_pin(session_id)
                 pinned = None
-        if pinned is not None:
-            order = [pinned]
-        else:
-            with self._lock:
-                start = self._round_robin
-                self._round_robin += 1
-            order = [
-                eligible[(start + i) % len(eligible)]
-                for i in range(len(eligible))
-            ]
-        last_error: Exception | None = None
-        for state in order:
+
+        def forward(state: _ReplicaState):
             try:
-                status, payload, headers = state.replica.request(
-                    method, path, body
-                )
-            except (ReproError, OSError, ValueError) as exc:
-                last_error = exc
-                self._evict(state, time.monotonic(), str(exc))
-                self.metrics.add("replication.router_retries", 1)
+                return state.replica.request(method, path, body)
+            except _REPLICA_FAILURES:
                 if state is pinned:
-                    with self._lock:
-                        self._session_pins.pop(session_id, None)
-                    self.metrics.add(
-                        "replication.router_session_repins", 1
-                    )
-                continue
-            self.metrics.add("replication.router_session_forwards", 1)
-            created = (
-                method == "POST"
-                and session_id is None
-                and status in (200, 201)
-                and isinstance(payload, dict)
-                and payload.get("session_id")
-            )
-            if created:
-                with self._lock:
-                    self._session_pins[str(payload["session_id"])] = state
-                self.metrics.add("replication.router_session_pins", 1)
-            if session_id is not None and (
-                status == 404 or (method == "DELETE" and status == 200)
-            ):
-                with self._lock:
-                    self._session_pins.pop(session_id, None)
-            if isinstance(payload, dict):
-                payload = dict(payload)
-                payload["replica"] = state.replica.name
-            return status, payload, headers
-        raise ReplicationError(
-            f"every eligible replica failed the session request; "
-            f"last error: {last_error}"
+                    self._drop_pin(session_id)
+                raise
+
+        state, (status, payload, headers) = self._failover(
+            "session request", forward, eligible, pinned
         )
+        self.metrics.add("replication.router_session_forwards", 1)
+        created = (
+            method == "POST"
+            and session_id is None
+            and status in (200, 201)
+            and isinstance(payload, dict)
+            and payload.get("session_id")
+        )
+        if created:
+            with self._lock:
+                self._session_pins[str(payload["session_id"])] = state
+            self.metrics.add("replication.router_session_pins", 1)
+        if session_id is not None and (
+            status == 404 or (method == "DELETE" and status == 200)
+        ):
+            with self._lock:
+                self._session_pins.pop(session_id, None)
+        if isinstance(payload, dict):
+            payload = dict(payload)
+            payload["replica"] = state.replica.name
+        return status, payload, headers
+
+    def _drop_pin(self, session_id: str) -> None:
+        """Forget a pin whose replica died (``router_session_repins``)."""
+        with self._lock:
+            self._session_pins.pop(session_id, None)
+        self.metrics.add("replication.router_session_repins", 1)
 
     # -- sharded mode ---------------------------------------------------------
 
@@ -761,23 +662,9 @@ class QueryRouter:
             if op in SIMILARITY_OPS
             else replace(query, op="graphs")
         )
-        futures = [
-            self._pool.submit(state.replica.query, fanned)
-            for state in self._states
-        ]
-        answers = []
-        for state, future in zip(self._states, futures):
-            try:
-                answers.append(future.result())
-            except (QueryRejected, ReplicaOverloaded):
-                raise
-            except (ReproError, OSError, ValueError) as exc:
-                self._evict(state, time.monotonic(), str(exc))
-                raise ReplicationError(
-                    f"shard {state.replica.name} failed; sharded answers "
-                    f"need every shard: {exc}"
-                ) from exc
-        self.metrics.add("replication.router_shard_merges", 1)
+        answers = self._ask_shards(
+            [(state, fanned) for state in self._states]
+        )
         if op == "similar":
             # Scores depend only on (pattern, graph, taxonomy), so
             # re-basing shard-local ids and re-sorting is an exact merge.
@@ -815,15 +702,36 @@ class QueryRouter:
             "value": value,
         }
 
+    def _ask_shards(
+        self, asks: list[tuple[_ReplicaState, Query]]
+    ) -> list[dict]:
+        """Ask each shard its query on the shard pool; a shard that
+        fails is evicted and fails the whole answer."""
+        futures = [
+            self._pool.submit(state.replica.query, query)
+            for state, query in asks
+        ]
+        answers = []
+        for (state, _query), future in zip(asks, futures):
+            try:
+                answers.append(future.result())
+            except (QueryRejected, ReplicaOverloaded):
+                raise
+            except _REPLICA_FAILURES as exc:
+                self._evict(state, time.monotonic(), str(exc))
+                raise ReplicationError(
+                    f"shard {state.replica.name} failed; sharded answers "
+                    f"need every shard: {exc}"
+                ) from exc
+        self.metrics.add("replication.router_shard_merges", 1)
+        return answers
+
     def _score_sharded(self, starts, query: Query) -> dict:
         """Route ``similarity_score`` to the one shard owning the id."""
         graph_id = query.graph_id
         if graph_id is None:
             raise QueryRejected("similarity_score requires a graph_id")
-        sizes = [
-            int(state.health["database_size"]) for state in self._states
-        ]
-        total = starts[-1] + sizes[-1] if starts else 0
+        total = starts[-1] + int(self._states[-1].health["database_size"])
         if not 0 <= graph_id < total:
             raise QueryRejected(
                 f"graph id {graph_id} is out of range for a database of "
@@ -833,20 +741,10 @@ class QueryRouter:
             index for index, start in enumerate(starts)
             if start <= graph_id
         )
-        state = self._states[shard]
-        try:
-            answer = state.replica.query(
-                replace(query, graph_id=graph_id - starts[shard])
-            )
-        except (QueryRejected, ReplicaOverloaded):
-            raise
-        except (ReproError, OSError, ValueError) as exc:
-            self._evict(state, time.monotonic(), str(exc))
-            raise ReplicationError(
-                f"shard {state.replica.name} failed; sharded answers "
-                f"need every shard: {exc}"
-            ) from exc
-        self.metrics.add("replication.router_shard_merges", 1)
+        [answer] = self._ask_shards(
+            [(self._states[shard],
+              replace(query, graph_id=graph_id - starts[shard]))]
+        )
         return {
             "op": "similarity_score",
             "sharded": True,

@@ -26,7 +26,9 @@ answers from those bit-sets:
 * :class:`BatchExecutor` — batch execution grouping queries per pattern
   class across a thread pool.
 * :func:`serve_async` / :class:`AsyncHTTPFront` — the JSON/HTTP
-  front-end (``taxogram serve``) every serving socket runs on.
+  front-end (``taxogram serve``) every serving socket runs on, and
+  :class:`HTTPClient` — the pooled keep-alive client every outbound
+  call goes through.
 
 Similarity queries (``similar`` / ``similarity_score`` /
 ``fuzzy_contains``) ride the same reader, cache, batch executor and
@@ -51,6 +53,7 @@ from repro.serving.admission import (
 )
 from repro.serving.aserver import AsyncHTTPFront, serve_async
 from repro.serving.batch import BatchExecutor
+from repro.serving.client import HTTPClient
 from repro.serving.cache import VersionedResultCache, query_key
 from repro.serving.endpoints import (
     Endpoint,
@@ -85,6 +88,7 @@ __all__ = [
     "BatchExecutor",
     "DEFAULT_SIMILAR_THRESHOLD",
     "Endpoint",
+    "HTTPClient",
     "HTTPRequest",
     "MatchResult",
     "QUERY_OPS",

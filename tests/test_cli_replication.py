@@ -75,6 +75,17 @@ class TestArgumentValidation:
         ) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("url", ["notaurl", "http://127.0.0.1:9/x"])
+    def test_replicate_rejects_a_url_that_is_not_host_port(
+        self, workdir, capsys, url
+    ):
+        assert main(
+            ["replicate", "replica", "--from", url, "--wal", "rwal"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "http://host:port" in err
+        assert not Path("replica").exists() and not Path("rwal").exists()
+
 
 class TestPipeline:
     def test_publish_replicate_route_end_to_end(self, workdir):

@@ -11,6 +11,10 @@ stands in for the real service where a live socket is needed.
 
 from __future__ import annotations
 
+import http.server
+import json
+import socket
+import threading
 import time
 
 import pytest
@@ -334,12 +338,22 @@ class TestLoadRunnerClock:
 
 
 class TestLoadRunnerLive:
-    """One short plan against an in-process canned service."""
+    """Short plans against an in-process canned service.
+
+    Its ``POST /query`` stalls a ``support`` query until the test ends
+    and sheds a ``graphs`` query with 429."""
 
     @pytest.fixture
     def front(self):
         versions = iter(range(100, 1000))
         seqs = iter(range(1000))
+        released = threading.Event()
+
+        def query(request):
+            if json.loads(request.body)["op"] == "support":
+                released.wait(10.0)
+                return 200, {"store_version": 1, "value": 0}, {}
+            return 429, {"error": "over capacity"}, {"Retry-After": "1"}
 
         def top(request):
             return 200, {"op": "top_k", "store_version": next(versions),
@@ -355,13 +369,68 @@ class TestLoadRunnerLive:
             Endpoint("GET", "/top", "top", "query", top),
             Endpoint("POST", "/ingest", "ingest", "ingest", ingest),
             Endpoint("POST", "/flush", "flush", "control", flush),
+            Endpoint("POST", "/query", "query", "query", query),
         ])
         front = AsyncHTTPFront(routes)
         host, port = front.start_background()
         try:
             yield f"http://{host}:{port}"
         finally:
+            released.set()
             front.stop_background()
+
+    @staticmethod
+    def _outcome(url, planned, timeout=30.0):
+        report = LoadRunner(url, [planned], workers=1, timeout=timeout).run()
+        [outcome] = report.outcomes
+        return outcome
+
+    def test_closed_port_is_transport(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        outcome = self._outcome(
+            f"http://127.0.0.1:{port}", PlannedRequest(at=0.0, kind="flush")
+        )
+        assert (outcome.status, outcome.outcome) == (None, "transport")
+
+    def test_truncated_answer_is_transport(self):
+        """A cut-short answer is accounted for, not lost with its worker."""
+        from tests.test_replication_router import _TruncatingHandler
+
+        server = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), _TruncatingHandler
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            outcome = self._outcome(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                PlannedRequest(at=0.0, kind="flush"),
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert (outcome.status, outcome.outcome) == (None, "transport")
+
+    def test_answer_past_the_timeout_is_timeout(self, front):
+        outcome = self._outcome(
+            front,
+            PlannedRequest(at=0.0, kind="query", op="support",
+                           pattern=ADD_ONE),
+            timeout=0.2,
+        )
+        assert (outcome.status, outcome.outcome) == (None, "timeout")
+        assert outcome.latency_seconds < 5.0
+
+    def test_429_is_shed(self, front):
+        outcome = self._outcome(
+            front,
+            PlannedRequest(at=0.0, kind="query", op="graphs",
+                           pattern=ADD_ONE),
+        )
+        assert (outcome.status, outcome.outcome) == (429, "shed")
 
     def test_every_planned_request_is_accounted(self, front):
         options = LoadOptions(

@@ -52,8 +52,8 @@ class TestPublicAPI:
             name for name in dir(repro.serving) if not name.startswith("_")
         }
         modules = {
-            "admission", "aserver", "batch", "cache", "endpoints",
-            "reader", "server",
+            "admission", "aserver", "batch", "cache", "client",
+            "endpoints", "reader", "server",
         }
         assert public - modules == set(repro.serving.__all__)
 

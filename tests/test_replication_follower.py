@@ -390,6 +390,88 @@ class TestFollowerService:
             service.close()
 
 
+class TestPrimaryConnection:
+    """The follower's client to its primary reuses its connection from
+    poll to poll, and a connection the primary closed by restarting is
+    retried once without a sync failure.  These mirror the router's
+    ``TestKeepAlive`` in ``test_replication_router.py``."""
+
+    @staticmethod
+    def _start_primary(store_dir, wal_dir, port=0):
+        from repro.replication import PrimaryService
+
+        service = PrimaryService(
+            store_dir,
+            wal_dir,
+            secret="hush",
+            port=port,
+            options=IngestOptions(wait_timeout_seconds=60.0),
+            applier_options=_applier_options(),
+        )
+        service.start()
+        thread = threading.Thread(target=service.serve_forever, daemon=True)
+        thread.start()
+        return service, thread
+
+    @staticmethod
+    def _stop_primary(service, thread):
+        service.server.shutdown()
+        thread.join(timeout=10)
+        service.close()
+
+    def test_sequential_syncs_share_one_connection(self, primary, tmp_path):
+        _service, url = primary
+        with Follower(
+            tmp_path / "replica",
+            tmp_path / "rwal",
+            url,
+            options=_quick_options(),
+            applier_options=_applier_options(),
+        ) as follower:
+            for _ in range(8):
+                _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
+                assert follower.sync_once() <= 1
+                follower.applier.drain()
+            assert follower.applied_seq == 7
+            assert follower.metrics.counter(
+                "replication.follower_connections_opened"
+            ) == 1
+
+    def test_primary_restart_reconnects_without_a_sync_failure(
+        self, tmp_path
+    ):
+        store_dir, wal_dir = _mine_store(tmp_path), tmp_path / "wal"
+        primary, thread = self._start_primary(store_dir, wal_dir)
+        host, port = primary.address
+        url = f"http://{host}:{port}"
+        _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
+        service = FollowerService(
+            tmp_path / "replica",
+            tmp_path / "rwal",
+            url,
+            options=_quick_options(),
+            applier_options=_applier_options(),
+        )
+        try:
+            assert service.follower.applied_seq == 0
+            assert service.metrics.counter(
+                "replication.follower_connections_opened"
+            ) == 1
+            self._stop_primary(primary, thread)
+            primary, thread = self._start_primary(store_dir, wal_dir, port)
+            _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
+            service.sync()
+            assert service.follower.last_sync_error is None
+            assert service.metrics.counter("replication.sync_failures") == 0
+            assert service.follower.applied_seq == 1
+            assert service.metrics.counter(
+                "replication.follower_connections_opened"
+            ) == 2
+        finally:
+            service.close()
+            self._stop_primary(primary, thread)
+
+
 # -- SIGKILL crash harness ----------------------------------------------------
 
 _WORKER = """

@@ -2,8 +2,9 @@
 
 ``OccurrenceStore`` caches ``(inner, last)`` run masks and the
 occurrence -> graph-id list on the first kernel call; ``add``,
-``OccurrenceColumns.clear_graphs``, ``remap_graphs`` and ``compact``
-drop the cache.  The state machine below interleaves every edit an
+``compact`` and an ``OccurrenceColumns.clear_graphs`` that clears a
+column drop the cache, and ``remap_graphs`` renumbers its graph-id
+list.  The state machine below interleaves every edit an
 ``OccurrenceColumns`` sees in the incremental updater with kernel
 calls, and after every step compares ``support_count``/``support_mask``
 with a brute-force count and owner mask over the live occurrences.  A
@@ -147,3 +148,18 @@ def test_cleared_graph_may_start_a_new_run():
     columns.append(0, (1, 0))
     assert columns.support_mask(0b111) == 0b11  # graphs 0 and 1
     assert columns.support_count(0b001) == 0
+
+
+def test_remap_after_clearing_nothing_keeps_the_run_masks(monkeypatch):
+    columns = OccurrenceColumns([(1, (0, 1)), (1, (1, 0)), (3, (0, 1))])
+    columns.support_count(columns.all_bits)  # build the run masks
+    assert columns.clear_graphs([2]) == 0  # graph 2 owns no column here
+    columns.remap_graphs(0b1011)  # graph 2 removed: 1 -> 1, 3 -> 2
+
+    def rebuild(self):
+        raise AssertionError("the run masks were rebuilt")
+
+    monkeypatch.setattr(OccurrenceColumns, "_run_masks", rebuild)
+    assert [column[0] for column in columns] == [1, 1, 2]
+    assert columns.support_mask(0b111) == 0b110
+    assert columns.support_count(0b001) == 1
