@@ -143,6 +143,7 @@ def record_bench_point(bench: str, label: str, seconds: float, result) -> None:
     if not BENCH_JSON_DIR:
         return
     path = Path(BENCH_JSON_DIR) / f"BENCH_{bench}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     points = json.loads(path.read_text()) if path.exists() else []
     points.append(
         {

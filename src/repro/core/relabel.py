@@ -20,12 +20,19 @@ possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.exceptions import TaxonomyError
 from repro.graphs.database import GraphDatabase
+from repro.graphs.graph import Graph
 from repro.taxonomy.taxonomy import ARTIFICIAL_ROOT_NAME, Taxonomy
 
-__all__ = ["RelabeledDatabase", "relabel_database", "repair_taxonomy"]
+__all__ = [
+    "RelabeledDatabase",
+    "generalize_in_place",
+    "relabel_database",
+    "repair_taxonomy",
+]
 
 
 @dataclass
@@ -139,14 +146,29 @@ def relabel_database(
             )
     working, most_general = repair_taxonomy(taxonomy, root_name)
     dmg = database.copy()
-    originals: list[list[int]] = []
-    for graph in dmg:
-        originals.append(graph.node_labels())
-        for v in graph.nodes():
-            graph.relabel_node(v, most_general[graph.node_label(v)])
+    originals = generalize_in_place(dmg, most_general)
     return RelabeledDatabase(
         dmg=dmg,
         original_labels=originals,
         taxonomy=working,
         most_general=most_general,
     )
+
+
+def generalize_in_place(
+    graphs: Iterable[Graph], most_general: Mapping[int, int]
+) -> list[list[int]]:
+    """Step 1's relabel loop: give every node of ``graphs`` its label's
+    most general ancestor, in place.
+
+    Returns each graph's original labels, in iteration order.  Callers
+    relabel a copy: the database's for :math:`D_{mg}`, a query's for its
+    pattern class.
+    """
+    originals: list[list[int]] = []
+    for graph in graphs:
+        labels = graph.node_labels()
+        originals.append(labels)
+        for v in graph.nodes():
+            graph.relabel_node(v, most_general[labels[v]])
+    return originals

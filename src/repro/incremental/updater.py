@@ -8,8 +8,9 @@ database:
 1. **Relabel the delta only** — added graphs pass through Step 1
    individually; survivors keep their relabeled occurrence state.
 2. **Maintain existing classes** — removals clear occurrence columns;
-   additions replay each class's DFS code over the relabeled adds via
-   :func:`repro.mining.projection.project_code` and append columns.
+   additions replay each class's DFS code over the relabeled adds with
+   one :class:`~repro.mining.gspan.GSpanMiner` per batch
+   (:meth:`~repro.mining.gspan.GSpanMiner.project`) and append columns.
    Supports are then recomputed by bit-set operations; classes falling
    below sigma are demoted into the border.
 3. **Re-seed growth from the negative border** — each stored border
@@ -51,7 +52,7 @@ from repro.core.occurrence_index import (
     index_occurrences,
     project_occurrences,
 )
-from repro.core.relabel import repair_taxonomy
+from repro.core.relabel import generalize_in_place, repair_taxonomy
 from repro.core.results import (
     MiningCounters,
     TaxogramResult,
@@ -62,20 +63,8 @@ from repro.exceptions import MiningError, TaxonomyError
 from repro.graphs.database import GraphDatabase
 from repro.incremental.delta import DatabaseDelta
 from repro.incremental.store import PatternStore, StoredClass, stored_patterns
-from repro.mining.dfs_code import (
-    DFSCode,
-    DFSEdge,
-    code_key,
-    graph_from_code,
-    is_min_code,
-)
-from repro.mining.gspan import (
-    GSpanMiner,
-    MinedPattern,
-    extension_graph_ids,
-    min_support_count,
-)
-from repro.mining.projection import project_code
+from repro.mining.dfs_code import DFSCode, DFSEdge, code_key, graph_from_code
+from repro.mining.gspan import GSpanMiner, MinedPattern, min_support_count
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.util.bitset import BitSet, squeeze
@@ -179,11 +168,7 @@ class IncrementalTaxogram:
             for graph in adds_db:
                 updated_db.add_graph(graph.copy())
             adds_dmg = adds_db.copy()
-            adds_originals: list[list[int]] = []
-            for graph in adds_dmg:
-                adds_originals.append(graph.node_labels())
-                for v in graph.nodes():
-                    graph.relabel_node(v, most_general[graph.node_label(v)])
+            adds_originals = generalize_in_place(adds_dmg, most_general)
         stage_seconds["relabel"] = watch.elapsed
 
         ancestors = AncestorTable(working)
@@ -192,7 +177,9 @@ class IncrementalTaxogram:
         demoted: list[tuple[_Code, int]] = []
         adds_border: dict[_Code, int] = {}
         class_codes = {stored.code for stored in store.classes}
-        scan_miner = (
+        # One miner over the adds projects every class and border code
+        # and scans the border entries the adds introduce.
+        adds_miner = (
             GSpanMiner(adds_dmg, min_count=min_count_new, max_edges=store.max_edges)
             if n_added
             else None
@@ -222,7 +209,7 @@ class IncrementalTaxogram:
                         )
                     stored.columns.remap_graphs(keep)
                 embeddings = (
-                    project_code(adds_dmg, stored.code) if n_added else []
+                    adds_miner.project(stored.code) if n_added else []
                 )
                 if n_added:
                     metrics.add(
@@ -247,14 +234,9 @@ class IncrementalTaxogram:
                     and stored.patterns is not None
                 ):
                     reusable.add(stored.code)
-                if embeddings and not (
-                    store.max_edges is not None
-                    and len(stored.code) >= store.max_edges
-                ):
-                    self._scan_new_children(
-                        scan_miner,
-                        stored.code,
-                        embeddings,
+                if embeddings:
+                    _scan_adds_border(
+                        adds_miner.border(DFSCode(stored.code), embeddings),
                         base,
                         class_codes,
                         store.border,
@@ -283,7 +265,7 @@ class IncrementalTaxogram:
                 if removed_set:
                     mask = squeeze(mask, keep)
                 if n_added:
-                    embeddings = project_code(adds_dmg, code)
+                    embeddings = adds_miner.project(code)
                     metrics.add(
                         "incremental.embeddings_replayed", len(embeddings)
                     )
@@ -297,17 +279,19 @@ class IncrementalTaxogram:
                 if mask:
                     new_border[code] = mask
             if n_added:
-                self._scan_new_initial_edges(
-                    adds_dmg, base, class_codes, store.border, adds_border
+                _scan_adds_border(
+                    adds_miner.border(),
+                    base,
+                    class_codes,
+                    store.border,
+                    adds_border,
                 )
             for code, mask in adds_border.items():
                 new_border.setdefault(code, mask)
 
             if promotions:
                 new_dmg = updated_db.copy()
-                for graph in new_dmg:
-                    for v in graph.nodes():
-                        graph.relabel_node(v, most_general[graph.node_label(v)])
+                generalize_in_place(new_dmg, most_general)
 
                 def capture(code: _Code, mask: int) -> None:
                     if mask and code not in new_border:
@@ -336,9 +320,7 @@ class IncrementalTaxogram:
                     if code in discovered:
                         continue
                     metrics.add("incremental.border_reexpansions", 1)
-                    miner._grow(
-                        DFSCode(code), project_code(new_dmg, code), deliver
-                    )
+                    miner.grow(DFSCode(code), miner.project(code), deliver)
         stage_seconds["border"] = watch.elapsed
 
         patterns: list[TaxonomyPattern] = []
@@ -482,66 +464,6 @@ class IncrementalTaxogram:
             stored.columns.compact()
             metrics.add("incremental.compactions", 1)
 
-    @staticmethod
-    def _scan_new_children(
-        scan_miner: GSpanMiner,
-        code: _Code,
-        add_embeddings,
-        base: int,
-        class_codes: set[_Code],
-        old_border: dict[_Code, int],
-        adds_border: dict[_Code, int],
-    ) -> None:
-        """Border entries whose first embeddings live in added graphs.
-
-        A minimal child of a surviving class with at least one pre-delta
-        embedding is already a class or a border entry; any other child
-        generated from the add-embeddings has *all* its embeddings inside
-        added graphs (an embedding never spans graphs), so its exact
-        support set is the added graphs below — and the
-        ``n_added < min_count`` guard keeps it infrequent.
-        """
-        parent = DFSCode(code)
-        for edge, records in scan_miner._extensions(
-            parent, add_embeddings
-        ).items():
-            child = parent.extended(edge)
-            if child.edges in class_codes or child.edges in old_border:
-                continue
-            if not is_min_code(child):
-                continue
-            adds_border[child.edges] = (
-                BitSet(extension_graph_ids(records)).bits << base
-            )
-
-    @staticmethod
-    def _scan_new_initial_edges(
-        adds_dmg: GraphDatabase,
-        base: int,
-        class_codes: set[_Code],
-        old_border: dict[_Code, int],
-        adds_border: dict[_Code, int],
-    ) -> None:
-        """Minimal one-edge codes introduced by the added graphs.
-
-        Every one-edge code with a pre-delta embedding is a class or a
-        border entry (initial candidates are always generated), so only
-        codes absent from both can appear here.
-        """
-        initial: dict[DFSEdge, set[int]] = {}
-        for graph in adds_dmg:
-            for u, v, elabel in graph.edges():
-                lu, lv = graph.node_label(u), graph.node_label(v)
-                la, lb = (lu, lv) if lu <= lv else (lv, lu)
-                initial.setdefault((0, 1, la, elabel, lb), set()).add(
-                    base + graph.graph_id
-                )
-        for edge, gids in initial.items():
-            code: _Code = (edge,)
-            if code in class_codes or code in old_border:
-                continue
-            adds_border.setdefault(code, BitSet(gids).bits)
-
     def _full_remine(
         self, delta: DatabaseDelta, adds_db: GraphDatabase, tracer: Tracer
     ) -> TaxogramResult:
@@ -593,3 +515,27 @@ class IncrementalTaxogram:
         if result.report is not None:
             result.report.counters["incremental.fallbacks"] = 1
         return result
+
+
+def _scan_adds_border(
+    entries: list[tuple[_Code, int]],
+    base: int,
+    class_codes: set[_Code],
+    old_border: dict[_Code, int],
+    adds_border: dict[_Code, int],
+) -> None:
+    """Border entries whose first embeddings live in added graphs.
+
+    ``entries`` is the adds miner's border: the one-edge codes of the
+    adds, or the children grown from a surviving class's add-embeddings.
+    A minimal code with a pre-delta embedding is already a class or a
+    border entry (one-edge codes and the children of every explored
+    class are always generated).  Any other entry has *all* its
+    embeddings inside added graphs (an embedding never spans graphs), so
+    its exact support set is its mask shifted to ``base``, and the
+    ``n_added < min_count`` guard keeps it infrequent.
+    """
+    for code, mask in entries:
+        if code in class_codes or code in old_border:
+            continue
+        adds_border.setdefault(code, mask << base)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
@@ -170,6 +170,9 @@ class GSpanMiner:
         self.prune_report = prune_report
         # graph id -> per-node incident lists, built on first touch.
         self._incident: dict[int, list[list[tuple]]] = {}
+        # Minimal one-edge code -> (graph id, u, v, edge key) records,
+        # grouped on first use.
+        self._seeds: dict[DFSEdge, list[tuple]] | None = None
 
     # -- public API -------------------------------------------------------------
 
@@ -196,59 +199,21 @@ class GSpanMiner:
             results.append(pattern)
 
         for edge, embeddings in self._initial_projections():
-            self._grow(DFSCode((edge,)), embeddings, deliver)
+            self.grow(DFSCode((edge,)), embeddings, deliver)
         return results
 
-    # -- internals ----------------------------------------------------------------
-
-    def _initial_projections(
-        self,
-    ) -> Iterable[tuple[DFSEdge, list[Embedding]]]:
-        """Frequent one-edge seeds in ascending DFS order.
-
-        A one-edge code is minimal iff its label tuple is no larger than
-        the reverse orientation's (``(la, le, lb) <= (lb, le, la)``, i.e.
-        ``la <= lb``, for an undirected edge); both orientations are
-        embedded when the two codes are equal.  Seeds are grouped as
-        ``(graph id, u, v, edge key)`` records first, so a pruned seed
-        costs no ``Embedding``.
-        """
-        seeds: dict[DFSEdge, list[tuple[int, int, int, tuple]]] = {}
-        for graph in self.database:
-            gid = graph.graph_id
-            for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
-                uv = (0, 1, graph.node_label(u)) + tail_uv
-                vu = (0, 1, graph.node_label(v)) + tail_vu
-                if uv[2:] <= vu[2:]:
-                    seeds.setdefault(uv, []).append((gid, u, v, key))
-                if vu[2:] <= uv[2:]:
-                    seeds.setdefault(vu, []).append((gid, v, u, key))
-        frequent: list[tuple[DFSEdge, list[Embedding]]] = []
-        for edge, records in seeds.items():
-            graph_ids = {record[0] for record in records}
-            if len(graph_ids) >= self.min_count:
-                embeddings = [
-                    Embedding(gid, (u, v), frozenset((key,)))
-                    for gid, u, v, key in records
-                ]
-                frequent.append((edge, embeddings))
-            elif self.prune_report is not None:
-                self.prune_report((edge,), BitSet(graph_ids).bits)
-        counters = self.counters
-        if counters is not None:
-            counters.gspan_candidates_generated += len(seeds)
-            counters.gspan_candidates_pruned_infrequent += (
-                len(seeds) - len(frequent)
-            )
-        frequent.sort(key=lambda item: item[0][2:])
-        return frequent
-
-    def _grow(
+    def grow(
         self,
         code: DFSCode,
         embeddings: list[Embedding],
-        deliver: Callable[[MinedPattern], None],
+        deliver: ReportCallback,
     ) -> None:
+        """Deliver ``code`` and every frequent minimal descendant, in DFS
+        preorder, growing from ``code``'s embedding list.
+
+        ``mine`` calls this once per frequent seed; the incremental
+        updater calls it to re-expand a promoted border code.
+        """
         support_mask = BitSet([e.graph_id for e in embeddings]).bits
         deliver(
             MinedPattern(
@@ -264,6 +229,7 @@ class GSpanMiner:
 
         extensions = self._extensions(code, embeddings)
         counters = self.counters
+        prune_report = self.prune_report
         for edge in sorted(extensions, key=_DfsEdgeKey):
             records = extensions[edge]
             if counters is not None:
@@ -272,26 +238,160 @@ class GSpanMiner:
             if len(graph_ids) < self.min_count:
                 if counters is not None:
                     counters.gspan_candidates_pruned_infrequent += 1
-                if self.prune_report is not None:
-                    fringe = code.extended(edge)
-                    if is_min_code(fringe):
-                        self.prune_report(fringe.edges, BitSet(graph_ids).bits)
+                if prune_report is not None:
+                    candidate = [(edge, graph_ids)]
+                    for fringe in self._border(code.edges, candidate):
+                        prune_report(*fringe)
                 continue
             child = code.extended(edge)
             if not is_min_code(child):
                 if counters is not None:
                     counters.gspan_candidates_pruned_nonminimal += 1
                 continue
-            self._grow(child, child_embeddings(records), deliver)
+            self.grow(child, child_embeddings(records), deliver)
+
+    def project(self, code: DFSCode | Sequence[DFSEdge]) -> list[Embedding]:
+        """All embeddings of ``code``, in the order ``mine`` holds them.
+
+        Replays the code edge by edge: the seed table gives the first
+        edge's embeddings, and each later edge is the one candidate of
+        :meth:`_extensions` that the code prescribes.  ``code`` must be a
+        code gSpan can visit — a minimal one-edge seed followed by
+        rightmost-path extensions — but need not be frequent: a prefix
+        with no embeddings short-circuits to ``[]``.
+        """
+        edges = tuple(code.edges if isinstance(code, DFSCode) else code)
+        if not edges:
+            raise MiningError("cannot project an empty DFS code")
+        i, j = edges[0][:2]
+        if (i, j) != (0, 1):
+            raise MiningError(
+                f"DFS code must start with a (0, 1) edge, got ({i}, {j})"
+            )
+        embeddings = _seed_embeddings(self._seed_records().get(edges[0], []))
+        for position in range(1, len(edges)):
+            if not embeddings:
+                return []
+            edge = edges[position]
+            prefix = DFSCode(edges[:position])
+            records = self._extensions(prefix, embeddings, edge).get(edge, [])
+            embeddings = child_embeddings(records)
+        return embeddings
+
+    def border(
+        self,
+        code: DFSCode | None = None,
+        embeddings: Sequence[Embedding] = (),
+    ) -> list[tuple[tuple[DFSEdge, ...], int]]:
+        """The negative border directly below ``code``, as ``(code edges,
+        support mask)`` pairs: what ``mine`` hands ``prune_report``.
+
+        With no ``code`` these are the infrequent one-edge seeds;
+        otherwise the infrequent minimal rightmost-path children grown
+        from ``embeddings``, ``code``'s embedding list.  A code at
+        ``max_edges`` has no children.
+        """
+        if code is None:
+            return self._border((), self._seed_supports())
+        if self.max_edges is not None and len(code) >= self.max_edges:
+            return []
+        extensions = self._extensions(code, embeddings)
+        return self._border(
+            code.edges,
+            (
+                (edge, extension_graph_ids(records))
+                for edge, records in extensions.items()
+            ),
+        )
+
+    # -- internals ----------------------------------------------------------------
+
+    def _seed_records(self) -> dict[DFSEdge, list[tuple]]:
+        """Every minimal one-edge code with its ``(graph id, u, v, edge
+        key)`` records, grouped once per miner, before any threshold.
+
+        A one-edge code is minimal iff its label tuple is no larger than
+        the reverse orientation's (``(la, le, lb) <= (lb, le, la)``, i.e.
+        ``la <= lb``, for an undirected edge); both orientations are
+        recorded when the two codes are equal.  Records cost no
+        ``Embedding`` until a seed is kept or projected.
+        """
+        seeds = self._seeds
+        if seeds is None:
+            seeds = self._seeds = {}
+            for graph in self.database:
+                gid = graph.graph_id
+                for u, v, key, tail_uv, tail_vu in graph.edge_orientations():
+                    uv = (0, 1, graph.node_label(u)) + tail_uv
+                    vu = (0, 1, graph.node_label(v)) + tail_vu
+                    if uv[2:] <= vu[2:]:
+                        seeds.setdefault(uv, []).append((gid, u, v, key))
+                    if vu[2:] <= uv[2:]:
+                        seeds.setdefault(vu, []).append((gid, v, u, key))
+        return seeds
+
+    def _seed_supports(self) -> list[tuple[DFSEdge, set[int]]]:
+        """Each one-edge seed with the ids of the graphs it occurs in."""
+        return [
+            (edge, {record[0] for record in records})
+            for edge, records in self._seed_records().items()
+        ]
+
+    def _initial_projections(
+        self,
+    ) -> Iterable[tuple[DFSEdge, list[Embedding]]]:
+        """Frequent one-edge seeds in ascending DFS order."""
+        seeds = self._seed_records()
+        supports = self._seed_supports()
+        frequent: list[tuple[DFSEdge, list[Embedding]]] = [
+            (edge, _seed_embeddings(seeds[edge]))
+            for edge, graph_ids in supports
+            if len(graph_ids) >= self.min_count
+        ]
+        if self.prune_report is not None:
+            for fringe in self._border((), supports):
+                self.prune_report(*fringe)
+        counters = self.counters
+        if counters is not None:
+            counters.gspan_candidates_generated += len(seeds)
+            counters.gspan_candidates_pruned_infrequent += (
+                len(seeds) - len(frequent)
+            )
+        frequent.sort(key=lambda item: item[0][2:])
+        return frequent
+
+    def _border(
+        self,
+        code: tuple[DFSEdge, ...],
+        supports: Iterable[tuple[DFSEdge, set[int] | frozenset[int]]],
+    ) -> list[tuple[tuple[DFSEdge, ...], int]]:
+        """The infrequent minimal children of ``code``, given each
+        candidate edge with its support set.  One-edge seeds (the
+        children of the empty code) are minimal by construction."""
+        out: list[tuple[tuple[DFSEdge, ...], int]] = []
+        for edge, graph_ids in supports:
+            if len(graph_ids) >= self.min_count:
+                continue
+            child = code + (edge,)
+            if code and not is_min_code(child):
+                continue
+            out.append((child, BitSet(graph_ids).bits))
+        return out
 
     def _extensions(
-        self, code: DFSCode, embeddings: list[Embedding]
+        self,
+        code: DFSCode,
+        embeddings: Sequence[Embedding],
+        only: DFSEdge | None = None,
     ) -> dict[DFSEdge, list[Extension]]:
         """All rightmost-path one-edge extensions, grouped by DFS edge.
 
         Each is a raw :data:`Extension` record; :func:`child_embeddings`
         turns the records of a kept candidate into embeddings, so a
         discarded candidate costs no ``Embedding`` or ``used`` set.
+        ``only`` narrows the scan to the one head that extension edge
+        leaves from, as :meth:`project` needs; candidates stay keyed by
+        their full DFS edge.
         """
         rmpath = code.rightmost_path
         rm = rmpath[-1]
@@ -299,6 +399,13 @@ class GSpanMiner:
         new_id = len(vlabels)
         backward = [(j, (rm, j, vlabels[rm])) for j in rmpath[:-1]]
         forward = [(i, (i, new_id, vlabels[i])) for i in rmpath]
+        if only is not None:
+            backward = [b for b in backward if b[1][:2] == only[:2]]
+            forward = [f for f in forward if f[1][:2] == only[:2]]
+            if not backward and not forward:
+                i, j = only[:2]
+                kind = "backward" if j < i else "forward"
+                raise MiningError(f"invalid {kind} extension ({i}, {j})")
         database = self.database
         adjacency = self._incident
         out: dict[DFSEdge, list[Extension]] = {}
@@ -324,6 +431,14 @@ class GSpanMiner:
                         record = (emb, w, key)
                         out.setdefault(head + tail, []).append(record)
         return out
+
+
+def _seed_embeddings(records: list[tuple]) -> list[Embedding]:
+    """The embeddings of a one-edge seed, in record order."""
+    return [
+        Embedding(gid, (u, v), frozenset((key,)))
+        for gid, u, v, key in records
+    ]
 
 
 Extension = tuple[Embedding, "int | None", tuple[int, int]]

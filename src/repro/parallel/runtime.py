@@ -22,7 +22,7 @@ expensive middle of the pipeline over worker processes:
 4. **Project** (workers) — the driver unions the candidate codes and
    ships each shard only the candidates it is *missing* (frequent in
    some other shard but not locally); those few are replayed with
-   :func:`~repro.mining.projection.project_code`, which provably
+   :meth:`~repro.mining.gspan.GSpanMiner.project`, which provably
    returns the exact embedding list the miner would have kept.
 5. **Merge** (driver) — fragments concatenate into global occurrence
    state (:mod:`repro.parallel.merge`); exact global supports discard
@@ -59,6 +59,7 @@ from repro.core.occurrence_index import (
     OccurrenceStore,
     build_occurrence_index,
 )
+from repro.core.relabel import generalize_in_place
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.core.taxogram import (
@@ -75,9 +76,8 @@ from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.digraph import reject_directed
 from repro.graphs.io import parse_graph_database
-from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
-from repro.mining.gspan import Embedding, GSpanMiner, extension_graph_ids
-from repro.mining.projection import project_code
+from repro.mining.dfs_code import DFSCode, DFSEdge
+from repro.mining.gspan import Embedding, GSpanMiner
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NOOP_TRACER, PhaseClock, Tracer
 from repro.parallel.merge import (
@@ -88,7 +88,6 @@ from repro.parallel.merge import (
 )
 from repro.parallel.sharding import Shard, local_min_count, shard_database
 from repro.taxonomy.taxonomy import Taxonomy
-from repro.util.bitset import BitSet
 from repro.util.interner import LabelInterner
 from repro.util.timing import Stopwatch
 
@@ -186,11 +185,7 @@ class _WorkerRuntime:
             edge_labels=self.edge_labels,
         )
         dmg = original_db.copy()
-        originals: list[list[int]] = []
-        for graph in dmg:
-            originals.append(graph.node_labels())
-            for v in graph.nodes():
-                graph.relabel_node(v, self.most_general[graph.node_label(v)])
+        originals = generalize_in_place(dmg, self.most_general)
         data = _ShardData(
             dmg=dmg, original_labels=originals, original_db=original_db
         )
@@ -291,8 +286,9 @@ def _phase_project(
     with clock:
         data = runtime.shard_data(shard_id)
         ancestors = runtime.ancestor_table(allowed)
+        miner = GSpanMiner(data.dmg, min_count=1)
         for code in missing:
-            embeddings = project_code(data.dmg, code)
+            embeddings = miner.project(code)
             fragments.append(
                 _build_fragment(data, shard_id, code, embeddings, ancestors)
             )
@@ -672,34 +668,22 @@ def _report_border(
     Sequential gSpan explores exactly the frequent minimal codes — the
     kept classes — so its pruned-infrequent candidate stream is (a) the
     infrequent minimal one-edge codes and (b) the infrequent minimal
-    rightmost-path children of kept classes.  Both are enumerable on the
-    driver: class embeddings rebuild from the merged occurrence columns
-    (``used`` is the embedding's pattern-edge image, which the code
-    prescribes).
+    rightmost-path children of kept classes.  A miner over the whole
+    :math:`D_{mg}` enumerates both on the driver
+    (:meth:`GSpanMiner.border`): class embeddings rebuild from the merged
+    occurrence columns (``used`` is the embedding's pattern-edge image,
+    which the code prescribes).  A class at ``max_edges`` has no
+    children, so its embeddings are not rebuilt.
     """
-    initial: dict[DFSEdge, set[int]] = {}
-    for graph in dmg:
-        for u, v, elabel in graph.edges():
-            lu, lv = graph.node_label(u), graph.node_label(v)
-            la, lb = (lu, lv) if lu <= lv else (lv, lu)
-            initial.setdefault((0, 1, la, elabel, lb), set()).add(graph.graph_id)
-    for edge, gids in initial.items():
-        if len(gids) < min_count:
-            prune_report((edge,), BitSet(gids).bits)
-
     miner = GSpanMiner(dmg, min_count=min_count, max_edges=max_edges)
+    border = miner.border()
     for merged in kept:
         code = DFSCode(merged.code)
-        if max_edges is not None and len(code) >= max_edges:
-            continue
-        embeddings = _rebuild_embeddings(code, merged.occurrences)
-        for edge, records in miner._extensions(code, embeddings).items():
-            gids = extension_graph_ids(records)
-            if len(gids) >= min_count:
-                continue
-            child = code.extended(edge)
-            if is_min_code(child):
-                prune_report(child.edges, BitSet(gids).bits)
+        if max_edges is None or len(code) < max_edges:
+            embeddings = _rebuild_embeddings(code, merged.occurrences)
+            border.extend(miner.border(code, embeddings))
+    for code, mask in border:
+        prune_report(code, mask)
 
 
 def _rebuild_embeddings(code: DFSCode, occurrences) -> list[Embedding]:

@@ -58,7 +58,7 @@ from repro.core.occurrence_index import (
     OccurrenceIndex,
     index_occurrences,
 )
-from repro.core.relabel import repair_taxonomy
+from repro.core.relabel import generalize_in_place, repair_taxonomy
 from repro.core.results import MiningCounters, TaxonomyPattern, format_pattern
 from repro.core.specializer import (
     SpecializerOptions,
@@ -535,7 +535,7 @@ class StoreReader:
         labels = self._validated_labels(state, pattern)
         if pattern.num_edges == 0:
             return ("node", state.most_general[labels[0]])
-        code, _isos = self._generalized(state, pattern, labels)
+        code, _isos = self._generalized(state, pattern)
         return code.edges
 
     # -- rendering / parsing helpers (CLI and HTTP surface) -------------------
@@ -823,10 +823,9 @@ class StoreReader:
                 )
         return labels
 
-    def _generalized(self, state: _ReaderState, pattern: Graph, labels):
+    def _generalized(self, state: _ReaderState, pattern: Graph):
         generalized = pattern.copy()
-        for v in generalized.nodes():
-            generalized.relabel_node(v, state.most_general[labels[v]])
+        generalize_in_place((generalized,), state.most_general)
         return min_code_with_embeddings(generalized)
 
     def _compute_match(self, state: _ReaderState, pattern: Graph) -> MatchResult:
@@ -848,7 +847,7 @@ class StoreReader:
             ).bits
             self.metrics.add("serving.label_scans", 1)
             return MatchResult(mask, None, "label-scan")
-        code, isos = self._generalized(state, pattern, labels)
+        code, isos = self._generalized(state, pattern)
         stored = state.classes.get(code.edges)
         if stored is not None:
             rows = self._class_rows(state, stored)
@@ -912,7 +911,7 @@ class StoreReader:
         labels = self._validated_labels(state, pattern)
         if pattern.num_edges == 0:
             return False  # mined patterns always contain an edge
-        code, isos = self._generalized(state, pattern, labels)
+        code, isos = self._generalized(state, pattern)
         stored = state.classes.get(code.edges)
         if stored is None:
             # Frequent patterns within the edge cap always have a mined
@@ -965,7 +964,7 @@ class StoreReader:
             raise MiningError(
                 "specializations require a pattern with at least one edge"
             )
-        code, isos = self._generalized(state, pattern, labels)
+        code, isos = self._generalized(state, pattern)
         stored = state.classes.get(code.edges)
         if stored is None:
             if (

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 from repro.taxonomy.taxonomy import Taxonomy
 from repro.util.interner import LabelInterner
 
-__all__ = ["taxonomy_from_parent_names", "taxonomy_from_edges"]
+__all__ = ["taxonomy_from_parent_names"]
 
 
 def taxonomy_from_parent_names(
@@ -32,18 +32,3 @@ def taxonomy_from_parent_names(
         child_id = interner.intern(child)
         parents[child_id] = tuple(interner.intern(name) for name in names)
     return Taxonomy(parents, interner)
-
-
-def taxonomy_from_edges(
-    is_a_edges: Iterable[tuple[str, str]],
-    interner: LabelInterner | None = None,
-) -> Taxonomy:
-    """Build a taxonomy from ``(child name, parent name)`` pairs."""
-    interner = interner if interner is not None else LabelInterner()
-    parents: dict[int, list[int]] = {}
-    for child, parent in is_a_edges:
-        child_id = interner.intern(child)
-        parent_id = interner.intern(parent)
-        parents.setdefault(parent_id, [])
-        parents.setdefault(child_id, []).append(parent_id)
-    return Taxonomy({k: tuple(v) for k, v in parents.items()}, interner)

@@ -131,6 +131,34 @@ class TestProjectCode:
                 }
         assert total > 0, "no seed pruned a candidate; test exercised nothing"
 
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["graph", "digraph"]
+    )
+    def test_shared_miner_projects_like_fresh_calls(self, directed):
+        # One miner projects every class and border code, twice over:
+        # its cached seed records must come out of every call untouched.
+        total = 0
+        for seed in range(8):
+            db = (
+                _random_digraph_database(random.Random(seed), 5)
+                if directed
+                else _random_undirected_database(seed)
+            )
+            fringe: list[tuple] = []
+            miner = GSpanMiner(
+                db,
+                min_support=0.4,
+                max_edges=3,
+                prune_report=lambda code, mask: fringe.append((code, mask)),
+            )
+            codes = [pattern.code.edges for pattern in miner.mine()]
+            codes += [code for code, _mask in fringe]
+            for _round in range(2):
+                for code in codes:
+                    total += 1
+                    assert miner.project(code) == project_code(db, code)
+        assert total > 0, "no seed produced a code; test exercised nothing"
+
     def test_infrequent_code_still_projects(self):
         # A code frequent in one "shard" but absent elsewhere must replay
         # to whatever embeddings exist — including none.
